@@ -107,8 +107,9 @@ def match_paths(estimated, truth):
     """Minimum-cost assignment of estimated to true paths.
 
     Cost between two frequency 5-vectors is the sum of squared wrapped
-    angular distances. Exhaustive for L <= 6, Hungarian above. Returns
-    ``perm`` with estimated[perm[i]] matched to truth[i].
+    angular distances. The total cost is additive over pairs, so the
+    Hungarian solution (``linear_sum_assignment``) is exact for every L.
+    Returns ``perm`` with estimated[perm[i]] matched to truth[i].
     """
     est = np.stack([f.omega if isinstance(f, channel.AngularFreqs) else np.asarray(f)
                     for f in estimated])
@@ -118,15 +119,6 @@ def match_paths(estimated, truth):
         raise InvalidInputError("path lists must have equal lengths")
     n = est.shape[0]
     cost = np.sum(channel.wrap_angle(est[:, None, :] - tru[None, :, :]) ** 2, axis=2)
-    if n <= 6:
-        from itertools import permutations
-
-        best, best_perm = np.inf, None
-        for perm in permutations(range(n)):
-            c = sum(cost[perm[i], i] for i in range(n))
-            if c < best:
-                best, best_perm = c, perm
-        return np.array(best_perm)
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(n, dtype=int)
     perm[cols] = rows
@@ -165,6 +157,10 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
         return _TrialOutput(ok=False, error=f"{type(exc).__name__}: {exc}",
                             runtime=time.perf_counter() - t0)
     runtime = est.diagnostics.get("runtime_s", time.perf_counter() - t0)
+    values = [est.omega, est.gains] + [np.append(p.angles(), [p.tau, p.gamma])
+                                       for p in est.params]
+    if not all(np.all(np.isfinite(v)) for v in values):
+        return _TrialOutput(ok=False, error="non-finite estimate", runtime=runtime)
 
     perm = match_paths(est.freqs, [channel.AngularFreqs(om) for om in truth_omega])
     params = [est.params[p] for p in perm]
@@ -189,7 +185,8 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
 
     rate_u, rate_i = slac.rate_terms(params, truth_paths, scenario)
     if not (np.all(np.isfinite(sq_angle)) and np.all(np.isfinite(sq_tau))
-            and np.all(np.isfinite(sq_gain)) and np.isfinite(sq_pos)):
+            and np.all(np.isfinite(sq_gain)) and np.isfinite(sq_pos)
+            and np.all(np.isfinite(rate_u)) and np.all(np.isfinite(rate_i))):
         return _TrialOutput(ok=False, error="non-finite metrics", runtime=runtime)
     return _TrialOutput(ok=True, sq_angle=sq_angle, sq_tau=sq_tau,
                         sq_gain=sq_gain, sq_pos=sq_pos, rate_u=rate_u,
@@ -279,6 +276,9 @@ def run_experiment(cfg):
     if "analytic" in cfg.methods:
         kit = perturbation.build_kit(paths, transforms, scenario, l5)
 
+    # perfect-CSI rate terms do not depend on SNR: truth is its own estimate
+    u_perf, _ = slac.rate_terms(paths, paths, scenario)
+
     rows = []
     trial_dump = []
     worst = {}
@@ -320,8 +320,6 @@ def run_experiment(cfg):
         if kit is not None:
             rows.extend(_analytic_rows(kit, snr_db, n0, scenario))
 
-        # perfect-CSI rate is deterministic: reuse truth as its own estimate
-        u_perf, _ = slac.rate_terms(paths, paths, scenario)
         rows.append(MetricRow("perfect_csi", snr_db, "all", "rate_bps_hz",
                               slac.effective_rate(u_perf, np.zeros(scenario.m[4]),
                                                   scenario, n0), 0, 0))

@@ -110,8 +110,12 @@ def localize_scenario(params, scenario, weights=None, mu_rtol=1e-9):
     return localize(params, scenario.p_t, weights, tx_sign, rx_sign, mu_rtol)
 
 
-def element_space_channels(params, scenario):
-    """Element-space per-subcarrier channels (M5, M3 M4, M1 M2) from parameters."""
+def _path_factors(params, scenario):
+    """Factors of H_m = A_R diag(c_m) A_T^T for the given paths.
+
+    Returns the receive and transmit steering matrices A_R (M3 M4, L) and
+    A_T (M1 M2, L) and the gain-weighted frequency taps c (M5, L).
+    """
     omegas = np.stack([channel.to_angular(p, scenario.delta_f).omega for p in params])
     gains = np.array([p.gamma for p in params], dtype=np.complex128)
     m1, m2, m3, m4, m5 = scenario.m
@@ -120,7 +124,12 @@ def element_space_channels(params, scenario):
     a_r = channel.khatri_rao([channel.steering_matrix(m3, omegas[:, 2]),
                               channel.steering_matrix(m4, omegas[:, 3])])
     taps = channel.steering_matrix(m5, omegas[:, 4])     # e^{-j 2 pi df tau (m-1)}
-    weighted = taps * gains[None, :]                      # (M5, L)
+    return a_r, a_t, taps * gains[None, :]
+
+
+def element_space_channels(params, scenario):
+    """Element-space per-subcarrier channels (M5, M3 M4, M1 M2) from parameters."""
+    a_r, a_t, weighted = _path_factors(params, scenario)
     return np.einsum("ml,rl,tl->mrt", weighted, a_r, a_t, optimize=True)
 
 
@@ -128,16 +137,28 @@ def rate_terms(est_params, true_params, scenario):
     """Per-subcarrier desired and interference terms (U, I) for one estimate.
 
     The precoder/combiner are the dominant right/left singular vectors of the
-    reconstructed channel; U = w^H Hhat f and I = w^H (Hhat - H) f.
+    reconstructed channel Hhat_m; U = w^H Hhat f = sigma_1 and
+    I = w^H (Hhat - H) f.
+
+    Hhat_m = A_R diag(c_m) A_T^T has rank <= L, so no dense channel is built.
+    With A_R = Q_R R_R and A_T = Q_T R_T, Hhat_m = Q_R K_m Q_T^T with the
+    L x L core K_m = R_R diag(c_m) R_T^T; one batched SVD of the cores gives
+    sigma_1, w = Q_R u_1 and f = conj(Q_T) v_1. The true channel enters only
+    through w^H B_R and B_T^T f for its factors B_R, B_T. I is invariant
+    under the joint phase of (u_1, v_1), so it matches the dense evaluation
+    (``element_space_channels`` plus a per-subcarrier SVD) up to round-off.
     """
-    h_hat = element_space_channels(est_params, scenario)
-    h_true = element_space_channels(true_params, scenario)
-    u_vecs, svals, v_hs = np.linalg.svd(h_hat, full_matrices=False)
-    w = u_vecs[:, :, 0]
-    f = v_hs[:, 0, :].conj()
-    u_term = svals[:, 0].astype(np.complex128)
-    i_term = np.einsum("mr,mrt,mt->m", w.conj(), h_hat - h_true, f, optimize=True)
-    return u_term, i_term
+    a_r, a_t, c_hat = _path_factors(est_params, scenario)
+    b_r, b_t, c_true = _path_factors(true_params, scenario)
+    q_r, r_r = np.linalg.qr(a_r)
+    q_t, r_t = np.linalg.qr(a_t)
+    cores = (r_r[None, :, :] * c_hat[:, None, :]) @ r_t.T     # (M5, L, L)
+    u_vecs, svals, v_hs = np.linalg.svd(cores)
+    sigma = svals[:, 0]
+    w_b_r = u_vecs[:, :, 0].conj() @ (q_r.conj().T @ b_r)      # w_m^H B_R
+    b_t_f = v_hs[:, 0, :].conj() @ (q_t.conj().T @ b_t)       # B_T^T f_m
+    i_term = sigma - np.sum(w_b_r * c_true * b_t_f, axis=1)
+    return sigma.astype(np.complex128), i_term
 
 
 def effective_rate(u_terms, mean_i2, scenario, n0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from espritsim import channel
+from espritsim import channel, harness
 
 
 @pytest.fixture
@@ -50,14 +50,7 @@ def synthetic_paths(omegas, gains, delta_f):
 
 
 def match_rows(est_omega, truth_omega):
-    """Reorder estimate rows to the truth order (cheap exhaustive match)."""
-    from itertools import permutations
-
+    """Reorder estimate rows to the truth order (``harness.match_paths``)."""
     est = np.asarray(est_omega)
-    tru = np.asarray(truth_omega)
-    best, best_perm = np.inf, None
-    for perm in permutations(range(tru.shape[0])):
-        cost = np.sum(channel.wrap_angle(est[list(perm)] - tru) ** 2)
-        if cost < best:
-            best, best_perm = cost, perm
-    return est[list(best_perm)], list(best_perm)
+    perm = list(harness.match_paths(est, truth_omega))
+    return est[perm], perm

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from espritsim import channel, harness
+from espritsim import channel, esprit, harness
 
 
 def desk_config(tmp_path=None, **overrides):
@@ -170,6 +171,28 @@ class TestRunExperiment:
         row = next(r for r in rows if r.method == "matrix_dense")
         assert row.failures == 1
         assert row.trials == 29
+
+    def test_non_finite_estimate_counted_as_failure(self, monkeypatch):
+        # a NaN gain must not reach the rate SVD and abort the sweep
+        real = esprit.esprit_pipeline
+        calls = {"n": 0}
+
+        def nan_gain(*args, **kwargs):
+            est = real(*args, **kwargs)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                est.gains[0] = np.nan
+                est.params[0] = dataclasses.replace(est.params[0],
+                                                    gamma=complex(np.nan))
+            return est
+
+        monkeypatch.setattr(esprit, "esprit_pipeline", nan_gain)
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(trials=20, methods=["matrix_fast"]))
+        rows, _ = harness.run_experiment(cfg)
+        for row in (r for r in rows if r.method == "matrix_fast"):
+            assert (row.trials, row.failures) == (19, 1)
+            assert np.isfinite(row.value)
 
     def test_csv_header_and_columns(self, tmp_path):
         cfg = harness.ExperimentConfig.from_dict(
