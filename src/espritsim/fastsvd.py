@@ -1,8 +1,13 @@
 """Reduced-complexity signal subspace: FFT Hankel products + Lanczos bidiagonalization.
 
 The smoothed matrix stacks one K5 x L5 Hankel block per beam index, so a
-matrix-vector product is a batch of linear convolutions; with cached block
-FFTs a product costs O(J log N5) instead of O(J L5). Golub-Kahan
+matrix-vector product is a batch of convolutions of which only the fully
+overlapped ("valid") part is kept; with cached block FFTs a product costs
+O(J log N5) instead of O(J L5). A circular convolution of length N folds
+the linear one's index n + N onto n. The linear result is M5 + L5 - 1 long
+(M5 + K5 - 1 for the adjoint), so the fold reaches only indices below
+L5 - 1 (K5 - 1) once N >= M5, and those are exactly the discarded partial
+overlaps: N = next_pow2(M5) gives the valid outputs exactly. Golub-Kahan
 bidiagonalization then needs only ~4L products to expose the top-L singular
 triplets, and the final SVD acts on a tiny real bidiagonal matrix.
 """
@@ -36,8 +41,11 @@ class HankelBlockOperator:
         m5 = h.shape[1]
         if not 1 <= l5 <= m5:
             raise InvalidInputError(f"L5={l5} outside [1, {m5}]")
+        if not np.all(np.isfinite(h)):
+            raise InvalidInputError("taps contain non-finite entries")
         k5 = m5 + 1 - l5
-        nfft = _next_pow2(m5 + max(k5, l5) - 1)
+        # circular length M5 suffices for the valid outputs (module docstring)
+        nfft = _next_pow2(m5)
         return cls(blocks=h, k5=k5, l5=l5, nfft=nfft,
                    blocks_fft=np.fft.fft(h, nfft, axis=1))
 
@@ -73,10 +81,13 @@ class HankelBlockOperator:
 
 
 def hankel_matvec(op, x, adjoint=False):
-    """y = H x (or H^H x) through batched zero-padded FFTs; O(J log N5).
+    """y = H x (or H^H x) through batched circular FFT convolutions; O(J log N5).
 
-    Forward input length L5; adjoint input length B*K5. Results are
-    bit-stable across calls: the cached block FFTs are reused.
+    Forward input length L5; adjoint input length B*K5. Each block output is
+    the valid part of a convolution, indices L5-1..M5-1 forward and
+    K5-1..M5-1 adjoint. Circular wrap-around of length ``op.nfft`` >= M5
+    lands only on the lower, discarded indices, so these outputs are exact.
+    Results are bit-stable across calls: the cached block FFTs are reused.
     """
     x = np.asarray(x, dtype=np.complex128).ravel()
     b, m5 = op.blocks.shape
@@ -136,24 +147,26 @@ def lanczos_bidiag(op, steps, reorth="full", v0=None, breakdown_rtol=1e-12):
         raise InvalidInputError("starting vector must be nonzero")
     v /= nrm
 
-    u_frame = np.zeros((rows, steps), dtype=np.complex128)
-    v_frame = np.zeros((l5, steps), dtype=np.complex128)
+    # one contiguous row per basis vector: projecting against the first k
+    # vectors reads k rows instead of striding through the whole frame
+    u_frame = np.zeros((steps, rows), dtype=np.complex128)
+    v_frame = np.zeros((steps, l5), dtype=np.complex128)
     alphas = np.zeros(steps)
     betas = np.zeros(max(steps - 1, 0))
-    v_frame[:, 0] = v
+    v_frame[0] = v
     terminated = False
     n_done = 0
 
     def _project_out(frame, k, vec):
-        # coeffs = frame[:, :k]^H vec without conjugating the tall frame
-        coeffs = np.conj(frame[:, :k].T @ np.conj(vec))
-        vec -= frame[:, :k] @ coeffs
+        # coeffs = basis^H vec without conjugating the basis rows
+        coeffs = np.conj(frame[:k] @ np.conj(vec))
+        vec -= coeffs @ frame[:k]
         return vec
 
     for ell in range(steps):
-        u = hankel_matvec(op, v_frame[:, ell])
+        u = hankel_matvec(op, v_frame[ell])
         if ell > 0:
-            u -= betas[ell - 1] * u_frame[:, ell - 1]
+            u -= betas[ell - 1] * u_frame[ell - 1]
         if reorth == "full" and ell > 0:
             for _ in range(2):
                 u = _project_out(u_frame, ell, u)
@@ -163,13 +176,13 @@ def lanczos_bidiag(op, steps, reorth="full", v0=None, breakdown_rtol=1e-12):
             n_done = ell
             break
         alphas[ell] = a
-        u_frame[:, ell] = u / a
+        u_frame[ell] = u / a
         n_done = ell + 1
 
         if ell == steps - 1:
             break
-        r = hankel_matvec(op, u_frame[:, ell], adjoint=True)
-        r -= alphas[ell] * v_frame[:, ell]
+        r = hankel_matvec(op, u_frame[ell], adjoint=True)
+        r -= alphas[ell] * v_frame[ell]
         if reorth == "full":
             for _ in range(2):
                 r = _project_out(v_frame, ell + 1, r)
@@ -178,12 +191,12 @@ def lanczos_bidiag(op, steps, reorth="full", v0=None, breakdown_rtol=1e-12):
             terminated = True
             break
         betas[ell] = bnorm
-        v_frame[:, ell + 1] = r / bnorm
+        v_frame[ell + 1] = r / bnorm
 
     if n_done == 0:
         raise NumericFailureError("Lanczos broke down at the first step", iterations=0)
     return Bidiagonal(a=alphas[:n_done], b=betas[:max(n_done - 1, 0)],
-                      u_frame=u_frame[:, :n_done], v_frame=v_frame[:, :n_done],
+                      u_frame=u_frame[:n_done].T, v_frame=v_frame[:n_done].T,
                       terminated_early=terminated)
 
 

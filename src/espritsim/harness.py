@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import channel, esprit, perturbation, slac, tensor_esprit
-from .kernels import InvalidInputError
+from .kernels import InvalidInputError, NumericFailureError
 
 ALL_METHODS = ("matrix_dense", "matrix_fast", "tensor", "analytic")
 
@@ -117,6 +117,8 @@ def match_paths(estimated, truth):
                     for f in truth])
     if est.shape != tru.shape:
         raise InvalidInputError("path lists must have equal lengths")
+    if not (np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
+        raise InvalidInputError("path frequencies must be finite")
     n = est.shape[0]
     cost = np.sum(channel.wrap_angle(est[:, None, :] - tru[None, :, :]) ** 2, axis=2)
     rows, cols = linear_sum_assignment(cost)
@@ -140,20 +142,21 @@ class _TrialOutput:
 
 def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
                       truth_omega, l5, rng, n0):
+    if method not in ("matrix_dense", "matrix_fast", "tensor"):
+        raise InvalidInputError(f"not a per-trial method: {method}")
     n_paths = len(truth_paths)
     t0 = time.perf_counter()
     try:
-        if method in ("matrix_dense", "matrix_fast"):
-            est = esprit.esprit_pipeline(
-                noisy, transforms, n_paths, l5, scenario.delta_f,
-                method="dense" if method == "matrix_dense" else "fast", rng=rng)
-        elif method == "tensor":
+        if method == "tensor":
             est = tensor_esprit.tensor_esprit_pipeline(
                 noisy, transforms, n_paths, scenario.delta_f, rng=rng)
         else:
-            raise InvalidInputError(f"not a per-trial method: {method}")
+            est = esprit.esprit_pipeline(
+                noisy, transforms, n_paths, l5, scenario.delta_f,
+                method="dense" if method == "matrix_dense" else "fast", rng=rng)
     except (esprit.PairingFailureError, tensor_esprit.DecompositionFailureError,
-            channel.OutOfDomainError, np.linalg.LinAlgError) as exc:
+            channel.OutOfDomainError, np.linalg.LinAlgError,
+            NumericFailureError, InvalidInputError) as exc:
         return _TrialOutput(ok=False, error=f"{type(exc).__name__}: {exc}",
                             runtime=time.perf_counter() - t0)
     runtime = est.diagnostics.get("runtime_s", time.perf_counter() - t0)

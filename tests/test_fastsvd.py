@@ -47,6 +47,30 @@ class TestHankelMatvec:
             assert np.allclose(fastsvd.hankel_matvec(op, x), dense @ x,
                                atol=1e-10 * max(1, np.linalg.norm(dense)))
 
+    @pytest.mark.parametrize("m5", [8, 9, 16, 17])
+    def test_circular_length_exact_for_every_partition(self, rng, m5):
+        # nfft is the shortest power of two >= M5 (equal to M5 at 8 and 16,
+        # just above it at 9 and 17); wrap-around must never reach the valid
+        # outputs of either product
+        for l5 in range(1, m5 + 1):
+            op = random_operator(rng, (1, 2, 1, 2), m5, l5)
+            assert m5 <= op.nfft < 2 * m5
+            dense = op.to_dense()
+            scale = 1e-12 * max(1, np.linalg.norm(dense))
+            x = rng.standard_normal(l5) + 1j * rng.standard_normal(l5)
+            assert np.allclose(fastsvd.hankel_matvec(op, x), dense @ x, atol=scale)
+            z = rng.standard_normal(dense.shape[0]) \
+                + 1j * rng.standard_normal(dense.shape[0])
+            assert np.allclose(fastsvd.hankel_matvec(op, z, adjoint=True),
+                               dense.conj().T @ z, atol=scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_taps_rejected(self, bad):
+        taps = np.ones(8, dtype=complex)
+        taps[3] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            fastsvd.HankelBlockOperator.from_vector(taps, (1, 1, 1, 1), 4)
+
     def test_shape_mismatch(self, rng):
         op = random_operator(rng, (1, 1, 1, 1), 8, 3)
         with pytest.raises(InvalidInputError):

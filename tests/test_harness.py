@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from espritsim import channel, esprit, harness
+from espritsim.kernels import InvalidInputError
 
 
 def desk_config(tmp_path=None, **overrides):
@@ -60,6 +61,44 @@ class TestMatchPaths:
                                    [channel.AngularFreqs(t) for t in truth])
         assert list(perm) == list(range(6, -1, -1))
 
+    def test_non_finite_frequency_rejected(self):
+        good = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        bad = good.copy()
+        bad[2] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            harness.match_paths([bad], [good])
+        with pytest.raises(InvalidInputError, match="finite"):
+            harness.match_paths([good], [bad])
+
+
+class TestTrialFailureContainment:
+    """Estimator failures become counted failed trials, never a crash."""
+
+    @staticmethod
+    def run_trial(desk_setup, method, tensor):
+        scen, paths, transforms, _, truth = desk_setup
+        return harness._run_single_trial(
+            method, tensor, transforms, scen, paths, truth,
+            esprit.default_l5(scen.m[4]), np.random.default_rng(1), 1e-3)
+
+    @pytest.mark.parametrize("method, error", [
+        ("matrix_fast", "NumericFailureError"),     # Lanczos: zero operator
+        ("matrix_dense", "PairingFailureError"),    # all eigenvalues collide
+        ("tensor", "InvalidInputError"),            # no CP decomposition
+    ])
+    def test_zero_tensor(self, desk_setup, method, error):
+        out = self.run_trial(desk_setup, method, np.zeros_like(desk_setup[3]))
+        assert not out.ok
+        assert out.error.startswith(error + ": ")
+
+    @pytest.mark.parametrize("method", ["matrix_fast", "matrix_dense"])
+    def test_nan_tap(self, desk_setup, method):
+        tensor = desk_setup[3].copy()
+        tensor[1, 2, 3, 0, 5] = np.nan
+        out = self.run_trial(desk_setup, method, tensor)
+        assert not out.ok
+        assert out.error.startswith("InvalidInputError: ")
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
@@ -103,6 +142,16 @@ class TestRunExperiment:
             b1 = open(files1[fig], "rb").read()
             b4 = open(files4[fig], "rb").read()
             assert b1 == b4
+
+    def test_fast_path_determinism_across_threads(self, tmp_path):
+        files = []
+        for threads in (1, 2):
+            cfg = harness.ExperimentConfig.from_dict(desk_config(
+                outputs=str(tmp_path / f"fast{threads}"), threads=threads,
+                methods=["matrix_fast"]))
+            files.append(harness.run_experiment(cfg)[1])
+        for fig in self.DETERMINISTIC_FIGS:
+            assert open(files[0][fig], "rb").read() == open(files[1][fig], "rb").read()
 
     def test_repeat_run_byte_identical(self, tmp_path):
         cfg1 = harness.ExperimentConfig.from_dict(
