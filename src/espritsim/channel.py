@@ -415,12 +415,17 @@ def transform_matrix(t):
 def beamspace_factors(paths, transforms, scenario):
     """Per-dimension factor matrices B_n = T_n^H A_n (n = 1..4) and A_5."""
     omegas = np.stack([to_angular(p, scenario.delta_f).omega for p in paths])
+    return steering_factors(omegas, transforms, scenario.m[4])
+
+
+def steering_factors(omegas, transforms, m5):
+    """``beamspace_factors`` of the (L, 5) angular frequencies ``omegas``."""
     factors = []
     for i in range(4):
         t = transform_matrix(transforms[i])
         a_n = steering_matrix(t.shape[0], omegas[:, i])
         factors.append(t.conj().T @ a_n)
-    factors.append(steering_matrix(scenario.m[4], omegas[:, 4]))
+    factors.append(steering_matrix(m5, omegas[:, 4]))
     return factors
 
 

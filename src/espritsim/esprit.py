@@ -2,15 +2,16 @@
 
 Pipeline (one trial): frequency-domain spatial smoothing of the vectorized
 estimate -> truncated SVD for the signal subspace (dense LAPACK or the
-FFT/Lanczos fast path) -> per-dimension rotation factors through the lifted
-selectors -> one eigendecomposition of a random beta-combination for
-auto-pairing -> frequency, parameter, and gain recovery.
+FFT/Lanczos fast path) -> per-dimension rotation factors and their residual
+from one pass of the lifted selectors -> one eigendecomposition of a random
+beta-combination for auto-pairing -> frequency, parameter, and gain recovery
+(gains from the Khatri-Rao structure, shared with the tensor pipeline).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,10 +118,16 @@ def signal_subspace(smoothed, n_paths, method="dense", fast_opts=None):
 
 
 def gamma_n(u_s, pair, rtol=1e-12):
-    """Per-dimension rotation factor (J1 U_s)^+ (J2 U_s); similar to Phi_n."""
+    """Rotation factor (J1 U_s)^+ (J2 U_s), similar to Phi_n, and its residual.
+
+    The residual ||J1 U_s Gamma_n - J2 U_s||_F / ||J2 U_s||_F reuses the
+    selector products of the solve.
+    """
     lhs = pair.first.apply(u_s)
     rhs = pair.second.apply(u_s)
-    return lstsq_pinv(lhs, rhs, rtol=rtol)
+    gam = lstsq_pinv(lhs, rhs, rtol=rtol)
+    residual = np.linalg.norm(lhs @ gam - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    return gam, float(residual)
 
 
 def auto_pair(gammas, rng, beta=None, sep_tol=1e-6, max_redraws=8):
@@ -164,17 +171,24 @@ def auto_pair(gammas, rng, beta=None, sep_tol=1e-6, max_redraws=8):
 
 
 def estimate_gains(omega, transforms, h_vec, m5, rtol=1e-12):
-    """Least-squares gains from the reconstructed Khatri-Rao factor matrix."""
-    mats = []
-    for i in range(4):
-        t = channel.transform_matrix(transforms[i])
-        a_n = channel.steering_matrix(t.shape[0], omega[:, i])
-        mats.append(t.conj().T @ a_n)
-    mats.append(channel.steering_matrix(m5, omega[:, 4]))
-    b_hat = channel.khatri_rao(mats)
-    s = np.linalg.svd(b_hat, compute_uv=False)
+    """Least-squares gains against the Khatri-Rao factor matrix KR(A_1..A_5).
+
+    With A_n = Q_n R_n, KR(A_n) = (Q_1 x .. x Q_5) KR(R_n), whose Kronecker
+    factor has orthonormal columns: the small core KR(R_n) keeps the singular
+    values (so the rtol * s_1 truncation and the condition) and the (B M5 x L)
+    matrix is never formed. h is projected onto the Q_n one mode at a time.
+    """
+    mats = channel.steering_factors(omega, transforms, m5)
+    qrs = [np.linalg.qr(a) for a in mats]
+    proj = np.asarray(h_vec).reshape([a.shape[0] for a in mats])
+    for axis in reversed(range(5)):     # the long frequency mode first
+        q = qrs[axis][0]
+        proj = np.moveaxis(np.tensordot(proj, q.conj(), axes=([axis], [0])),
+                           -1, axis)
+    core = channel.khatri_rao([r for _, r in qrs])
+    s = np.linalg.svd(core, compute_uv=False)
     cond = float(s[0] / max(s[-1], 1e-300))
-    gains = lstsq_pinv(b_hat, h_vec, rtol=rtol)
+    gains = lstsq_pinv(core, proj.reshape(-1), rtol=rtol)
     return gains, {"gain_matrix_condition": cond}
 
 
@@ -194,12 +208,6 @@ def hybrid_lift(tensor, n, transform, rank_rtol=1e-10):
     out = np.tensordot(th_pinv, np.asarray(tensor, dtype=np.complex128),
                        axes=([1], [axis]))
     return np.moveaxis(out, 0, axis)
-
-
-def element_selectors(m_n):
-    """Plain maximum-overlap selectors [I, 0] and [0, I] for element space."""
-    eye = np.eye(m_n, dtype=np.complex128)
-    return eye[:-1, :], eye[1:, :]
 
 
 def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
@@ -244,49 +252,31 @@ def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
         u_s, diagnostics = signal_subspace(smoothed, n_paths, method=method,
                                            fast_opts=fast_opts)
 
-    pairs = []
-    for i in range(4):
-        t = eff_transforms[i]
-        if t is None:
-            l1, l2 = element_selectors(work.shape[i])
-        else:
-            l1, l2 = t.l1, t.l2
-        pairs.append(shift.lifted_selectors(i + 1, work.shape[:4], k5,
-                                            l1=l1, l2=l2))
-    pairs.append(shift.lifted_selectors(5, work.shape[:4], k5))
-
-    gammas = [gamma_n(u_s, p) for p in pairs]
-    residual = 0.0
-    for pair, gam in zip(pairs, gammas):
-        lhs = pair.first.apply(u_s) @ gam
-        rhs = pair.second.apply(u_s)
-        residual = max(residual,
-                       np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    diagnostics["rotation_residual"] = float(residual)
+    pairs = shift.selectors_for_transforms(eff_transforms, k5, work.shape[:4])
+    gammas, residuals = zip(*(gamma_n(u_s, p) for p in pairs))
+    diagnostics["rotation_residual"] = max(residuals)
 
     _, omega, pair_diag = auto_pair(gammas, rng=rng, beta=beta, sep_tol=sep_tol)
     diagnostics.update(pair_diag)
+    # gains always solve against the original beamspace observation
+    return _estimate_tail(omega, transforms, noisy, delta_f, diagnostics,
+                          t_start)
 
+
+def _estimate_tail(omega, transforms, noisy, delta_f, diagnostics, t_start):
+    """Clamp omega, convert to parameters and add gains (both pipelines)."""
     clamped_paths = []
-    params = []
-    for l in range(n_paths):
-        om, clamped = channel.clamp_freqs(omega[l])
-        omega[l] = om
+    for l in range(omega.shape[0]):
+        omega[l], clamped = channel.clamp_freqs(omega[l])
         if clamped:
             clamped_paths.append(l)
-        params.append(channel.from_angular(channel.AngularFreqs(om), delta_f))
-
-    # gains always solve against the original beamspace observation
+    freqs = [channel.AngularFreqs(om) for om in omega]
+    params = [channel.from_angular(f, delta_f) for f in freqs]
     gains, gain_diag = estimate_gains(omega, transforms, noisy.reshape(-1),
                                       noisy.shape[-1])
     diagnostics.update(gain_diag)
     diagnostics["clamped_paths"] = clamped_paths
     diagnostics["runtime_s"] = time.perf_counter() - t_start
-
-    freqs = [channel.AngularFreqs(omega[l]) for l in range(n_paths)]
-    params = [channel.PathParams(
-        phi_az=p.phi_az, phi_el=p.phi_el, theta_az=p.theta_az,
-        theta_el=p.theta_el, tau=p.tau, gamma=complex(gains[l]))
-        for l, p in enumerate(params)]
+    params = [replace(p, gamma=complex(g)) for p, g in zip(params, gains)]
     return EspritEstimate(freqs=freqs, gains=gains, params=params,
                           diagnostics=diagnostics)

@@ -199,11 +199,23 @@ def lifted_selectors(n, beam_dims, k5, l1=None, l2=None):
     )
 
 
-def selectors_for_transforms(transforms, k5):
-    """Selector pairs for all five dimensions given the four beam transforms."""
-    beam_dims = tuple(t.t.shape[1] for t in transforms)
-    pairs = [lifted_selectors(i + 1, beam_dims, k5,
-                              l1=transforms[i].l1, l2=transforms[i].l2)
-             for i in range(4)]
+def element_selectors(m_n):
+    """Plain maximum-overlap selectors [I, 0] and [0, I] for element space."""
+    eye = np.eye(m_n, dtype=np.complex128)
+    return eye[:-1, :], eye[1:, :]
+
+
+def selectors_for_transforms(transforms, k5, beam_dims=None):
+    """Selector pairs for all five dimensions given the four beam transforms.
+
+    A ``None`` transform marks a mode lifted to element space: it gets plain
+    overlap selectors of its size in ``beam_dims`` (default: the beam counts).
+    """
+    if beam_dims is None:
+        beam_dims = tuple(t.t.shape[1] for t in transforms)
+    pairs = []
+    for i, t in enumerate(transforms):
+        l1, l2 = element_selectors(beam_dims[i]) if t is None else (t.l1, t.l2)
+        pairs.append(lifted_selectors(i + 1, beam_dims, k5, l1=l1, l2=l2))
     pairs.append(lifted_selectors(5, beam_dims, k5))
     return pairs

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channel, esprit
+from . import channel, esprit, shift
 from .kernels import InvalidInputError, eig_general, lstsq_pinv
 
 
@@ -98,6 +98,8 @@ def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, line_search=True,
         raise InvalidInputError("rank must be >= 1")
     tensor = np.asarray(tensor, dtype=np.complex128)
     rng = np.random.default_rng() if rng is None else rng
+    if not np.all(np.isfinite(tensor)):
+        raise InvalidInputError("tensor contains non-finite entries")
     norm_t = np.linalg.norm(tensor)
     if norm_t == 0:
         raise InvalidInputError("zero tensor has no CP decomposition")
@@ -168,7 +170,7 @@ def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, cp_opts=None,
         if n < 4:
             l1, l2 = transforms[n].l1, transforms[n].l2
         else:
-            l1, l2 = esprit.element_selectors(noisy.shape[4])
+            l1, l2 = shift.element_selectors(noisy.shape[4])
         gam = lstsq_pinv(l1 @ u_n, l2 @ u_n)
         if n_paths == 1:
             omega[0, n] = np.angle(gam[0, 0])
@@ -187,25 +189,6 @@ def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, cp_opts=None,
             taken[col] = True
         omega[:, n] = np.angle(res.eigenvalues[assignment])
 
-    clamped_paths = []
-    params = []
-    for l in range(n_paths):
-        om, clamped = channel.clamp_freqs(omega[l])
-        omega[l] = om
-        if clamped:
-            clamped_paths.append(l)
-        params.append(channel.from_angular(channel.AngularFreqs(om), delta_f))
-
-    gains, gain_diag = esprit.estimate_gains(omega, transforms, noisy.reshape(-1),
-                                             noisy.shape[-1])
-    diagnostics = {"cp_fit": model.fit, "cp_iterations": model.iterations,
-                   "clamped_paths": clamped_paths,
-                   "runtime_s": time.perf_counter() - t_start}
-    diagnostics.update(gain_diag)
-    freqs = [channel.AngularFreqs(omega[l]) for l in range(n_paths)]
-    params = [channel.PathParams(phi_az=p.phi_az, phi_el=p.phi_el,
-                                 theta_az=p.theta_az, theta_el=p.theta_el,
-                                 tau=p.tau, gamma=complex(gains[l]))
-              for l, p in enumerate(params)]
-    return esprit.EspritEstimate(freqs=freqs, gains=gains, params=params,
-                                 diagnostics=diagnostics)
+    diagnostics = {"cp_fit": model.fit, "cp_iterations": model.iterations}
+    return esprit._estimate_tail(omega, transforms, noisy, delta_f,
+                                 diagnostics, t_start)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from espritsim import channel, esprit, shift
+from espritsim import channel, esprit, kernels, shift
 from tests.conftest import match_rows, synthetic_paths
 
 
@@ -82,7 +82,7 @@ class TestGammaN:
         om = np.array([[0.4, -0.9, 0.6, -0.3, 1.0]])
         u_s, pairs = self._setup(tiny_scenario, om, [1.0])
         for n, pair in enumerate(pairs):
-            g = esprit.gamma_n(u_s, pair)
+            g, _ = esprit.gamma_n(u_s, pair)
             assert g.shape == (1, 1)
             assert np.angle(g[0, 0]) == pytest.approx(om[0, n], abs=1e-9)
             assert abs(g[0, 0]) == pytest.approx(1.0, abs=1e-9)
@@ -93,18 +93,39 @@ class TestGammaN:
         u_s, pairs = self._setup(tiny_scenario, om, [1.0, 0.7])
         q, _ = np.linalg.qr(rng.standard_normal((2, 2))
                             + 1j * rng.standard_normal((2, 2)))
-        g1 = esprit.gamma_n(u_s, pairs[0])
-        g2 = esprit.gamma_n(u_s @ q, pairs[0])
+        g1, _ = esprit.gamma_n(u_s, pairs[0])
+        g2, _ = esprit.gamma_n(u_s @ q, pairs[0])
         ev1 = np.sort_complex(np.linalg.eigvals(g1))
         ev2 = np.sort_complex(np.linalg.eigvals(g2))
         assert np.allclose(ev1, ev2, atol=1e-10)
+
+    def test_residual_matches_two_pass(self, desk_setup):
+        scen, paths, transforms, tensor, _ = desk_setup
+        rng = np.random.default_rng(8)
+        noisy = tensor + 0.05 * np.abs(tensor).max() * (
+            rng.standard_normal(tensor.shape) + 1j * rng.standard_normal(tensor.shape))
+        l5 = esprit.default_l5(scen.m[4])
+        sm = esprit.spatial_smooth(noisy, l5)
+        u_s, _ = esprit.signal_subspace(sm, 2)
+        two_pass = []
+        for pair in shift.selectors_for_transforms(transforms, sm.k5):
+            gam, residual = esprit.gamma_n(u_s, pair)
+            rhs = pair.second.apply(u_s)
+            two_pass.append(np.linalg.norm(pair.first.apply(u_s) @ gam - rhs)
+                            / np.linalg.norm(rhs))
+            assert residual == pytest.approx(two_pass[-1], rel=1e-12)
+        est = esprit.esprit_pipeline(noisy, transforms, 2, l5, scen.delta_f,
+                                     rng=np.random.default_rng(1))
+        assert est.diagnostics["rotation_residual"] == pytest.approx(
+            max(two_pass), rel=1e-12)
+        assert max(two_pass) > 1e-6     # noise makes it a real residual
 
     def test_eigenvalue_multiset(self, tiny_scenario):
         om = np.array([[0.4, -0.9, 0.6, -0.3, 1.0],
                        [-0.6, 0.5, -1.0, 0.7, -0.4]])
         u_s, pairs = self._setup(tiny_scenario, om, [1.0, 0.7 + 0.2j])
         for n, pair in enumerate(pairs):
-            ev = np.linalg.eigvals(esprit.gamma_n(u_s, pair))
+            ev = np.linalg.eigvals(esprit.gamma_n(u_s, pair)[0])
             got = np.sort(np.angle(ev))
             want = np.sort(om[:, n])
             assert np.allclose(got, want, atol=1e-9)
@@ -178,6 +199,66 @@ class TestEstimateGains:
         assert rel < 1e-3  # continuous, no blow-up
 
 
+def explicit_gains(omega, transforms, h_vec, m5):
+    """Reference: ``lstsq_pinv`` on the explicit (B M5 x L) Khatri-Rao matrix."""
+    b_hat = channel.khatri_rao(channel.steering_factors(omega, transforms, m5))
+    s = np.linalg.svd(b_hat, compute_uv=False)
+    return kernels.lstsq_pinv(b_hat, h_vec), s[0] / max(s[-1], 1e-300)
+
+
+def noisy_case(scen, paths, snr_db, seed):
+    transforms = channel.scenario_transforms(scen, paths)
+    tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
+    n0 = channel.n0_for_snr_db(paths, transforms, scen, snr_db)
+    noisy = channel.observe_and_estimate(tensor, scen, np.random.default_rng(seed),
+                                         n0=n0)
+    return transforms, noisy
+
+
+class TestStructuredGains:
+    """Khatri-Rao structured gains against the explicit-matrix solve."""
+
+    @staticmethod
+    def check(omega, transforms, noisy, rank_deficient=False):
+        h = noisy.reshape(-1)
+        got, diag = esprit.estimate_gains(omega, transforms, h, noisy.shape[-1])
+        want, cond = explicit_gains(omega, transforms, h, noisy.shape[-1])
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        if rank_deficient:     # both beyond the 1 / rtol truncation
+            assert min(diag["gain_matrix_condition"], cond) > 1e12
+        else:
+            assert diag["gain_matrix_condition"] == pytest.approx(cond, rel=1e-10)
+
+    @pytest.mark.parametrize("m5, delta_f", [(64, 1.875e6), (500, 120e3)])
+    def test_desk_and_full_size(self, m5, delta_f):
+        scen = channel.Scenario(
+            p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
+            m=(8, 8, 8, 8, m5), n=(4, 4, 4, 4), delta_f=delta_f, f_c=30e9,
+            n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=7)
+        paths = channel.params_from_geometry(scen)
+        transforms, noisy = noisy_case(scen, paths, 10.0, 3)
+        truth = np.stack([channel.to_angular(p, delta_f).omega for p in paths])
+        omega = truth + 1e-3 * np.random.default_rng(4).standard_normal(truth.shape)
+        self.check(omega, transforms, noisy)
+
+    def test_coincident_paths(self, desk_setup):
+        scen, paths, _, _, truth = desk_setup
+        transforms, noisy = noisy_case(scen, paths, 20.0, 5)
+        self.check(np.stack([truth[0], truth[0]]), transforms, noisy,
+                   rank_deficient=True)
+
+    def test_more_paths_than_beams(self, tiny_scenario):
+        # N_n = 3 < L = 4: every spatial R_n is 3 x 4
+        scen = tiny_scenario
+        om = np.array([[0.4, -0.9, 0.6, -0.3, 1.0],
+                       [-0.6, 0.5, -1.0, 0.7, -0.4],
+                       [1.1, 1.3, 0.1, -1.2, 2.0],
+                       [-1.4, -0.2, 1.5, 0.3, -2.3]])
+        paths = synthetic_paths(om, [1.0, 0.7j, -0.5, 0.3 + 0.3j], scen.delta_f)
+        transforms, noisy = noisy_case(scen, paths, 10.0, 6)
+        self.check(om, transforms, noisy)
+
+
 class TestPipeline:
     def test_noiseless_exactness_both_methods(self, desk_setup, rng):
         scen, paths, transforms, tensor, truth = desk_setup
@@ -240,9 +321,9 @@ class TestMethodAgreement:
                             + 1j * rng.standard_normal((2, 2)))
         pairs = shift.selectors_for_transforms(transforms, sm.k5)
         beta = np.full(5, 0.41)
-        _, om1, _ = esprit.auto_pair([esprit.gamma_n(u_s, p) for p in pairs],
+        _, om1, _ = esprit.auto_pair([esprit.gamma_n(u_s, p)[0] for p in pairs],
                                      rng=np.random.default_rng(1), beta=beta)
-        _, om2, _ = esprit.auto_pair([esprit.gamma_n(u_s @ q, p) for p in pairs],
+        _, om2, _ = esprit.auto_pair([esprit.gamma_n(u_s @ q, p)[0] for p in pairs],
                                      rng=np.random.default_rng(1), beta=beta)
         a, _ = match_rows(om1, truth)
         b, _ = match_rows(om2, truth)

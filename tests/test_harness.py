@@ -91,7 +91,7 @@ class TestTrialFailureContainment:
         assert not out.ok
         assert out.error.startswith(error + ": ")
 
-    @pytest.mark.parametrize("method", ["matrix_fast", "matrix_dense"])
+    @pytest.mark.parametrize("method", ["matrix_fast", "matrix_dense", "tensor"])
     def test_nan_tap(self, desk_setup, method):
         tensor = desk_setup[3].copy()
         tensor[1, 2, 3, 0, 5] = np.nan

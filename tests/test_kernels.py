@@ -46,6 +46,22 @@ class TestSvdThin:
         assert np.linalg.norm(res.left.conj().T @ res.left - np.eye(k)) < 1e-10
         assert np.linalg.norm(res.right.conj().T @ res.right - np.eye(k)) < 1e-10
 
+    @pytest.mark.parametrize("m, n, rank", [
+        (64000, 2, 2), (300, 7, 7), (6, 6, 6), (4, 9, 4),   # tall, square, wide
+        (200, 5, 2), (5, 5, 3), (3, 40, 1), (50, 4, 0),     # rank-deficient
+    ])
+    def test_matches_lapack_svd(self, rng, m, n, rank):
+        a = random_complex(rng, m, rank) @ random_complex(rng, rank, n)
+        res = kernels.svd_thin(a)
+        want = np.linalg.svd(a, compute_uv=False)
+        k = min(m, n)
+        assert res.left.shape == (m, k) and res.right.shape == (n, k)
+        assert np.abs(res.singular_values - want).max() <= 1e-13 * max(want[0], 1.0)
+        recon = res.left @ (res.singular_values[:, None] * res.right.conj().T)
+        assert np.linalg.norm(recon - a) <= 1e-12 * max(np.linalg.norm(a), 1.0)
+        assert np.linalg.norm(res.left.conj().T @ res.left - np.eye(k)) < 1e-12
+        assert np.linalg.norm(res.right.conj().T @ res.right - np.eye(k)) < 1e-12
+
     def test_rejects_nonfinite(self):
         with pytest.raises(kernels.InvalidInputError):
             kernels.svd_thin(np.array([[np.nan, 0], [0, 1]]))
@@ -111,6 +127,17 @@ class TestPinv:
         p = kernels.pinv(a)
         assert np.linalg.matrix_rank(p, tol=1e-8) == 2
         assert np.linalg.norm(a @ p @ a - a) <= 1e-9 * np.linalg.norm(a)
+
+
+class TestLstsqPinv:
+    @pytest.mark.parametrize("cols", [None, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_rhs(self, rng, cols, bad):
+        a = random_complex(rng, 6, 2)
+        b = random_complex(rng, 6) if cols is None else random_complex(rng, 6, cols)
+        b[4] = bad
+        with pytest.raises(kernels.InvalidInputError):
+            kernels.lstsq_pinv(a, b)
 
 
 class TestFftConvolve:

@@ -136,6 +136,25 @@ class TestLiftedSelectors:
                                    - pair.second.apply(p_mat))
             assert resid <= 1e-9 * np.linalg.norm(p_mat)
 
+    def test_element_space_mode(self, tiny_scenario):
+        # a None transform (mode lifted to element space) gets [I, 0], [0, I]
+        scen = tiny_scenario
+        paths = synthetic_paths([[0.3, -0.8, 0.5, -0.2, 0.9]], [1.0], scen.delta_f)
+        transforms = list(channel.scenario_transforms(scen, paths))
+        transforms[2] = None
+        dims = (3, 3, 4, 3)
+        pairs = shift.selectors_for_transforms(transforms, 5, dims)
+        l1, l2 = shift.element_selectors(4)
+        assert np.array_equal(l1, np.eye(4)[:-1]) and np.array_equal(l2, np.eye(4)[1:])
+        for n, pair in enumerate(pairs):
+            assert pair.first.dims == dims + (5,)
+            if n == 2:
+                assert np.array_equal(pair.first.matrix, l1)
+                assert np.array_equal(pair.second.matrix, l2)
+            elif n < 4:
+                assert np.array_equal(pair.first.matrix, transforms[n].l1)
+                assert np.array_equal(pair.second.matrix, transforms[n].l2)
+
     def test_matrix_columns(self, rng):
         pair = shift.lifted_selectors(5, (2, 2, 2, 2), 3)
         x = rng.standard_normal((pair.first.in_size, 4))

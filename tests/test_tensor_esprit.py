@@ -76,8 +76,8 @@ class TestTensorPipeline:
         assert est.gains[0] == pytest.approx(0.9 - 0.3j, rel=1e-8)
 
     def test_unit_circle_eigenvalues(self, tiny_scenario, rng):
+        from espritsim import shift
         from espritsim.kernels import lstsq_pinv
-        from espritsim import esprit as mesp
 
         scen = tiny_scenario
         om = np.array([[0.5, -0.9, 0.6, -0.3, 1.0],
@@ -91,7 +91,7 @@ class TestTensorPipeline:
             if n < 4:
                 l1, l2 = transforms[n].l1, transforms[n].l2
             else:
-                l1, l2 = mesp.element_selectors(scen.m[4])
+                l1, l2 = shift.element_selectors(scen.m[4])
             ev = np.linalg.eigvals(lstsq_pinv(l1 @ u_n, l2 @ u_n))
             assert np.allclose(np.abs(ev), 1.0, atol=1e-6)
 
