@@ -200,10 +200,11 @@ def hybrid_lift(tensor, n, transform, rank_rtol=1e-10):
     """
     t = np.asarray(transform.t if hasattr(transform, "t") else transform,
                    dtype=np.complex128)
-    s = np.linalg.svd(t, compute_uv=False)
-    if t.shape[0] > t.shape[1] or s[t.shape[0] - 1] <= rank_rtol * s[0]:
+    res = svd_thin(t)
+    s = res.singular_values
+    if t.shape[0] > t.shape[1] or s[-1] <= rank_rtol * s[0]:
         raise CannotLiftError("transform is not full row rank")
-    th_pinv = np.linalg.pinv(t.conj().T)  # (M_n x N_n)
+    th_pinv = (res.left / s) @ res.right.conj().T  # pinv(T_n^H), (M_n x N_n)
     axis = n - 1
     out = np.tensordot(th_pinv, np.asarray(tensor, dtype=np.complex128),
                        axes=([1], [axis]))

@@ -10,6 +10,8 @@ L5 - 1 (K5 - 1) once N >= M5, and those are exactly the discarded partial
 overlaps: N = next_pow2(M5) gives the valid outputs exactly. Golub-Kahan
 bidiagonalization then needs only ~4L products to expose the top-L singular
 triplets, and the final SVD acts on a tiny real bidiagonal matrix.
+Reorthogonalization is one-sided: only the short right vectors (length L5)
+are re-projected, never the B*K5-long left ones (``lanczos_bidiag``).
 """
 
 from __future__ import annotations
@@ -108,29 +110,42 @@ def hankel_matvec(op, x, adjoint=False):
 
 @dataclass
 class Bidiagonal:
-    """Golub-Kahan factorization J = U_L^H H V_L with real (a, b)."""
+    """Golub-Kahan factorization J = U_k^H H V with real (a, b).
 
-    a: np.ndarray           # diagonal, length = steps run
-    b: np.ndarray           # superdiagonal, length = steps - 1
-    u_frame: np.ndarray     # (rows, steps) left Lanczos basis
-    v_frame: np.ndarray     # (L5, steps) right Lanczos basis
+    J is k x k upper bidiagonal, or k x (k+1) after a left breakdown, which
+    keeps the last beta and right vector: then ``b`` has k entries and
+    ``v_frame`` k + 1 columns.
+    """
+
+    a: np.ndarray           # diagonal, length k = left vectors kept
+    b: np.ndarray           # superdiagonal, length k - 1 (k after a left breakdown)
+    u_frame: np.ndarray     # (rows, k) left Lanczos basis
+    v_frame: np.ndarray     # (L5, len(b) + 1) right Lanczos basis
     terminated_early: bool = False
 
     def matrix(self):
-        j = np.diag(self.a.astype(np.complex128))
-        if len(self.b):
-            j += np.diag(self.b, 1)
+        j = np.zeros((len(self.a), len(self.b) + 1))
+        np.fill_diagonal(j, self.a)
+        np.fill_diagonal(j[:, 1:], self.b)
         return j
 
 
 def lanczos_bidiag(op, steps, reorth="full", v0=None, breakdown_rtol=1e-12):
     """Golub-Kahan bidiagonalization driven by the implicit Hankel operator.
 
-    With ``reorth='full'`` every new basis vector is re-projected against all
-    previous ones (twice), keeping the frames orthonormal to ~1e-8 even for
-    clustered spectra; ``'none'`` reproduces the classical loss of
-    orthogonality. Terminates early when a recursion norm falls below
-    ``breakdown_rtol * ||H||_F`` (invariant subspace captured).
+    One-sided reorthogonalization (Simon & Zha, SIAM J. Sci. Comput. 2000):
+    with ``reorth='full'`` each new right vector (length L5) is re-projected
+    twice against all previous ones, while the left vector (length B*K5)
+    only gets the three-term recurrence. With V orthonormal, the recurrence
+    keeps U orthonormal to working precision up to the conditioning of the
+    bidiagonal core, so the stored left frame still maps Ritz vectors to
+    U_s = U_k P_L; the long re-projection sweeps are never paid.
+    ``'none'`` reproduces the classical loss of orthogonality.
+
+    Terminates early when a recursion norm falls below
+    ``breakdown_rtol * ||H||_F`` (invariant subspace captured). A right
+    breakdown leaves the square k x k core. A left breakdown at step k
+    (H v_k in span U_k) leaves the k x (k+1) core with beta_{k-1} and v_k.
     """
     rows, l5 = op.shape
     if steps < 1 or steps > l5:
@@ -155,58 +170,47 @@ def lanczos_bidiag(op, steps, reorth="full", v0=None, breakdown_rtol=1e-12):
     betas = np.zeros(max(steps - 1, 0))
     v_frame[0] = v
     terminated = False
-    n_done = 0
-
-    def _project_out(frame, k, vec):
-        # coeffs = basis^H vec without conjugating the basis rows
-        coeffs = np.conj(frame[:k] @ np.conj(vec))
-        vec -= coeffs @ frame[:k]
-        return vec
+    n_u, n_v = 0, 1
 
     for ell in range(steps):
         u = hankel_matvec(op, v_frame[ell])
         if ell > 0:
             u -= betas[ell - 1] * u_frame[ell - 1]
-        if reorth == "full" and ell > 0:
-            for _ in range(2):
-                u = _project_out(u_frame, ell, u)
         a = np.linalg.norm(u)
         if a <= breakdown_rtol * scale:
             terminated = True
-            n_done = ell
             break
         alphas[ell] = a
         u_frame[ell] = u / a
-        n_done = ell + 1
+        n_u = ell + 1
 
         if ell == steps - 1:
             break
         r = hankel_matvec(op, u_frame[ell], adjoint=True)
         r -= alphas[ell] * v_frame[ell]
         if reorth == "full":
+            basis = v_frame[:ell + 1]
             for _ in range(2):
-                r = _project_out(v_frame, ell + 1, r)
+                r -= np.conj(basis @ np.conj(r)) @ basis
         bnorm = np.linalg.norm(r)
         if bnorm <= breakdown_rtol * scale:
             terminated = True
             break
         betas[ell] = bnorm
         v_frame[ell + 1] = r / bnorm
+        n_v = ell + 2
 
-    if n_done == 0:
+    if n_u == 0:
         raise NumericFailureError("Lanczos broke down at the first step", iterations=0)
-    return Bidiagonal(a=alphas[:n_done], b=betas[:max(n_done - 1, 0)],
-                      u_frame=u_frame[:n_done].T, v_frame=v_frame[:n_done].T,
+    return Bidiagonal(a=alphas[:n_u], b=betas[:n_v - 1],
+                      u_frame=u_frame[:n_u].T, v_frame=v_frame[:n_v].T,
                       terminated_early=terminated)
 
 
 def bidiag_svd(bd):
-    """SVD of the small real bidiagonal core."""
-    j = np.diag(bd.a)
-    if len(bd.b):
-        j = j + np.diag(bd.b, 1)
+    """Thin SVD of the small real bidiagonal core (k x k or k x (k+1))."""
     try:
-        u, s, vh = np.linalg.svd(j)
+        u, s, vh = np.linalg.svd(bd.matrix(), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"bidiagonal SVD failed: {exc}") from exc
     return SvdResult(left=u.astype(np.complex128), singular_values=s,

@@ -135,8 +135,7 @@ class LiftedSelector:
             out = np.ascontiguousarray(out).reshape(self.out_size, cols)
         else:
             pre, size, post = self._split(self.dims[self.dim - 1])
-            xr = x.reshape(pre, size, post * cols)
-            out = np.einsum("rn,pnq->prq", self.matrix, xr, optimize=True)
+            out = np.matmul(self.matrix, x.reshape(pre, size, post * cols))
             out = out.reshape(self.out_size, cols)
         return out[:, 0] if x.ndim == 1 else out
 
@@ -157,8 +156,7 @@ class LiftedSelector:
             out = out.reshape(self.in_size, cols)
         else:
             pre, size, post = self._split(self.matrix.shape[0])
-            yr = y.reshape(pre, size, post * cols)
-            out = np.einsum("rn,prq->pnq", self.matrix.conj(), yr, optimize=True)
+            out = np.matmul(self.matrix.conj().T, y.reshape(pre, size, post * cols))
             out = out.reshape(self.in_size, cols)
         return out[:, 0] if y.ndim == 1 else out
 

@@ -127,12 +127,6 @@ def _path_factors(params, scenario):
     return a_r, a_t, taps * gains[None, :]
 
 
-def element_space_channels(params, scenario):
-    """Element-space per-subcarrier channels (M5, M3 M4, M1 M2) from parameters."""
-    a_r, a_t, weighted = _path_factors(params, scenario)
-    return np.einsum("ml,rl,tl->mrt", weighted, a_r, a_t, optimize=True)
-
-
 def rate_terms(est_params, true_params, scenario):
     """Per-subcarrier desired and interference terms (U, I) for one estimate.
 
@@ -146,7 +140,7 @@ def rate_terms(est_params, true_params, scenario):
     sigma_1, w = Q_R u_1 and f = conj(Q_T) v_1. The true channel enters only
     through w^H B_R and B_T^T f for its factors B_R, B_T. I is invariant
     under the joint phase of (u_1, v_1), so it matches the dense evaluation
-    (``element_space_channels`` plus a per-subcarrier SVD) up to round-off.
+    (the M5 element-space channels H_m and one SVD each) up to round-off.
     """
     a_r, a_t, c_hat = _path_factors(est_params, scenario)
     b_r, b_t, c_true = _path_factors(true_params, scenario)

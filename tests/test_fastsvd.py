@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -11,6 +12,11 @@ def random_operator(rng, beam_dims, m5, l5):
     h = rng.standard_normal((int(np.prod(beam_dims)), m5)) \
         + 1j * rng.standard_normal((int(np.prod(beam_dims)), m5))
     return fastsvd.HankelBlockOperator.from_vector(h.reshape(-1), beam_dims, l5)
+
+
+def projector_gap(u, w):
+    """||u u^H - w w^H||_F for orthonormal bases of one rank, without forming either."""
+    return np.sqrt(2) * np.linalg.norm(u - w @ (w.conj().T @ u))
 
 
 class TestHankelMatvec:
@@ -140,6 +146,34 @@ class TestLanczos:
         assert np.linalg.norm(recon - bd.matrix()) <= 1e-8 * np.linalg.norm(dense)
 
 
+class TestLeftBreakdown:
+    """Noiseless desk data has rank 2: H v_2 lies in span(u_0, u_1), so the
+    left recurrence breaks down at step 2 and the core is 2 x 3."""
+
+    @pytest.fixture
+    def exact_rank_op(self, desk_setup):
+        scen, _, _, tensor, _ = desk_setup
+        return fastsvd.HankelBlockOperator.from_tensor(tensor, esprit.default_l5(scen.m[4]))
+
+    def test_core_keeps_last_beta_and_right_vector(self, exact_rank_op):
+        bd = fastsvd.lanczos_bidiag(exact_rank_op, 18)
+        k = len(bd.a)
+        assert bd.terminated_early and k == 2
+        assert len(bd.b) == k and bd.v_frame.shape[1] == k + 1
+        dense = exact_rank_op.to_dense()
+        recon = bd.u_frame.conj().T @ dense @ bd.v_frame
+        assert np.linalg.norm(recon - bd.matrix()) <= 1e-10 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("n_paths", [1, 2])
+    def test_matches_dense_svd(self, exact_rank_op, n_paths):
+        u, s, details = fastsvd.fast_signal_subspace(exact_rank_op, n_paths,
+                                                     return_details=True)
+        dense_u, dense_s, _ = np.linalg.svd(exact_rank_op.to_dense(), full_matrices=False)
+        assert details["terminated_early"]
+        assert np.allclose(s, dense_s[:len(s)], rtol=1e-10, atol=0)
+        assert projector_gap(u, dense_u[:, :n_paths]) <= 1e-12
+
+
 class TestBidiagSvd:
     def test_already_diagonal(self):
         bd = fastsvd.Bidiagonal(a=np.array([3.0, 1.0]), b=np.array([0.0]),
@@ -165,6 +199,68 @@ class TestBidiagSvd:
         res = fastsvd.bidiag_svd(bd)
         want = np.linalg.svd(np.diag(a) + np.diag(b, 1), compute_uv=False)
         assert np.allclose(res.singular_values, want, rtol=1e-10)
+
+
+    def test_wide_core_after_left_breakdown(self):
+        bd = fastsvd.Bidiagonal(a=np.array([2.0, 1.0]), b=np.array([0.5, 0.7]),
+                                u_frame=np.eye(2, dtype=complex),
+                                v_frame=np.eye(3, dtype=complex))
+        j = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.7]])
+        assert np.array_equal(bd.matrix(), j)
+        res = fastsvd.bidiag_svd(bd)
+        assert res.right.shape == (3, 2)
+        assert np.allclose(res.singular_values, np.linalg.svd(j, compute_uv=False),
+                           rtol=1e-12)
+        assert np.allclose((res.left * res.singular_values) @ res.right.conj().T, j,
+                           atol=1e-12)
+
+
+# One-sided reorthogonalization leaves the long left frame to the recurrence:
+# gate it on low SNR, near-exact rank and a weak NLOS path (gain scaled by
+# weak_db) against a dense SVD.
+ONE_SIDED_CASES = {
+    "snr-10": dict(snr_db=-10.0), "snr0": dict(snr_db=0.0),
+    "snr40": dict(snr_db=40.0), "rel1e-9": dict(rel_noise=1e-9),
+    "weak-20": dict(snr_db=40.0, weak_db=-20.0),
+    "weak-30": dict(snr_db=40.0, weak_db=-30.0),
+    "weak-40": dict(snr_db=40.0, weak_db=-40.0),
+}
+
+
+def one_sided_operator(scen, snr_db=None, rel_noise=None, weak_db=None):
+    paths = channel.params_from_geometry(scen)
+    transforms = channel.scenario_transforms(scen, paths)
+    if weak_db is not None:
+        paths[1] = dataclasses.replace(paths[1], gamma=paths[1].gamma * 10 ** (weak_db / 20))
+    tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
+    rng = np.random.default_rng(11)
+    if rel_noise is not None:
+        noise = rng.standard_normal(tensor.shape) + 1j * rng.standard_normal(tensor.shape)
+        tensor = tensor + rel_noise * np.linalg.norm(tensor) / np.sqrt(tensor.size) * noise
+    else:
+        n0 = channel.n0_for_snr_db(paths, transforms, scen, snr_db)
+        tensor = channel.observe_and_estimate(tensor, scen, rng, n0=n0)
+    return fastsvd.HankelBlockOperator.from_tensor(tensor, esprit.default_l5(scen.m[4]))
+
+
+def assert_one_sided_matches_dense(op):
+    u = fastsvd.fast_signal_subspace(op, 2)
+    dense_u = np.linalg.svd(op.to_dense(), full_matrices=False)[0][:, :2]
+    assert projector_gap(u, dense_u) <= 1e-12
+    assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ONE_SIDED_CASES)
+def test_one_sided_reorth_matches_dense_desk(desk_scenario, case):
+    assert_one_sided_matches_dense(one_sided_operator(desk_scenario,
+                                                      **ONE_SIDED_CASES[case]))
+
+
+@pytest.mark.fullscale
+@pytest.mark.parametrize("case", ONE_SIDED_CASES)
+def test_one_sided_reorth_matches_dense_full(desk_scenario, case):
+    full = dataclasses.replace(desk_scenario, m=(8, 8, 8, 8, 500), delta_f=120e3)
+    assert_one_sided_matches_dense(one_sided_operator(full, **ONE_SIDED_CASES[case]))
 
 
 class TestFastSignalSubspace:

@@ -102,7 +102,7 @@ class TestRate:
     def test_reconstruction_matches_tensor_slice(self, desk_setup):
         # element-space reconstruction agrees with an explicit eq-8 product
         scen, paths, _, _, _ = desk_setup
-        h = slac.element_space_channels(paths, scen)
+        h = element_space_channels(paths, scen)
         m5 = 7
         want = np.zeros((64, 64), dtype=complex)
         for p in paths:
@@ -115,10 +115,16 @@ class TestRate:
         assert np.allclose(h[m5], want, atol=1e-10 * np.linalg.norm(want))
 
 
+def element_space_channels(params, scenario):
+    """Dense oracle: element-space channels (M5, M3 M4, M1 M2) from parameters."""
+    a_r, a_t, weighted = slac._path_factors(params, scenario)
+    return np.einsum("ml,rl,tl->mrt", weighted, a_r, a_t, optimize=True)
+
+
 def dense_rate_terms(est_params, true_params, scenario):
     """Reference (U, I): dense channels and one SVD per subcarrier."""
-    h_hat = slac.element_space_channels(est_params, scenario)
-    h_true = slac.element_space_channels(true_params, scenario)
+    h_hat = element_space_channels(est_params, scenario)
+    h_true = element_space_channels(true_params, scenario)
     u_vecs, svals, v_hs = np.linalg.svd(h_hat, full_matrices=False)
     w = u_vecs[:, :, 0]
     f = v_hs[:, 0, :].conj()
