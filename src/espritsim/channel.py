@@ -17,7 +17,7 @@ Conventions (fixed once here, consumed everywhere):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,9 +151,6 @@ class Scenario:
     @property
     def num_paths(self):
         return 1 + len(self.scatterers)
-
-    def with_noise(self, n0):
-        return replace(self, n0=float(n0))
 
     @classmethod
     def from_dict(cls, d):

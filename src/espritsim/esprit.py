@@ -1,11 +1,12 @@
 """Matrix-based beamspace ESPRIT: smoothing, subspace, auto-pairing, gains.
 
-Pipeline (one trial): frequency-domain spatial smoothing of the vectorized
-estimate -> truncated SVD for the signal subspace (dense LAPACK or the
-FFT/Lanczos fast path) -> per-dimension rotation factors and their residual
-from one pass of the lifted selectors -> one eigendecomposition of a random
-beta-combination for auto-pairing -> frequency, parameter, and gain recovery
-(gains from the Khatri-Rao structure, shared with the tensor pipeline).
+Pipeline (one trial): signal subspace of the frequency-smoothed tensor through
+one interface with two backends, a dense LAPACK SVD of the materialized stack
+or FFT/Lanczos on the implicit Hankel-block operator (``signal_subspace``) ->
+per-dimension rotation factors and their residual from one pass of the lifted
+selectors -> one eigendecomposition of a random beta-combination for
+auto-pairing -> frequency, parameter, and gain recovery (gains from the
+Khatri-Rao structure, shared with the tensor pipeline).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import channel, shift
-from .kernels import InvalidInputError, eig_general, lstsq_pinv, svd_thin
+from . import channel, fastsvd, shift
+from .kernels import (InvalidInputError, NumericFailureError, eig_general,
+                      lstsq_pinv, svd_thin)
 
 
 class InvalidSmoothingError(ValueError):
@@ -81,35 +83,38 @@ def spatial_smooth(tensor, l5):
     return SmoothedMatrix(values=values, beam_dims=tensor.shape[:4], k5=k5, l5=l5)
 
 
-def signal_subspace(smoothed, n_paths, method="dense", fast_opts=None):
+def signal_subspace(tensor, n_paths, l5, method="dense"):
     """Orthonormal basis of the top-``n_paths`` left singular subspace.
 
-    ``dense`` routes through LAPACK; ``fast`` through the Hankel-block
-    Lanczos path. Returns (U_s, diagnostics) where diagnostics carries the
-    spectral gap sigma_L / sigma_{L+1} (a warning flag when absent).
+    The one subspace entry point of the matrix pipeline; it takes the (lifted)
+    tensor and the smoothing window. ``dense`` takes a LAPACK SVD of the
+    materialized smoothed stack (the oracle); ``fast`` runs Lanczos on the
+    implicit Hankel-block operator of the same stack, which is never built.
+    Both share the model-order checks and the diagnostics: a backend that
+    finds fewer than ``n_paths`` singular triplets (Lanczos breaking down on
+    data of lower rank) raises ``NumericFailureError`` instead of dropping
+    paths. Returns (U_s, diagnostics) where diagnostics carries the spectral
+    gap sigma_L / sigma_{L+1} (a warning flag when absent).
     """
-    rows = int(np.prod(smoothed.beam_dims)) * smoothed.k5
-    if n_paths > min(rows, smoothed.l5):
+    tensor = np.asarray(tensor)
+    k5 = tensor.shape[-1] + 1 - l5
+    if n_paths > min(int(np.prod(tensor.shape[:4])) * k5, l5):
         raise InvalidInputError("more paths than the smoothed matrix can support")
     diagnostics = {}
     if method == "dense":
-        res = svd_thin(smoothed.values)
+        res = svd_thin(spatial_smooth(tensor, l5).values)
         u_s = res.left[:, :n_paths]
         s = res.singular_values
     elif method == "fast":
-        from . import fastsvd
-
-        opts = fast_opts or {}
-        op = opts.get("operator")
-        if op is None:
-            op = fastsvd.HankelBlockOperator.from_smoothed(smoothed)
         u_s, s, fast_diag = fastsvd.fast_signal_subspace(
-            op, n_paths, steps=opts.get("steps"), reorth=opts.get("reorth", "full"),
-            v0=opts.get("v0"), return_details=True)
+            fastsvd.HankelBlockOperator.from_tensor(tensor, l5), n_paths,
+            return_details=True)
         diagnostics.update(fast_diag)
     else:
         raise InvalidInputError(f"unknown subspace method {method!r}")
 
+    if u_s.shape[1] < n_paths:
+        raise NumericFailureError(f"subspace of rank {u_s.shape[1]} below {n_paths} paths")
     if len(s) > n_paths and s[n_paths - 1] > 0:
         gap = s[n_paths - 1] / max(s[n_paths], 1e-300)
         diagnostics["subspace_gap"] = float(gap)
@@ -198,8 +203,7 @@ def hybrid_lift(tensor, n, transform, rank_rtol=1e-10):
     Restores the element-space Vandermonde factor so plain selectors apply.
     Requires T_n full row rank (the M_n < N_n regime).
     """
-    t = np.asarray(transform.t if hasattr(transform, "t") else transform,
-                   dtype=np.complex128)
+    t = channel.transform_matrix(transform)
     res = svd_thin(t)
     s = res.singular_values
     if t.shape[0] > t.shape[1] or s[-1] <= rank_rtol * s[0]:
@@ -212,8 +216,7 @@ def hybrid_lift(tensor, n, transform, rank_rtol=1e-10):
 
 
 def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
-                    method="dense", rng=None, beta=None, hybrid_modes=(),
-                    fast_opts=None, sep_tol=1e-6):
+                    method="dense", rng=None, beta=None, hybrid_modes=()):
     """Run the full matrix-based beamspace ESPRIT chain on a noisy tensor.
 
     Parameters
@@ -236,28 +239,13 @@ def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
         work = hybrid_lift(work, n, transforms[n - 1])
         eff_transforms[n - 1] = None
 
+    u_s, diagnostics = signal_subspace(work, n_paths, l5, method=method)
     k5 = work.shape[-1] + 1 - l5
-    if method == "fast":
-        # the operator works off the raw taps; never materialize the stack
-        from . import fastsvd
-
-        opts = dict(fast_opts or {})
-        opts.setdefault("operator",
-                        fastsvd.HankelBlockOperator.from_tensor(work, l5))
-        smoothed = SmoothedMatrix(values=None, beam_dims=work.shape[:4],
-                                  k5=k5, l5=l5)
-        u_s, diagnostics = signal_subspace(smoothed, n_paths, method="fast",
-                                           fast_opts=opts)
-    else:
-        smoothed = spatial_smooth(work, l5)
-        u_s, diagnostics = signal_subspace(smoothed, n_paths, method=method,
-                                           fast_opts=fast_opts)
-
     pairs = shift.selectors_for_transforms(eff_transforms, k5, work.shape[:4])
     gammas, residuals = zip(*(gamma_n(u_s, p) for p in pairs))
     diagnostics["rotation_residual"] = max(residuals)
 
-    _, omega, pair_diag = auto_pair(gammas, rng=rng, beta=beta, sep_tol=sep_tol)
+    _, omega, pair_diag = auto_pair(gammas, rng=rng, beta=beta)
     diagnostics.update(pair_diag)
     # gains always solve against the original beamspace observation
     return _estimate_tail(omega, transforms, noisy, delta_f, diagnostics,

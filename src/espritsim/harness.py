@@ -12,7 +12,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -64,6 +64,9 @@ class ExperimentConfig:
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:
             raise ConfigError(f"unknown methods: {sorted(bad)}")
+        m5 = self.scenario.m[4]
+        if self.l5 is not None and not 1 <= self.l5 <= m5:
+            raise ConfigError(f"l5={self.l5} outside [1, {m5}]")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -385,9 +388,3 @@ def _write_trial_dump(dump, outdir):
                              repr(float(out.runtime)), out.error])
     return path
 
-
-def rows_to_table(rows):
-    """Rows as a list of dicts (handy for tests and notebooks)."""
-    return [dict(method=r.method, snr_db=r.snr_db, path_class=r.path_class,
-                 metric=r.metric, value=r.value, trials=r.trials,
-                 failures=r.failures) for r in rows]

@@ -151,8 +151,7 @@ def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, line_search=True,
     return best
 
 
-def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, cp_opts=None,
-                           rng=None):
+def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng=None):
     """CP factors -> per-dimension restored-shift eigenvalues -> parameters.
 
     Dimension 5 is untransformed, so it uses the plain overlap selectors;
@@ -161,8 +160,7 @@ def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, cp_opts=None,
     rng = np.random.default_rng() if rng is None else rng
     noisy = np.asarray(noisy, dtype=np.complex128)
     t_start = time.perf_counter()
-    opts = dict(cp_opts or {})   # cp_als defaults: 3 restarts, line search
-    model = cp_als(noisy, n_paths, rng=rng, **opts)
+    model = cp_als(noisy, n_paths, rng=rng)   # 3 restarts, line search
 
     omega = np.empty((n_paths, 5))
     for n in range(5):

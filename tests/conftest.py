@@ -49,6 +49,15 @@ def synthetic_paths(omegas, gains, delta_f):
     return out
 
 
+def projector_gap(u, w):
+    """||u u^H - w w^H||_F for orthonormal bases of one rank, without forming either.
+
+    Exact as sqrt(2) ||u - w w^H u||_F: both projectors have the same trace,
+    so the cross term equals the squared norm of w^H u.
+    """
+    return np.sqrt(2) * np.linalg.norm(u - w @ (w.conj().T @ u))
+
+
 def match_rows(est_omega, truth_omega):
     """Reorder estimate rows to the truth order (``harness.match_paths``)."""
     est = np.asarray(est_omega)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from espritsim import channel, esprit, kernels, shift
-from tests.conftest import match_rows, synthetic_paths
+from tests.conftest import match_rows, projector_gap, synthetic_paths
 
 
 class TestSpatialSmooth:
@@ -51,20 +51,44 @@ class TestSignalSubspace:
         assert s[2] < 1e-10 * s[0]
 
     def test_identity_projector(self):
-        sm = esprit.SmoothedMatrix(values=np.eye(6, dtype=complex),
-                                   beam_dims=(1, 1, 1, 6), k5=1, l5=6)
-        u, _ = esprit.signal_subspace(sm, 3)
+        # L5 = M5 leaves one row per beam index: the stack is the 6 x 6 identity
+        u, _ = esprit.signal_subspace(np.eye(6, dtype=complex).reshape(1, 1, 1, 6, 6),
+                                      3, 6)
         proj = u @ u.conj().T
         assert np.allclose(proj @ proj, proj, atol=1e-12)
         assert np.linalg.matrix_rank(proj, tol=1e-10) == 3
 
     def test_dense_vs_fast_projector(self, desk_setup):
         scen, paths, transforms, tensor, _ = desk_setup
-        sm = esprit.spatial_smooth(tensor, esprit.default_l5(scen.m[4]))
-        u_d, _ = esprit.signal_subspace(sm, 2, method="dense")
-        u_f, _ = esprit.signal_subspace(sm, 2, method="fast")
-        gap = np.linalg.norm(u_d @ u_d.conj().T - u_f @ u_f.conj().T)
-        assert gap < 1e-8
+        l5 = esprit.default_l5(scen.m[4])
+        u_d, _ = esprit.signal_subspace(tensor, 2, l5, method="dense")
+        u_f, _ = esprit.signal_subspace(tensor, 2, l5, method="fast")
+        assert projector_gap(u_f, u_d) < 1e-8
+
+    def test_fast_rank_below_model_order_raises(self, desk_setup):
+        # noiseless desk data has rank 2: Lanczos breaks down with a rank-2
+        # core, which cannot supply three paths (dense pads with noise-space
+        # vectors); a short basis would silently drop a path
+        scen, paths, transforms, tensor, _ = desk_setup
+        l5 = esprit.default_l5(scen.m[4])
+        with pytest.raises(kernels.NumericFailureError, match="rank 2 below 3"):
+            esprit.signal_subspace(tensor, 3, l5, method="fast")
+        with pytest.raises(kernels.NumericFailureError):
+            esprit.esprit_pipeline(tensor, transforms, 3, l5, scen.delta_f,
+                                   method="fast", rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("method", ["dense", "fast"])
+    def test_returns_n_paths_orthonormal_columns(self, desk_setup, method):
+        scen, paths, transforms, tensor, _ = desk_setup
+        l5 = esprit.default_l5(scen.m[4])
+        rows = int(np.prod(tensor.shape[:4])) * (scen.m[4] + 1 - l5)
+        n0 = channel.n0_for_snr_db(paths, transforms, scen, 10.0)
+        noisy = channel.observe_and_estimate(tensor, scen, np.random.default_rng(4),
+                                             n0=n0)
+        for n_paths in (1, 2, 3):
+            u, _ = esprit.signal_subspace(noisy, n_paths, l5, method=method)
+            assert u.shape == (rows, n_paths)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(n_paths)) < 1e-10
 
 
 class TestGammaN:
@@ -73,9 +97,8 @@ class TestGammaN:
         transforms = channel.scenario_transforms(scen, paths)
         tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
         l5 = esprit.default_l5(scen.m[4])
-        sm = esprit.spatial_smooth(tensor, l5)
-        u_s, _ = esprit.signal_subspace(sm, len(paths))
-        pairs = shift.selectors_for_transforms(transforms, sm.k5)
+        u_s, _ = esprit.signal_subspace(tensor, len(paths), l5)
+        pairs = shift.selectors_for_transforms(transforms, scen.m[4] + 1 - l5)
         return u_s, pairs
 
     def test_single_source_scalar(self, tiny_scenario):
@@ -105,10 +128,9 @@ class TestGammaN:
         noisy = tensor + 0.05 * np.abs(tensor).max() * (
             rng.standard_normal(tensor.shape) + 1j * rng.standard_normal(tensor.shape))
         l5 = esprit.default_l5(scen.m[4])
-        sm = esprit.spatial_smooth(noisy, l5)
-        u_s, _ = esprit.signal_subspace(sm, 2)
+        u_s, _ = esprit.signal_subspace(noisy, 2, l5)
         two_pass = []
-        for pair in shift.selectors_for_transforms(transforms, sm.k5):
+        for pair in shift.selectors_for_transforms(transforms, scen.m[4] + 1 - l5):
             gam, residual = esprit.gamma_n(u_s, pair)
             rhs = pair.second.apply(u_s)
             two_pass.append(np.linalg.norm(pair.first.apply(u_s) @ gam - rhs)
@@ -315,11 +337,10 @@ class TestMethodAgreement:
     def test_unitary_subspace_rotation_leaves_omega(self, desk_setup, rng):
         scen, paths, transforms, tensor, truth = desk_setup
         l5 = esprit.default_l5(scen.m[4])
-        sm = esprit.spatial_smooth(tensor, l5)
-        u_s, _ = esprit.signal_subspace(sm, 2)
+        u_s, _ = esprit.signal_subspace(tensor, 2, l5)
         q, _ = np.linalg.qr(rng.standard_normal((2, 2))
                             + 1j * rng.standard_normal((2, 2)))
-        pairs = shift.selectors_for_transforms(transforms, sm.k5)
+        pairs = shift.selectors_for_transforms(transforms, scen.m[4] + 1 - l5)
         beta = np.full(5, 0.41)
         _, om1, _ = esprit.auto_pair([esprit.gamma_n(u_s, p)[0] for p in pairs],
                                      rng=np.random.default_rng(1), beta=beta)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from espritsim import channel, esprit, harness
+from espritsim import channel, cli, esprit, harness
 from espritsim.kernels import InvalidInputError
 
 
@@ -114,6 +114,15 @@ class TestConfig:
     def test_rejects_empty_grid(self):
         with pytest.raises(harness.ConfigError):
             harness.ExperimentConfig.from_dict(desk_config(snr_grid_db=[]))
+
+    @pytest.mark.parametrize("l5", [0, 65, 200])
+    def test_rejects_l5_outside_subcarriers(self, l5):
+        with pytest.raises(harness.ConfigError, match="outside"):
+            harness.ExperimentConfig.from_dict(desk_config(l5=l5))
+
+    @pytest.mark.parametrize("l5", [1, 64])
+    def test_accepts_l5_at_the_ends(self, l5):
+        assert harness.ExperimentConfig.from_dict(desk_config(l5=l5)).l5 == l5
 
 
 class TestRunExperiment:
@@ -267,6 +276,11 @@ class TestCli:
         res = self.run_cli("validate-config", str(path))
         assert res.returncode == 2
 
+    def test_validate_rejects_out_of_range_l5(self, tmp_path, capsys):
+        path = desk_config(tmp_path, l5=200)
+        assert cli.main(["validate-config", str(path)]) == 2
+        assert "l5=200 outside [1, 64]" in capsys.readouterr().err
+
     def test_run_and_figures(self, tmp_path):
         path = desk_config(tmp_path, trials=2)
         out = tmp_path / "out"
@@ -278,8 +292,6 @@ class TestCli:
         assert "rate_bps_hz" in res.stdout
 
     def test_failure_breach_exit_code_3(self, tmp_path, monkeypatch):
-        from espritsim import cli
-
         def boom(cfg):
             raise harness.TrialFailureRateError("forced breach")
 
