@@ -94,7 +94,8 @@ def signal_subspace(tensor, n_paths, l5, method="dense"):
     finds fewer than ``n_paths`` singular triplets (Lanczos breaking down on
     data of lower rank) raises ``NumericFailureError`` instead of dropping
     paths. Returns (U_s, diagnostics) where diagnostics carries the spectral
-    gap sigma_L / sigma_{L+1} (a warning flag when absent).
+    gap sigma_L / sigma_{L+1} (a warning flag when absent) and, for ``fast``,
+    ``lanczos_steps`` and ``lanczos_stop`` (converged, breakdown or cap).
     """
     tensor = np.asarray(tensor)
     k5 = tensor.shape[-1] + 1 - l5

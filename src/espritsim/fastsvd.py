@@ -8,10 +8,12 @@ the linear one's index n + N onto n. The linear result is M5 + L5 - 1 long
 (M5 + K5 - 1 for the adjoint), so the fold reaches only indices below
 L5 - 1 (K5 - 1) once N >= M5, and those are exactly the discarded partial
 overlaps: N = next_pow2(M5) gives the valid outputs exactly. Golub-Kahan
-bidiagonalization then needs only ~4L products to expose the top-L singular
-triplets, and the final SVD acts on a tiny real bidiagonal matrix.
-Re-orthogonalization is one-sided: only the short right vectors (length L5)
-are re-projected, never the B*K5-long left ones (``lanczos_bidiag``).
+bidiagonalization then stops as soon as the Ritz residuals of the top-L
+singular triplets fall to round-off relative to the spectral gap after them
+(a handful of steps on gapped spectra, at most min(L5, 2L + 16)), and the
+final SVD acts on a tiny real bidiagonal matrix. Re-orthogonalization is
+one-sided: only the short right vectors (length L5) are re-projected, never
+the B*K5-long left ones (``lanczos_bidiag``).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .kernels import InvalidInputError, NumericFailureError, SvdResult, _next_pow2
 
 BREAKDOWN_RTOL = 1e-12      # recursion norm below this times ||H||_F: breakdown
+CONVERGED_RTOL = 1e-14      # Ritz residual below this times the gap: converged
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,15 @@ class Bidiagonal:
 
     J is k x k upper bidiagonal, or k x (k+1) after a left breakdown, which
     keeps the last beta and right vector: then ``b`` has k entries and
-    ``v_frame`` k + 1 columns.
+    ``v_frame`` k + 1 columns. ``stop`` says why the recursion ended:
+    ``converged``, ``breakdown`` or ``cap`` (the step budget ran out).
     """
 
     a: np.ndarray           # diagonal, length k = left vectors kept
     b: np.ndarray           # superdiagonal, length k - 1 (k after a left breakdown)
     u_frame: np.ndarray     # (rows, k) left Lanczos basis
     v_frame: np.ndarray     # (L5, len(b) + 1) right Lanczos basis
-    terminated_early: bool = False
+    stop: str = "cap"
 
     def matrix(self):
         j = np.zeros((len(self.a), len(self.b) + 1))
@@ -122,7 +126,7 @@ class Bidiagonal:
         return j
 
 
-def lanczos_bidiag(op, steps):
+def lanczos_bidiag(op, steps, n_wanted):
     """Golub-Kahan bidiagonalization driven by the implicit Hankel operator.
 
     One-sided re-orthogonalization (Simon & Zha, SIAM J. Sci. Comput. 2000):
@@ -137,14 +141,25 @@ def lanczos_bidiag(op, steps):
     Ritz vectors to U_s = U_k P_L; the long re-projection sweeps are never
     paid. The start vector has equal entries.
 
-    Terminates early when a recursion norm falls below
-    ``BREAKDOWN_RTOL * ||H||_F`` (invariant subspace captured). A right
-    breakdown leaves the square k x k core. A left breakdown at step k
-    (H v_k in span U_k) leaves the k x (k+1) core with beta_{k-1} and v_k.
+    Runs at most ``steps`` steps and ends on the first of:
+
+    - breakdown: a recursion norm falls below ``BREAKDOWN_RTOL * ||H||_F``
+      (invariant subspace captured). A right breakdown leaves the square
+      k x k core. A left breakdown at step k (H v_k in span U_k) leaves the
+      k x (k+1) core with beta_{k-1} and v_k.
+    - convergence of the top ``n_wanted`` Ritz triplets: with the core's SVD
+      B_k = P diag(theta) Q^T, H^H U_k p_i = theta_i V_k q_i +
+      beta_k (e_k^T p_i) v_{k+1}, so once k > n_wanted and every i <= n_wanted
+      has beta_k |e_k^T p_i| <= ``CONVERGED_RTOL`` (theta_i - theta_{n_wanted+1})
+      (Larsen's PROPACK criterion) the k x k core is kept and v_{k+1} dropped.
+      An over-specified order leaves no gap after theta_{n_wanted} and runs to
+      the cap.
     """
     rows, l5 = op.shape
     if steps < 1 or steps > l5:
         raise InvalidInputError(f"steps must lie in [1, {l5}]")
+    if not 1 <= n_wanted <= steps:
+        raise InvalidInputError(f"n_wanted must lie in [1, {steps}]")
     scale = op.frobenius_norm()
     if scale == 0.0:
         raise NumericFailureError("operator is identically zero")
@@ -156,7 +171,7 @@ def lanczos_bidiag(op, steps):
     alphas = np.zeros(steps)
     betas = np.zeros(max(steps - 1, 0))
     v_frame[0] = 1.0 / np.sqrt(l5)
-    terminated = False
+    stop = "cap"
     n_u, n_v = 0, 1
 
     for ell in range(steps):
@@ -165,7 +180,7 @@ def lanczos_bidiag(op, steps):
             u -= betas[ell - 1] * u_frame[ell - 1]
         a = np.linalg.norm(u)
         if a <= BREAKDOWN_RTOL * scale:
-            terminated = True
+            stop = "breakdown"
             break
         alphas[ell] = a
         u_frame[ell] = u / a
@@ -180,17 +195,25 @@ def lanczos_bidiag(op, steps):
             r -= np.conj(basis @ np.conj(r)) @ basis
         bnorm = np.linalg.norm(r)
         if bnorm <= BREAKDOWN_RTOL * scale:
-            terminated = True
+            stop = "breakdown"
             break
         betas[ell] = bnorm
+        if n_u > n_wanted:
+            core = bidiag_svd(Bidiagonal(a=alphas[:n_u], b=betas[:ell],
+                                         u_frame=u_frame[:n_u].T,
+                                         v_frame=v_frame[:n_u].T))
+            theta = core.singular_values
+            resid = bnorm * np.abs(core.left[-1, :n_wanted])
+            if np.all(resid <= CONVERGED_RTOL * (theta[:n_wanted] - theta[n_wanted])):
+                stop = "converged"
+                break
         v_frame[ell + 1] = r / bnorm
         n_v = ell + 2
 
     if n_u == 0:
         raise NumericFailureError("Lanczos broke down at the first step", iterations=0)
     return Bidiagonal(a=alphas[:n_u], b=betas[:n_v - 1],
-                      u_frame=u_frame[:n_u].T, v_frame=v_frame[:n_v].T,
-                      terminated_early=terminated)
+                      u_frame=u_frame[:n_u].T, v_frame=v_frame[:n_v].T, stop=stop)
 
 
 def bidiag_svd(bd):
@@ -206,19 +229,17 @@ def bidiag_svd(bd):
 def fast_signal_subspace(op, n_paths, return_details=False):
     """Top-``n_paths`` left singular vectors via Lanczos + bidiagonal SVD.
 
-    Runs min(L5, 2 * n_paths + 16) steps: a fixed Ritz margin on top of the
-    wanted subspace, so the work grows sublinearly when the model order
-    doubles while keeping ample convergence headroom for the gapped spectra
-    this pipeline sees. A breakdown at rank k < ``n_paths`` leaves only k
-    columns; ``esprit.signal_subspace`` turns that shortfall into an error.
+    Lanczos stops once the top ``n_paths`` Ritz triplets have converged
+    (``lanczos_bidiag``), capped at min(L5, 2 * n_paths + 16) steps. The
+    details report the steps taken and why they ended (``lanczos_stop``:
+    converged, breakdown or cap). A breakdown at rank k < ``n_paths`` leaves
+    only k columns; ``esprit.signal_subspace`` turns that shortfall into an
+    error.
     """
-    steps = min(op.l5, 2 * n_paths + 16)
-    if n_paths > steps:
-        raise InvalidInputError("need at least as many Lanczos steps as paths")
-    bd = lanczos_bidiag(op, steps)
+    bd = lanczos_bidiag(op, min(op.l5, 2 * n_paths + 16), n_paths)
     core = bidiag_svd(bd)
     u = bd.u_frame @ core.left[:, :n_paths]
     if not return_details:
         return u
-    details = {"lanczos_steps": len(bd.a), "terminated_early": bd.terminated_early}
+    details = {"lanczos_steps": len(bd.a), "lanczos_stop": bd.stop}
     return u, core.singular_values, details

@@ -48,7 +48,7 @@ def _as_matrix(a, name="matrix"):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInputError(f"{name} must be 2-D and nonempty, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag if np.iscomplexobj(a) else a.real)):
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a.astype(np.complex128, copy=False)
 
@@ -69,7 +69,11 @@ def svd_thin(a):
         Tall input (m > n) is factored ``a = Q R`` first (scipy's QR, several
         times faster than numpy's there) and ``left = Q @ U_R``.
     """
-    a = _as_matrix(a)
+    return _svd(_as_matrix(a))
+
+
+def _svd(a):
+    """``svd_thin`` of an operand already checked by ``_as_matrix``."""
     try:
         if a.shape[0] > a.shape[1]:
             q, r = scipy.linalg.qr(a, mode="economic", check_finite=False)
@@ -100,7 +104,7 @@ def pinv(a, rtol=1e-12):
     An all-zero matrix maps to the all-zero transpose-shaped matrix.
     """
     a = _as_matrix(a)
-    res = svd_thin(a)
+    res = _svd(a)
     s = res.singular_values
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
@@ -116,7 +120,7 @@ def lstsq_pinv(a, b, rtol=1e-12):
     b = np.asarray(b, dtype=np.complex128)
     if not np.all(np.isfinite(b)):
         raise InvalidInputError("rhs contains non-finite entries")
-    res = svd_thin(a)
+    res = _svd(a)
     s = res.singular_values
     if s.size == 0 or s[0] == 0.0:
         shape = (a.shape[1],) if b.ndim == 1 else (a.shape[1], b.shape[1])

@@ -90,6 +90,25 @@ class TestSignalSubspace:
             assert u.shape == (rows, n_paths)
             assert np.linalg.norm(u.conj().T @ u - np.eye(n_paths)) < 1e-10
 
+    @pytest.mark.parametrize("noisy, n_paths, stop, steps", [
+        (True, 2, "converged", None),   # true order: top-2 triplets converge
+        (False, 2, "breakdown", 2),     # rank-2 data: invariant subspace at step 2
+        (True, 3, "cap", 22),           # over-specified: no gap after theta_3
+    ])
+    def test_reports_lanczos_stop(self, desk_setup, noisy, n_paths, stop, steps):
+        scen, paths, transforms, tensor, _ = desk_setup
+        if noisy:
+            n0 = channel.n0_for_snr_db(paths, transforms, scen, 10.0)
+            tensor = channel.observe_and_estimate(tensor, scen,
+                                                  np.random.default_rng(4), n0=n0)
+        _, diag = esprit.signal_subspace(tensor, n_paths, esprit.default_l5(scen.m[4]),
+                                         method="fast")
+        assert diag["lanczos_stop"] == stop
+        if steps is None:
+            assert diag["lanczos_steps"] < 2 * n_paths + 16
+        else:
+            assert diag["lanczos_steps"] == steps
+
 
 class TestGammaN:
     def _setup(self, scen, omegas, gains):

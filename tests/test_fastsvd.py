@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from espritsim import channel, esprit, fastsvd
 from espritsim.kernels import InvalidInputError
@@ -100,29 +102,29 @@ class TestLanczos:
         # rank-1 Hankel needs a constant generator: h[m] = c
         op = fastsvd.HankelBlockOperator.from_vector(blocks.reshape(-1),
                                                      (1, 1, 1, 1), 3)
-        bd = fastsvd.lanczos_bidiag(op, 3)
-        assert bd.terminated_early
+        bd = fastsvd.lanczos_bidiag(op, 3, 3)
+        assert bd.stop == "breakdown"
         assert len(bd.a) == 1
         dense_s = np.linalg.svd(op.to_dense(), compute_uv=False)
         assert bd.a[0] == pytest.approx(dense_s[0], rel=1e-10)
 
     def test_singular_values_match_dense(self, rng):
         op = random_operator(rng, (2, 2, 2, 1), 12, 6)
-        bd = fastsvd.lanczos_bidiag(op, 6)
+        bd = fastsvd.lanczos_bidiag(op, 6, 6)
         got = np.sort(fastsvd.bidiag_svd(bd).singular_values)[::-1]
         want = np.sort(np.linalg.svd(op.to_dense(), compute_uv=False))[::-1]
         assert np.allclose(got[:4], want[:4], rtol=1e-8)
 
     def test_frame_orthonormality_with_reorth(self, rng):
         op = random_operator(rng, (2, 2, 2, 2), 16, 8)
-        bd = fastsvd.lanczos_bidiag(op, 8)
+        bd = fastsvd.lanczos_bidiag(op, 8, 8)
         k = len(bd.a)
         assert np.linalg.norm(bd.u_frame.conj().T @ bd.u_frame - np.eye(k)) < 1e-8
         assert np.linalg.norm(bd.v_frame.conj().T @ bd.v_frame - np.eye(k)) < 1e-8
 
     def test_reconstruction(self, rng):
         op = random_operator(rng, (1, 2, 2, 1), 10, 5)
-        bd = fastsvd.lanczos_bidiag(op, 5)
+        bd = fastsvd.lanczos_bidiag(op, 5, 5)
         dense = op.to_dense()
         recon = bd.u_frame.conj().T @ dense @ bd.v_frame
         assert np.linalg.norm(recon - bd.matrix()) <= 1e-8 * np.linalg.norm(dense)
@@ -138,9 +140,9 @@ class TestLeftBreakdown:
         return fastsvd.HankelBlockOperator.from_tensor(tensor, esprit.default_l5(scen.m[4]))
 
     def test_core_keeps_last_beta_and_right_vector(self, exact_rank_op):
-        bd = fastsvd.lanczos_bidiag(exact_rank_op, 18)
+        bd = fastsvd.lanczos_bidiag(exact_rank_op, 18, 18)
         k = len(bd.a)
-        assert bd.terminated_early and k == 2
+        assert bd.stop == "breakdown" and k == 2
         assert len(bd.b) == k and bd.v_frame.shape[1] == k + 1
         dense = exact_rank_op.to_dense()
         recon = bd.u_frame.conj().T @ dense @ bd.v_frame
@@ -151,7 +153,7 @@ class TestLeftBreakdown:
         u, s, details = fastsvd.fast_signal_subspace(exact_rank_op, n_paths,
                                                      return_details=True)
         dense_u, dense_s, _ = np.linalg.svd(exact_rank_op.to_dense(), full_matrices=False)
-        assert details["terminated_early"]
+        assert details["lanczos_stop"] == "breakdown"
         assert np.allclose(s, dense_s[:len(s)], rtol=1e-10, atol=0)
         assert projector_gap(u, dense_u[:, :n_paths]) <= 1e-12
 
@@ -197,8 +199,9 @@ class TestBidiagSvd:
                            atol=1e-12)
 
 
-# One-sided reorthogonalization leaves the long left frame to the recurrence:
-# gate it on low SNR, near-exact rank and a weak NLOS path (gain scaled by
+# One-sided reorthogonalization leaves the long left frame to the recurrence,
+# and the stop rule ends the run once the wanted Ritz triplets have converged:
+# gate both on low SNR, near-exact rank and a weak NLOS path (gain scaled by
 # weak_db) against a dense SVD.
 ONE_SIDED_CASES = {
     "snr-10": dict(snr_db=-10.0), "snr0": dict(snr_db=0.0),
@@ -209,7 +212,7 @@ ONE_SIDED_CASES = {
 }
 
 
-def one_sided_operator(scen, snr_db=None, rel_noise=None, weak_db=None):
+def one_sided_operator(scen, snr_db=None, rel_noise=None, weak_db=None, l5=None):
     paths = channel.params_from_geometry(scen)
     transforms = channel.scenario_transforms(scen, paths)
     if weak_db is not None:
@@ -222,14 +225,24 @@ def one_sided_operator(scen, snr_db=None, rel_noise=None, weak_db=None):
     else:
         n0 = channel.n0_for_snr_db(paths, transforms, scen, snr_db)
         tensor = channel.observe_and_estimate(tensor, scen, rng, n0=n0)
-    return fastsvd.HankelBlockOperator.from_tensor(tensor, esprit.default_l5(scen.m[4]))
+    return fastsvd.HankelBlockOperator.from_tensor(
+        tensor, esprit.default_l5(scen.m[4]) if l5 is None else l5)
+
+
+def assert_matches_dense(op, n_paths=2, tol=1e-12):
+    """Fast basis against a dense SVD; returns the Lanczos details."""
+    u, _, details = fastsvd.fast_signal_subspace(op, n_paths, return_details=True)
+    dense_u = np.linalg.svd(op.to_dense(), full_matrices=False)[0][:, :n_paths]
+    assert u.shape == dense_u.shape
+    assert projector_gap(u, dense_u) <= tol
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n_paths)) <= tol
+    return details
 
 
 def assert_one_sided_matches_dense(op):
-    u = fastsvd.fast_signal_subspace(op, 2)
-    dense_u = np.linalg.svd(op.to_dense(), full_matrices=False)[0][:, :2]
-    assert projector_gap(u, dense_u) <= 1e-12
-    assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-12
+    details = assert_matches_dense(op)
+    assert details["lanczos_stop"] == "converged"
+    assert details["lanczos_steps"] < min(op.l5, 2 * 2 + 16)
 
 
 @pytest.mark.parametrize("case", ONE_SIDED_CASES)
@@ -243,6 +256,44 @@ def test_one_sided_reorth_matches_dense_desk(desk_scenario, case):
 def test_one_sided_reorth_matches_dense_full(desk_scenario, case):
     full = dataclasses.replace(desk_scenario, m=(8, 8, 8, 8, 500), delta_f=120e3)
     assert_one_sided_matches_dense(one_sided_operator(full, **ONE_SIDED_CASES[case]))
+
+
+@pytest.mark.parametrize("n_paths", [3, 6])
+def test_over_specified_order_runs_to_cap(desk_scenario, n_paths):
+    # two paths leave no gap after theta_3 (or theta_6) in the noise floor,
+    # so the stop rule never fires
+    op = one_sided_operator(desk_scenario, snr_db=20.0)
+    _, _, details = fastsvd.fast_signal_subspace(op, n_paths, return_details=True)
+    assert details == {"lanczos_steps": min(op.l5, 2 * n_paths + 16),
+                       "lanczos_stop": "cap"}
+
+
+@pytest.mark.parametrize("case", ["rel1e-9", "snr0"])
+@pytest.mark.parametrize("l5", [2, 3, 64])      # L, L + 1 and M5 at L = 2
+def test_edge_windows_match_dense(desk_scenario, case, l5):
+    assert_matches_dense(one_sided_operator(desk_scenario, l5=l5, **ONE_SIDED_CASES[case]),
+                         tol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31))
+def test_planted_gapped_signal_matches_dense(seed):
+    # rank-L exponential taps at evenly spread frequencies (well-conditioned
+    # Vandermonde factors) plus a 1e-3 noise floor, on random tiny operators
+    r = np.random.default_rng(seed)
+    n_paths = int(r.integers(1, 4))
+    beam_dims = (1, 1, int(r.integers(1, 3)), int(r.integers(1, 3)))
+    m5 = int(r.integers(2 * n_paths + 2, 25))
+    l5 = int(r.integers(n_paths + 1, m5 - n_paths + 1))     # K5, L5 > L
+    b = int(np.prod(beam_dims))
+    omega = r.uniform(-np.pi, np.pi) + 2 * np.pi * np.arange(n_paths) / n_paths
+    gains = r.uniform(1.0, 2.0, (b, n_paths)) * np.exp(2j * np.pi * r.random((b, n_paths)))
+    taps = gains @ np.exp(1j * np.outer(omega, np.arange(m5)))
+    taps = taps + 1e-3 * (r.standard_normal(taps.shape) + 1j * r.standard_normal(taps.shape))
+    op = fastsvd.HankelBlockOperator.from_vector(taps.reshape(-1), beam_dims, l5)
+    s = np.linalg.svd(op.to_dense(), compute_uv=False)
+    assume(s[n_paths - 1] > 10 * s[n_paths])      # the planted gap survived
+    assert_matches_dense(op, n_paths, tol=1e-10)
 
 
 class TestFastSignalSubspace:

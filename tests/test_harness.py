@@ -186,6 +186,24 @@ class TestRunExperiment:
                     if r.method == "matrix_dense" and r.metric == "rmse_pos_m")
         assert np.sqrt(np.mean(sq)) == pytest.approx(want, rel=1e-12)
 
+    def test_dump_carries_lanczos_steps_and_stop(self, tmp_path):
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(outputs=str(tmp_path / "d"), dump_trials=True, trials=2,
+                        methods=["matrix_dense", "matrix_fast", "tensor"]))
+        _, files = harness.run_experiment(cfg)
+        import csv
+
+        with open(files["trials"]) as fh:
+            dump = list(csv.DictReader(fh))
+        assert {r["method"] for r in dump} == {"matrix_dense", "matrix_fast", "tensor"}
+        for r in dump:
+            if r["method"] == "matrix_fast":
+                # 30 dB, true order: the top-2 Ritz triplets converge early
+                assert r["lanczos_stop"] == "converged"
+                assert 2 < int(r["lanczos_steps"]) < 20
+            else:
+                assert r["lanczos_steps"] == r["lanczos_stop"] == ""
+
     def test_analytic_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(desk_config())
         rows, _ = harness.run_experiment(cfg)

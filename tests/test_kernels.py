@@ -140,6 +140,18 @@ class TestLstsqPinv:
             kernels.lstsq_pinv(a, b)
 
 
+@pytest.mark.parametrize("call", [
+    kernels.svd_thin, kernels.eig_general,
+    lambda a: kernels.lstsq_pinv(a, np.ones(3)),
+    lambda a: kernels.lstsq_pinv(np.eye(3), a),
+], ids=["svd_thin", "eig_general", "lstsq_pinv-lhs", "lstsq_pinv-rhs"])
+def test_rejects_inf_in_imaginary_part_only(call):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = complex(0.0, np.inf)
+    with pytest.raises(kernels.InvalidInputError, match="non-finite"):
+        call(a)
+
+
 class TestFftConvolve:
     def test_simple(self):
         assert np.allclose(kernels.fft_convolve([1, 0], [1, 1]), [1, 1, 0])
