@@ -3,8 +3,9 @@
 Pipeline (one trial): signal subspace of the frequency-smoothed tensor through
 one interface with two backends, a dense LAPACK SVD of the materialized stack
 or FFT/Lanczos on the implicit Hankel-block operator (``signal_subspace``) ->
-per-dimension rotation factors and their residual from one pass of the lifted
-selectors -> one eigendecomposition of a random beta-combination for
+per-dimension rotation factors and their residual, solved on a small core equal
+to the selector products up to an isometry (built from the R factor of U_s's
+mode-n unfolding, or of the stacked frequency windows) -> one eigendecomposition of a random beta-combination for
 auto-pairing -> frequency, parameter, and gain recovery (gains from the
 Khatri-Rao structure, shared with the tensor pipeline).
 """
@@ -126,14 +127,29 @@ def signal_subspace(tensor, n_paths, l5, method="dense"):
 def gamma_n(u_s, pair, rtol=1e-12):
     """Rotation factor (J1 U_s)^+ (J2 U_s), similar to Phi_n, and its residual.
 
-    The residual ||J1 U_s Gamma_n - J2 U_s||_F / ||J2 U_s||_F reuses the
-    selector products of the solve.
+    Both come from the small pair ``pair.compressed(u_s)``, equal to
+    [J1 U_s | J2 U_s] up to an isometry: the solve keeps its singular values
+    (so the ``rtol * s_1`` truncation) and the residual
+    ||J1 U_s Gamma_n - J2 U_s||_F / ||J2 U_s||_F keeps its norms, while the
+    (B K5)-row selector products are never formed. ``u_s`` must be finite;
+    ``rotation_factors`` checks it once for all dimensions.
     """
-    lhs = pair.first.apply(u_s)
-    rhs = pair.second.apply(u_s)
+    lhs, rhs = pair.compressed(u_s)
     gam = lstsq_pinv(lhs, rhs, rtol=rtol)
     residual = np.linalg.norm(lhs @ gam - rhs) / max(np.linalg.norm(rhs), 1e-300)
     return gam, float(residual)
+
+
+def rotation_factors(u_s, pairs, rtol=1e-12):
+    """``gamma_n`` for every selector pair after one finiteness check of U_s.
+
+    Returns (gammas, residuals), one entry per pair.
+    """
+    u_s = np.asarray(u_s)
+    if not np.isfinite(u_s).all():
+        raise InvalidInputError("signal subspace contains non-finite entries")
+    results = [gamma_n(u_s, p, rtol=rtol) for p in pairs]
+    return [g for g, _ in results], [r for _, r in results]
 
 
 def auto_pair(gammas, rng, beta=None, sep_tol=1e-6, max_redraws=8):
@@ -243,7 +259,7 @@ def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
     u_s, diagnostics = signal_subspace(work, n_paths, l5, method=method)
     k5 = work.shape[-1] + 1 - l5
     pairs = shift.selectors_for_transforms(eff_transforms, k5, work.shape[:4])
-    gammas, residuals = zip(*(gamma_n(u_s, p) for p in pairs))
+    gammas, residuals = rotation_factors(u_s, pairs)
     diagnostics["rotation_residual"] = max(residuals)
 
     _, omega, pair_diag = auto_pair(gammas, rng=rng, beta=beta)

@@ -143,6 +143,8 @@ class _TrialOutput:
     error: str = ""
     lanczos_steps: int | None = None       # matrix_fast only
     lanczos_stop: str = ""                 # converged | breakdown | cap
+    rotation_residual: float | None = None  # matrix pipelines only
+    subspace_gap: float | None = None       # matrix pipelines, when reported
 
 
 def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
@@ -165,13 +167,15 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
         return _TrialOutput(ok=False, error=f"{type(exc).__name__}: {exc}",
                             runtime=time.perf_counter() - t0)
     runtime = est.diagnostics.get("runtime_s", time.perf_counter() - t0)
-    lanczos = {"lanczos_steps": est.diagnostics.get("lanczos_steps"),
-               "lanczos_stop": est.diagnostics.get("lanczos_stop", "")}
+    diag = {"lanczos_steps": est.diagnostics.get("lanczos_steps"),
+            "lanczos_stop": est.diagnostics.get("lanczos_stop", ""),
+            "rotation_residual": est.diagnostics.get("rotation_residual"),
+            "subspace_gap": est.diagnostics.get("subspace_gap")}
     values = [est.omega, est.gains] + [np.append(p.angles(), [p.tau, p.gamma])
                                        for p in est.params]
     if not all(np.all(np.isfinite(v)) for v in values):
         return _TrialOutput(ok=False, error="non-finite estimate", runtime=runtime,
-                            **lanczos)
+                            **diag)
 
     perm = match_paths(est.freqs, [channel.AngularFreqs(om) for om in truth_omega])
     params = [est.params[p] for p in perm]
@@ -193,17 +197,17 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
         sq_pos = float(np.sum((loc.p_hat - scenario.p_r) ** 2))
     except slac.DegenerateLocalizationError as exc:
         return _TrialOutput(ok=False, error=f"localize: {exc}", runtime=runtime,
-                            **lanczos)
+                            **diag)
 
     rate_u, rate_i = slac.rate_terms(params, truth_paths, scenario)
     if not (np.all(np.isfinite(sq_angle)) and np.all(np.isfinite(sq_tau))
             and np.all(np.isfinite(sq_gain)) and np.isfinite(sq_pos)
             and np.all(np.isfinite(rate_u)) and np.all(np.isfinite(rate_i))):
         return _TrialOutput(ok=False, error="non-finite metrics", runtime=runtime,
-                            **lanczos)
+                            **diag)
     return _TrialOutput(ok=True, sq_angle=sq_angle, sq_tau=sq_tau,
                         sq_gain=sq_gain, sq_pos=sq_pos, rate_u=rate_u,
-                        rate_i=rate_i, runtime=runtime, **lanczos)
+                        rate_i=rate_i, runtime=runtime, **diag)
 
 
 def _path_classes(n_paths):
@@ -388,12 +392,16 @@ def _write_trial_dump(dump, outdir):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "snr_db", "trial", "ok", "sq_pos",
-                         "runtime_s", "lanczos_steps", "lanczos_stop", "error"])
+                         "runtime_s", "lanczos_steps", "lanczos_stop",
+                         "rotation_residual", "subspace_gap", "error"])
         for method, snr_db, t, out in dump:
             writer.writerow([method, repr(float(snr_db)), t, int(out.ok),
                              repr(float(out.sq_pos)) if out.ok else "",
                              repr(float(out.runtime)),
                              "" if out.lanczos_steps is None else out.lanczos_steps,
-                             out.lanczos_stop, out.error])
+                             out.lanczos_stop]
+                            + ["" if v is None else repr(float(v))
+                               for v in (out.rotation_residual, out.subspace_gap)]
+                            + [out.error])
     return path
 

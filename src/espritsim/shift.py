@@ -4,7 +4,10 @@ Beamforming destroys the Vandermonde shift structure ESPRIT needs; when the
 transform itself is shift invariant (J1 T = J2 T F) a projector Q that
 annihilates the two boundary generators restores it. The lifted selectors
 embed the per-dimension selectors into the smoothed-stack index space without
-ever materializing the Kronecker products.
+ever materializing the Kronecker products. A selector pair also hands out its
+QR-compressed form: a small (lhs, rhs) equal to [J1 U | J2 U] up to an
+isometry, so rotation factors and residuals never touch the (B K5)-row
+products.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import InvalidInputError, lstsq_pinv
+from .kernels import InvalidInputError, lstsq_pinv, qr_r
 
 
 class NeedsHybridError(ValueError):
@@ -172,6 +175,42 @@ class SelectorPair:
 
     first: LiftedSelector
     second: LiftedSelector
+
+    def compressed(self, u):
+        """Small (lhs, rhs) with [J1 U | J2 U] = W [lhs | rhs] for an isometry W.
+
+        W has orthonormal columns, so least squares, singular values and
+        residual norms are those of the full products, which are never
+        formed. For a spatial mode the selectors act on mode n alone: with
+        the mode-n unfolding Y = Q R (other modes as rows, (mode n, path)
+        pairs as columns), J U = (Q x I) (J applied along mode n of R), so
+        the pair is the two selector blocks applied to R. For the frequency
+        mode the pair is the two column halves of the R factor of the
+        stacked windows [lead | trail]. ``u`` must be finite (it is not
+        scanned again here).
+        """
+        u = np.asarray(u, dtype=np.complex128)
+        if u.ndim != 2 or u.shape[0] != self.first.in_size:
+            raise InvalidInputError(f"pair expects ({self.first.in_size}, L), got {u.shape}")
+        dims, dim = self.first.dims, self.first.dim
+        n_paths = u.shape[1]
+        if dim == 5:
+            # C-ordered transpose of [lead | trail]: rows (window, path)
+            k5 = dims[4]
+            blocks = u.reshape(-1, k5, n_paths).transpose(2, 0, 1)   # (L, B, K5)
+            op = np.empty((2,) + blocks.shape[:2] + (k5 - 1,), dtype=np.complex128)
+            for side, sel in zip(op, (self.first, self.second)):
+                side[...] = blocks[:, :, :-1] if sel.window == "lead" else blocks[:, :, 1:]
+            r = qr_r(op.reshape(2 * n_paths, -1).T, check_finite=False)
+            return r[:, :n_paths], r[:, n_paths:]
+        pre, size, post = self.first._split(dims[dim - 1])
+        # C-ordered transpose of the mode-n unfolding: rows (mode n, path);
+        # always a copy, since the QR overwrites it
+        op = (u.reshape(pre, size, post, n_paths).transpose(1, 3, 0, 2).copy()
+              .reshape(size * n_paths, -1))
+        r = qr_r(op.T, check_finite=False).reshape(-1, size, n_paths)
+        return (np.matmul(self.first.matrix, r).reshape(-1, n_paths),
+                np.matmul(self.second.matrix, r).reshape(-1, n_paths))
 
 
 def lifted_selectors(n, beam_dims, k5, l1=None, l2=None):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from espritsim import channel, esprit, kernels, shift
 from tests.conftest import match_rows, projector_gap, synthetic_paths
@@ -170,6 +174,76 @@ class TestGammaN:
             got = np.sort(np.angle(ev))
             want = np.sort(om[:, n])
             assert np.allclose(got, want, atol=1e-9)
+
+    def test_noiseless_residuals_vanish(self, desk_setup):
+        scen, paths, transforms, tensor, _ = desk_setup
+        l5 = esprit.default_l5(scen.m[4])
+        u_s, _ = esprit.signal_subspace(tensor, 2, l5, method="fast")
+        pairs = shift.selectors_for_transforms(transforms, scen.m[4] + 1 - l5)
+        _, residuals = esprit.rotation_factors(u_s, pairs)
+        assert max(residuals) <= 1e-13
+
+    def test_single_window_raises(self, rng):
+        # L5 = M5 leaves K5 = 1: the frequency windows are empty
+        dims = (2, 3, 2, 2)
+        u = random_complex(rng, 24, 2)
+        with pytest.raises(kernels.InvalidInputError):
+            esprit.gamma_n(u, shift.lifted_selectors(5, dims, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan),
+                                     complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imag-nan", "imag-inf"])
+    def test_nonfinite_subspace_raises_before_any_qr(self, desk_setup, bad):
+        scen, paths, transforms, tensor, _ = desk_setup
+        l5 = esprit.default_l5(scen.m[4])
+        u_s, _ = esprit.signal_subspace(tensor, 2, l5, method="fast")
+        u_s = u_s.copy()
+        u_s[u_s.shape[0] // 2, 1] = bad
+        pairs = shift.selectors_for_transforms(transforms, scen.m[4] + 1 - l5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in pairs:
+                with pytest.raises(kernels.InvalidInputError,
+                                   match="subspace contains non-finite"):
+                    esprit.rotation_factors(u_s, [pair])
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _drawn_selectors(rng, kind, n):
+    if kind == "element" and n > 1:
+        return shift.element_selectors(n)
+    rows = n - 1 if kind == "short" and n > 1 else n
+    return random_complex(rng, rows, n), random_complex(rng, rows, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beam_dims=st.tuples(*[st.integers(1, 4)] * 4), k5=st.integers(2, 5),
+       n_paths=st.integers(1, 4),
+       kinds=st.tuples(*[st.sampled_from(["square", "short", "element"])] * 4),
+       seed=st.integers(0, 2**31))
+@example(beam_dims=(4, 1, 1, 1), k5=2, n_paths=4, kinds=("short",) * 4, seed=0)
+@example(beam_dims=(2, 2, 2, 2), k5=2, n_paths=4, kinds=("square",) * 4, seed=1)
+def test_compressed_rotation_matches_two_pass(beam_dims, k5, n_paths, kinds, seed):
+    # unit beam counts make wide unfoldings (other-mode count below N_n L)
+    # and wide frequency stacks; U need not be orthonormal
+    rng = np.random.default_rng(seed)
+    u = random_complex(rng, int(np.prod(beam_dims)) * k5, n_paths)
+    pairs = [shift.lifted_selectors(n + 1, beam_dims, k5,
+                                    *_drawn_selectors(rng, kind, beam_dims[n]))
+             for n, kind in enumerate(kinds)]
+    pairs.append(shift.lifted_selectors(5, beam_dims, k5))
+    u_before = u.copy()
+    gammas, residuals = esprit.rotation_factors(u, pairs)
+    assert np.array_equal(u, u_before)      # the in-place QRs work on copies
+    for pair, gam, residual in zip(pairs, gammas, residuals):
+        lhs, rhs = pair.first.apply(u), pair.second.apply(u)
+        want = kernels.lstsq_pinv(lhs, rhs)
+        want_residual = np.linalg.norm(lhs @ want - rhs) / np.linalg.norm(rhs)
+        assert np.abs(gam - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        assert abs(residual - want_residual) <= 1e-10 * want_residual + 1e-13
 
 
 class TestAutoPair:

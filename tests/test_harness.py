@@ -204,6 +204,24 @@ class TestRunExperiment:
             else:
                 assert r["lanczos_steps"] == r["lanczos_stop"] == ""
 
+    def test_dump_carries_rotation_residual_and_subspace_gap(self, tmp_path):
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(outputs=str(tmp_path / "d"), dump_trials=True, trials=2,
+                        methods=["matrix_dense", "matrix_fast", "tensor"]))
+        _, files = harness.run_experiment(cfg)
+        import csv
+
+        with open(files["trials"]) as fh:
+            dump = list(csv.DictReader(fh))
+        assert {r["method"] for r in dump} == {"matrix_dense", "matrix_fast", "tensor"}
+        for r in dump:
+            if r["method"] == "tensor":
+                assert r["rotation_residual"] == r["subspace_gap"] == ""
+            else:
+                # noisy data: a real residual, and a gap sigma_2 / sigma_3 > 1
+                assert 0.0 < float(r["rotation_residual"]) < 1.0
+                assert float(r["subspace_gap"]) > 1.0
+
     def test_analytic_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(desk_config())
         rows, _ = harness.run_experiment(cfg)

@@ -152,6 +152,51 @@ def test_rejects_inf_in_imaginary_part_only(call):
         call(a)
 
 
+class TestQrR:
+    @pytest.mark.parametrize("m, n", [(16000, 8), (40, 6), (6, 6), (1, 1)])
+    def test_gram_and_diagonal_match(self, rng, m, n):
+        a = random_complex(rng, m, n)
+        r = kernels.qr_r(a.copy())
+        assert r.shape == (n, n)
+        assert np.allclose(np.tril(r, -1), 0)
+        gram = a.conj().T @ a
+        assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+        want = np.linalg.qr(a, mode="r")
+        assert np.allclose(np.abs(np.diag(r)), np.abs(np.diag(want)), rtol=1e-12)
+
+    def test_c_and_f_order_agree(self, rng):
+        a = random_complex(rng, 300, 5)
+        r_c = kernels.qr_r(np.ascontiguousarray(a))
+        r_f = kernels.qr_r(np.asfortranarray(a))
+        assert np.array_equal(r_c, r_f)
+
+    def test_wide_input_keeps_min_rows(self, rng):
+        a = random_complex(rng, 3, 7)
+        r = kernels.qr_r(a.copy())
+        assert r.shape == (3, 7)
+        assert np.allclose(np.tril(r, -1), 0)
+        gram = a.conj().T @ a
+        assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [np.inf, 1.0]]),
+        np.array([[1.0, complex(0.0, -np.inf)], [0.0, 1.0]]),
+    ], ids=["no-rows", "no-columns", "1-D", "nan", "inf", "imaginary-inf"])
+    def test_rejects_empty_and_nonfinite(self, a):
+        with pytest.raises(kernels.InvalidInputError):
+            kernels.qr_r(a)
+
+    def test_lapack_failure_is_numeric_failure(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("geqrf failed")
+
+        monkeypatch.setattr(kernels.scipy.linalg, "qr", broken)
+        with pytest.raises(kernels.NumericFailureError, match="geqrf failed"):
+            kernels.qr_r(np.eye(3))
+
+
 class TestFftConvolve:
     def test_simple(self):
         assert np.allclose(kernels.fft_convolve([1, 0], [1, 1]), [1, 1, 0])
