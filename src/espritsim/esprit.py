@@ -5,9 +5,10 @@ one interface with two backends, a dense LAPACK SVD of the materialized stack
 or FFT/Lanczos on the implicit Hankel-block operator (``signal_subspace``) ->
 per-dimension rotation factors and their residual, solved on a small core equal
 to the selector products up to an isometry (built from the R factor of U_s's
-mode-n unfolding, or of the stacked frequency windows) -> one eigendecomposition of a random beta-combination for
-auto-pairing -> frequency, parameter, and gain recovery (gains from the
-Khatri-Rao structure, shared with the tensor pipeline).
+mode-n unfolding, or of the stacked frequency windows) -> one
+eigendecomposition of a random beta-combination for auto-pairing ->
+frequency, parameter, and gain recovery (gains from the Khatri-Rao structure,
+shared with the tensor pipeline).
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def gamma_n(u_s, pair, rtol=1e-12):
     return gam, float(residual)
 
 
-def rotation_factors(u_s, pairs, rtol=1e-12):
+def rotation_factors(u_s, pairs):
     """``gamma_n`` for every selector pair after one finiteness check of U_s.
 
     Returns (gammas, residuals), one entry per pair.
@@ -148,7 +149,7 @@ def rotation_factors(u_s, pairs, rtol=1e-12):
     u_s = np.asarray(u_s)
     if not np.isfinite(u_s).all():
         raise InvalidInputError("signal subspace contains non-finite entries")
-    results = [gamma_n(u_s, p, rtol=rtol) for p in pairs]
+    results = [gamma_n(u_s, p) for p in pairs]
     return [g for g, _ in results], [r for _, r in results]
 
 

@@ -44,11 +44,11 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-def _as_matrix(a, name="matrix", check_finite=True):
+def _as_matrix(a, name="matrix"):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInputError(f"{name} must be 2-D and nonempty, got shape {a.shape}")
-    if check_finite and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a.astype(np.complex128, copy=False)
 
@@ -86,20 +86,26 @@ def _svd(a):
     return SvdResult(left=u, singular_values=s, right=vh.conj().T)
 
 
-def qr_r(a, check_finite=True):
+def qr_r(a):
     """R factor of ``a = Q R``, min(m, n) x n upper trapezoidal; Q is never formed.
 
     Only Householder reflectors are computed (LAPACK geqrf through scipy's
     ``mode="raw"``), and just the leading min(m, n) rows of the factored
-    operand are read back. An F-contiguous complex128 operand is factored in
-    place, so its contents are overwritten; any other layout or dtype is
-    copied first. ``check_finite=False`` skips the non-finite scan for a
-    caller that has already checked the data (the scipy convention); the
-    shape is always checked.
+    operand are read back. ``a`` is left unchanged: the factorization runs in
+    a fresh copy.
     """
-    a = _as_matrix(a, check_finite=check_finite)
+    return _qr_r_overwrite(_as_matrix(a).T.copy())
+
+
+def _qr_r_overwrite(at):
+    """``qr_r(at.T)`` for an unchecked C-contiguous complex128 ``at``; destroys ``at``.
+
+    ``at.T`` is F-contiguous, so geqrf factors it in place with no copy and
+    ``at`` holds the reflectors afterwards. The caller owns ``at`` and has
+    already checked it to be nonempty and finite.
+    """
     try:
-        _, r = scipy.linalg.qr(a, mode="raw", overwrite_a=True, check_finite=False)
+        _, r = scipy.linalg.qr(at.T, mode="raw", overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"QR factorization failed: {exc}") from exc
     return r

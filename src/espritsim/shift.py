@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import InvalidInputError, lstsq_pinv, qr_r
+from .kernels import InvalidInputError, _qr_r_overwrite, lstsq_pinv
 
 
 class NeedsHybridError(ValueError):
@@ -187,28 +187,32 @@ class SelectorPair:
         the pair is the two selector blocks applied to R. For the frequency
         mode the pair is the two column halves of the R factor of the
         stacked windows [lead | trail]. ``u`` must be finite (it is not
-        scanned again here).
+        scanned again here); it is left unchanged, since each QR runs in a
+        copy built here.
         """
         u = np.asarray(u, dtype=np.complex128)
-        if u.ndim != 2 or u.shape[0] != self.first.in_size:
+        if u.ndim != 2 or u.shape[0] != self.first.in_size or u.size == 0:
             raise InvalidInputError(f"pair expects ({self.first.in_size}, L), got {u.shape}")
         dims, dim = self.first.dims, self.first.dim
         n_paths = u.shape[1]
         if dim == 5:
-            # C-ordered transpose of [lead | trail]: rows (window, path)
             k5 = dims[4]
+            if k5 < 2:
+                raise InvalidInputError(f"frequency selectors need K5 >= 2 windows, got K5 = {k5}")
+            assert (self.first.window, self.second.window) == ("lead", "trail")
+            # C-ordered transpose of [lead | trail]: rows (window, path)
             blocks = u.reshape(-1, k5, n_paths).transpose(2, 0, 1)   # (L, B, K5)
             op = np.empty((2,) + blocks.shape[:2] + (k5 - 1,), dtype=np.complex128)
-            for side, sel in zip(op, (self.first, self.second)):
-                side[...] = blocks[:, :, :-1] if sel.window == "lead" else blocks[:, :, 1:]
-            r = qr_r(op.reshape(2 * n_paths, -1).T, check_finite=False)
+            op[0] = blocks[:, :, :-1]
+            op[1] = blocks[:, :, 1:]
+            r = _qr_r_overwrite(op.reshape(2 * n_paths, -1))
             return r[:, :n_paths], r[:, n_paths:]
         pre, size, post = self.first._split(dims[dim - 1])
         # C-ordered transpose of the mode-n unfolding: rows (mode n, path);
         # always a copy, since the QR overwrites it
         op = (u.reshape(pre, size, post, n_paths).transpose(1, 3, 0, 2).copy()
               .reshape(size * n_paths, -1))
-        r = qr_r(op.T, check_finite=False).reshape(-1, size, n_paths)
+        r = _qr_r_overwrite(op).reshape(-1, size, n_paths)
         return (np.matmul(self.first.matrix, r).reshape(-1, n_paths),
                 np.matmul(self.second.matrix, r).reshape(-1, n_paths))
 

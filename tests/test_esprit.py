@@ -187,7 +187,7 @@ class TestGammaN:
         # L5 = M5 leaves K5 = 1: the frequency windows are empty
         dims = (2, 3, 2, 2)
         u = random_complex(rng, 24, 2)
-        with pytest.raises(kernels.InvalidInputError):
+        with pytest.raises(kernels.InvalidInputError, match="K5 >= 2"):
             esprit.gamma_n(u, shift.lifted_selectors(5, dims, 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan),

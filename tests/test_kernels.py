@@ -170,6 +170,14 @@ class TestQrR:
         r_f = kernels.qr_r(np.asfortranarray(a))
         assert np.array_equal(r_c, r_f)
 
+    def test_input_left_unchanged(self, rng):
+        # u.T of a C-ordered u is the F-contiguous complex128 layout that
+        # geqrf could factor in place
+        u = random_complex(rng, 5, 300)
+        u_before = u.copy()
+        kernels.qr_r(u.T)
+        assert np.array_equal(u, u_before)
+
     def test_wide_input_keeps_min_rows(self, rng):
         a = random_complex(rng, 3, 7)
         r = kernels.qr_r(a.copy())
