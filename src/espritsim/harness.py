@@ -67,6 +67,12 @@ class ExperimentConfig:
         m5 = self.scenario.m[4]
         if self.l5 is not None and not 1 <= self.l5 <= m5:
             raise ConfigError(f"l5={self.l5} outside [1, {m5}]")
+        # every method but tensor smooths over K5 = M5 + 1 - l5 windows
+        smoothing = sorted(set(self.methods) - {"tensor"})
+        l5 = self.l5 or esprit.default_l5(m5)
+        if l5 == m5 and smoothing:
+            raise ConfigError(f"l5={l5} leaves K5 = M5 + 1 - l5 = 1 window; "
+                              f"{smoothing} need K5 >= 2")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -145,6 +151,8 @@ class _TrialOutput:
     lanczos_stop: str = ""                 # converged | breakdown | cap
     rotation_residual: float | None = None  # matrix pipelines only
     subspace_gap: float | None = None       # matrix pipelines, when reported
+    cp_fit: float | None = None             # tensor only
+    cp_iterations: int | None = None        # tensor only: the winning restart
 
 
 def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
@@ -170,7 +178,9 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
     diag = {"lanczos_steps": est.diagnostics.get("lanczos_steps"),
             "lanczos_stop": est.diagnostics.get("lanczos_stop", ""),
             "rotation_residual": est.diagnostics.get("rotation_residual"),
-            "subspace_gap": est.diagnostics.get("subspace_gap")}
+            "subspace_gap": est.diagnostics.get("subspace_gap"),
+            "cp_fit": est.diagnostics.get("cp_fit"),
+            "cp_iterations": est.diagnostics.get("cp_iterations")}
     values = [est.omega, est.gains] + [np.append(p.angles(), [p.tau, p.gamma])
                                        for p in est.params]
     if not all(np.all(np.isfinite(v)) for v in values):
@@ -393,7 +403,8 @@ def _write_trial_dump(dump, outdir):
         writer = csv.writer(fh)
         writer.writerow(["method", "snr_db", "trial", "ok", "sq_pos",
                          "runtime_s", "lanczos_steps", "lanczos_stop",
-                         "rotation_residual", "subspace_gap", "error"])
+                         "rotation_residual", "subspace_gap", "cp_fit",
+                         "cp_iterations", "error"])
         for method, snr_db, t, out in dump:
             writer.writerow([method, repr(float(snr_db)), t, int(out.ok),
                              repr(float(out.sq_pos)) if out.ok else "",
@@ -401,7 +412,9 @@ def _write_trial_dump(dump, outdir):
                              "" if out.lanczos_steps is None else out.lanczos_steps,
                              out.lanczos_stop]
                             + ["" if v is None else repr(float(v))
-                               for v in (out.rotation_residual, out.subspace_gap)]
-                            + [out.error])
+                               for v in (out.rotation_residual, out.subspace_gap,
+                                         out.cp_fit)]
+                            + ["" if out.cp_iterations is None else out.cp_iterations,
+                               out.error])
     return path
 

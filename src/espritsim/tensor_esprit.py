@@ -1,7 +1,7 @@
 """Baseline comparator: CP decomposition + per-dimension beamspace tensor ESPRIT.
 
-CP-ALS with HOSVD-style initialization, optional extrapolation line search
-and random restarts; the per-dimension rotation factors reuse the modified
+CP-ALS with HOSVD-style initialization, an extrapolation line search and
+random restarts; the per-dimension rotation factors reuse the modified
 selectors (Q, Q F^H) of the matrix pipeline, so the per-mode eigenvalues sit
 at exp(j omega). Pairing across dimensions is inherited from the CP factor
 columns: the rotation factors are diagonal in the factor basis, so each
@@ -10,6 +10,7 @@ eigenvalue is assigned to the column its eigenvector points at.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -34,21 +35,13 @@ class CpModel:
     fit: float                   # relative residual ||T - That|| / ||T||
     iterations: int = 0
     fit_history: list = field(default_factory=list)
+    restart_iterations: list = field(default_factory=list)   # per restart
+    restart_fits: list = field(default_factory=list)         # per restart
 
     def reconstruct(self):
         shape = tuple(f.shape[0] for f in self.factors)
-        vec = channel.khatri_rao(self.factors) @ self.weights
-        return vec.reshape(shape)
-
-
-def _unfold(tensor, mode):
-    return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
-
-
-def _mttkrp(tensor, factors, mode):
-    others = [factors[i] for i in range(len(factors)) if i != mode]
-    kr = channel.khatri_rao(others)
-    return _unfold(tensor, mode) @ kr.conj()
+        head = channel.khatri_rao(self.factors[:-1]) * self.weights
+        return (head @ self.factors[-1].T).reshape(shape)
 
 
 def _normalize(factors):
@@ -62,9 +55,42 @@ def _normalize(factors):
     return weights, out
 
 
-def _rel_residual(tensor, factors, weights, norm_t):
-    vec = channel.khatri_rao(factors) @ weights
-    return float(np.linalg.norm(tensor.reshape(-1) - vec) / norm_t)
+def _short_mode_mttkrps(x, factors, lo, hi):
+    """Yield ``(mode, MTTKRP)`` for the short modes lo..hi-1, in order.
+
+    ``x`` is the tensor already contracted with conj(A_n) over the long mode
+    and over every short mode outside [lo, hi), one row per entry of the
+    (d_lo, ..., d_{hi-1}) block. A dimension tree halves the block: the
+    right half is contracted away for the left half's modes, then the
+    left half for the right's. The generator is lazy, so a caller that
+    updates ``factors[mode]`` before drawing the next item has every later
+    MTTKRP see the updated factor, as ALS requires.
+    """
+    if hi - lo == 1:
+        yield lo, x
+        return
+    mid = (lo + hi) // 2
+    x = x.reshape(-1, math.prod(f.shape[0] for f in factors[mid:hi]), x.shape[-1])
+    yield from _short_mode_mttkrps(
+        (x * channel.khatri_rao(factors[mid:hi]).conj()).sum(axis=1), factors, lo, mid)
+    yield from _short_mode_mttkrps(
+        (x * channel.khatri_rao(factors[lo:mid]).conj()[:, None]).sum(axis=0),
+        factors, mid, hi)
+
+
+def _solve_mode(grams, mode, mttkrp):
+    """Factor update: the MTTKRP against the Hadamard product of the other Grams."""
+    gram = np.ones_like(grams[0])
+    for i, g in enumerate(grams):
+        if i != mode:
+            gram = gram * g
+    # solve U (hadamard gram)^* = MTTKRP; gram is Hermitian
+    return lstsq_pinv(gram, mttkrp.T).T
+
+
+def _residual(head, kr_head, last, norm_t):
+    """||T - X|| / ||T|| with X = KR(A_1..A_{N-1}) A_N^T as a head-shaped product."""
+    return float(np.linalg.norm(head - kr_head @ last.T) / norm_t)
 
 
 def _init_factors(tensor, rank, how, rng):
@@ -72,8 +98,11 @@ def _init_factors(tensor, rank, how, rng):
     for mode in range(tensor.ndim):
         dim = tensor.shape[mode]
         if how == "svd":
-            u, _, _ = np.linalg.svd(_unfold(tensor, mode), full_matrices=False)
-            f = u[:, :rank]
+            # leading left singular vectors of the mode unfolding Y_n, taken
+            # from the small Gram Y_n Y_n^H; Y_n has min(dim, others) of them
+            y = np.moveaxis(tensor, mode, 0).reshape(dim, -1)
+            _, vecs = np.linalg.eigh(y @ y.conj().T)
+            f = vecs[:, ::-1][:, :min(dim, y.shape[1], rank)]
             if f.shape[1] < rank:
                 extra = rng.standard_normal((dim, rank - f.shape[1])) \
                     + 1j * rng.standard_normal((dim, rank - f.shape[1]))
@@ -85,53 +114,66 @@ def _init_factors(tensor, rank, how, rng):
     return factors
 
 
-def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, line_search=True,
-           rng=None):
+def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, rng=None):
     """Best-of-``restarts`` alternating least squares CP decomposition.
 
-    Restart 0 initializes from the leading singular vectors of each mode
-    unfolding, the rest randomly. The line search extrapolates the previous
-    sweep direction and keeps the step only when the fit improves, so the
-    residual is non-increasing across iterations.
+    Restart 0 initializes from the leading left singular vectors of each mode
+    unfolding, the rest randomly. After every sweep a line search
+    extrapolates the previous sweep direction and keeps the step only when
+    the fit improves, so the residual is non-increasing across iterations.
+
+    The last mode is taken as the long one. The tensor is reshaped once to
+    ``head`` ((d_1 ... d_{N-1}) x d_N). Each sweep contracts ``head`` with
+    conj(A_N) once, as A_N is fixed while the short modes update, and takes
+    their MTTKRPs from that small array by a dimension tree (Phan, Tichavsky
+    & Cichocki, IEEE TSP 2013); mode N's MTTKRP is one (d_N x prod d_n) x
+    (prod d_n x L) product. The factor Grams update one mode at a time, and
+    each residual compares ``head`` with the single product
+    KR(A_1..A_{N-1}) A_N^T.
     """
     if rank < 1:
         raise InvalidInputError("rank must be >= 1")
     tensor = np.asarray(tensor, dtype=np.complex128)
     rng = np.random.default_rng() if rng is None else rng
+    if tensor.ndim < 2:
+        raise InvalidInputError("CP decomposition needs a tensor of order >= 2")
     if not np.all(np.isfinite(tensor)):
         raise InvalidInputError("tensor contains non-finite entries")
     norm_t = np.linalg.norm(tensor)
     if norm_t == 0:
         raise InvalidInputError("zero tensor has no CP decomposition")
+    head = tensor.reshape(-1, tensor.shape[-1])
+    last = tensor.ndim - 1
 
     best = None
     fits = []
+    restart_iterations = []
     for restart in range(max(restarts, 1)):
         factors = _init_factors(tensor, rank, "svd" if restart == 0 else "random", rng)
+        grams = [f.conj().T @ f for f in factors]
         prev_factors = None
         residual = np.inf
         history = []
         for iteration in range(max_iter):
-            old_factors = [f.copy() for f in factors]
-            for mode in range(tensor.ndim):
-                grams = [f.conj().T @ f for i, f in enumerate(factors) if i != mode]
-                gram = np.ones((rank, rank), dtype=np.complex128)
-                for g in grams:
-                    gram = gram * g
-                # solve U (hadamard gram)^* = MTTKRP; gram is Hermitian
-                factors[mode] = lstsq_pinv(gram, _mttkrp(tensor, factors, mode).T).T
+            old_factors = list(factors)
+            for mode, mttkrp in _short_mode_mttkrps(head @ factors[last].conj(),
+                                                    factors, 0, last):
+                factors[mode] = _solve_mode(grams, mode, mttkrp)
+                grams[mode] = factors[mode].conj().T @ factors[mode]
+            kr_head = channel.khatri_rao(factors[:last])
+            factors[last] = _solve_mode(grams, last, head.T @ kr_head.conj())
+            grams[last] = factors[last].conj().T @ factors[last]
+            new_residual = _residual(head, kr_head, factors[last], norm_t)
 
-            weights, normed = _normalize(factors)
-            new_residual = _rel_residual(tensor, normed, weights, norm_t)
-
-            if line_search and prev_factors is not None and new_residual < residual:
+            if prev_factors is not None and new_residual < residual:
                 step = iteration ** (1.0 / 3.0) if iteration > 1 else 1.0
                 trial = [f + step * (f - fp) for f, fp in zip(factors, prev_factors)]
-                tw, tn = _normalize(trial)
-                trial_residual = _rel_residual(tensor, tn, tw, norm_t)
+                trial_residual = _residual(head, channel.khatri_rao(trial[:last]),
+                                           trial[last], norm_t)
                 if trial_residual < new_residual:
                     factors = trial
-                    weights, normed, new_residual = tw, tn, trial_residual
+                    grams = [f.conj().T @ f for f in factors]
+                    new_residual = trial_residual
 
             history.append(new_residual)
             change = residual - new_residual
@@ -141,14 +183,17 @@ def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, line_search=True,
                 break
 
         fits.append(residual)
-        if np.isfinite(residual) and (best is None or residual < best.fit):
-            weights, normed = _normalize(factors)
-            best = CpModel(weights=weights, factors=normed, fit=residual,
-                           iterations=len(history), fit_history=history)
+        restart_iterations.append(len(history))
+        if np.isfinite(residual) and (best is None or residual < best[0]):
+            best = (residual, factors, history)
 
     if best is None:
         raise DecompositionFailureError("all CP restarts diverged", fits=fits)
-    return best
+    residual, factors, history = best
+    weights, normed = _normalize(factors)
+    return CpModel(weights=weights, factors=normed, fit=residual,
+                   iterations=len(history), fit_history=history,
+                   restart_iterations=restart_iterations, restart_fits=fits)
 
 
 def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng=None):
@@ -160,7 +205,7 @@ def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng=None):
     rng = np.random.default_rng() if rng is None else rng
     noisy = np.asarray(noisy, dtype=np.complex128)
     t_start = time.perf_counter()
-    model = cp_als(noisy, n_paths, rng=rng)   # 3 restarts, line search
+    model = cp_als(noisy, n_paths, rng=rng)   # 3 restarts
 
     omega = np.empty((n_paths, 5))
     for n in range(5):
@@ -187,6 +232,7 @@ def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng=None):
             taken[col] = True
         omega[:, n] = np.angle(res.eigenvalues[assignment])
 
-    diagnostics = {"cp_fit": model.fit, "cp_iterations": model.iterations}
+    diagnostics = {"cp_fit": model.fit, "cp_iterations": model.iterations,
+                   "cp_restart_iterations": model.restart_iterations}
     return esprit._estimate_tail(omega, transforms, noisy, delta_f,
                                  diagnostics, t_start)

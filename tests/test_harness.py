@@ -122,7 +122,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("l5", [1, 64])
     def test_accepts_l5_at_the_ends(self, l5):
-        assert harness.ExperimentConfig.from_dict(desk_config(l5=l5)).l5 == l5
+        # l5 = M5 leaves one window: only the tensor method, which does not
+        # smooth, may run there
+        methods = ["tensor"] if l5 == 64 else ["matrix_dense", "analytic"]
+        cfg = harness.ExperimentConfig.from_dict(desk_config(l5=l5, methods=methods))
+        assert cfg.l5 == l5
+
+    @pytest.mark.parametrize("method", ["matrix_dense", "matrix_fast", "analytic"])
+    def test_rejects_l5_at_m5_for_smoothing_methods(self, method):
+        with pytest.raises(harness.ConfigError, match="K5 >= 2"):
+            harness.ExperimentConfig.from_dict(
+                desk_config(l5=64, methods=["tensor", method]))
 
 
 class TestRunExperiment:
@@ -222,6 +232,24 @@ class TestRunExperiment:
                 assert 0.0 < float(r["rotation_residual"]) < 1.0
                 assert float(r["subspace_gap"]) > 1.0
 
+    def test_dump_carries_cp_fit_and_iterations(self, tmp_path):
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(outputs=str(tmp_path / "d"), dump_trials=True, trials=2,
+                        methods=["matrix_fast", "tensor"]))
+        _, files = harness.run_experiment(cfg)
+        import csv
+
+        with open(files["trials"]) as fh:
+            dump = list(csv.DictReader(fh))
+        assert {r["method"] for r in dump} == {"matrix_fast", "tensor"}
+        for r in dump:
+            if r["method"] == "tensor":
+                # 30 dB: the residual is the noise, and ALS stops well short of its cap
+                assert 0.0 < float(r["cp_fit"]) < 0.1
+                assert 1 <= int(r["cp_iterations"]) < 500
+            else:
+                assert r["cp_fit"] == r["cp_iterations"] == ""
+
     def test_analytic_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(desk_config())
         rows, _ = harness.run_experiment(cfg)
@@ -316,6 +344,12 @@ class TestCli:
         path = desk_config(tmp_path, l5=200)
         assert cli.main(["validate-config", str(path)]) == 2
         assert "l5=200 outside [1, 64]" in capsys.readouterr().err
+
+    def test_validate_rejects_l5_at_m5(self, tmp_path):
+        path = desk_config(tmp_path, l5=64)
+        res = self.run_cli("validate-config", str(path))
+        assert res.returncode == 2
+        assert "K5 >= 2" in res.stderr
 
     def test_run_and_figures(self, tmp_path):
         path = desk_config(tmp_path, trials=2)
