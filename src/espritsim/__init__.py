@@ -5,7 +5,7 @@ from .channel import (AngularFreqs, BeamTransform, PathParams, Scenario,
                       params_from_geometry, scenario_transforms, steering_vector,
                       synth_beamspace_tensor, to_angular)
 from .esprit import EspritEstimate, esprit_pipeline, spatial_smooth
-from .kernels import EigResult, SvdResult, eig_general, fft_convolve, pinv, svd_thin
+from .kernels import EigResult, SvdResult, eig_general, pinv, svd_thin
 from .perturbation import (PerturbationKit, analytic_param_rmse, analytic_pos_rmse,
                            build_kappa, build_kit, build_psi, build_xi_upsilon)
 from .slac import LocalizationResult, localize, localize_scenario, rate
@@ -17,7 +17,7 @@ __all__ = [
     "steering_vector", "params_from_geometry", "to_angular", "from_angular",
     "make_beam_transform", "scenario_transforms", "synth_beamspace_tensor",
     "observe_and_estimate", "esprit_pipeline", "spatial_smooth",
-    "svd_thin", "eig_general", "pinv", "fft_convolve",
+    "svd_thin", "eig_general", "pinv",
     "build_xi_upsilon", "build_kappa", "build_psi", "build_kit",
     "analytic_param_rmse", "analytic_pos_rmse",
     "localize", "localize_scenario", "rate",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shift
-from .kernels import InvalidInputError
+from .kernels import InvalidInputError, svd_thin
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -442,6 +442,18 @@ def khatri_rao(mats):
     for m in mats[1:]:
         out = (out[:, None, :] * m[None, :, :]).reshape(-1, m.shape[1])
     return out
+
+
+def khatri_rao_core(mats):
+    """Per-mode QR A_n = Q_n R_n and the thin SVD of the core KR(R_n).
+
+    KR(A_n) = (Q_1 x .. x Q_N) KR(R_n), and the Kronecker factor has
+    orthonormal columns: the core keeps the singular values, and
+    pinv(KR(A_n)) = KR(R_n)^+ (Q_1 x .. x Q_N)^H, so the long product is never
+    formed. Returns (list of Q_n, SvdResult of the core).
+    """
+    qrs = [np.linalg.qr(a) for a in mats]
+    return [q for q, _ in qrs], svd_thin(khatri_rao([r for _, r in qrs]))
 
 
 def observe_and_estimate(tensor, scenario, rng, mode="direct", n0=None):

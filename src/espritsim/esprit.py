@@ -20,7 +20,7 @@ import numpy as np
 
 from . import channel, fastsvd, shift
 from .kernels import (InvalidInputError, NumericFailureError, eig_general,
-                      lstsq_pinv, svd_thin)
+                      lstsq_pinv, svd_solve, svd_thin)
 
 
 class InvalidSmoothingError(ValueError):
@@ -196,22 +196,20 @@ def auto_pair(gammas, rng, beta=None, sep_tol=1e-6, max_redraws=8):
 def estimate_gains(omega, transforms, h_vec, m5, rtol=1e-12):
     """Least-squares gains against the Khatri-Rao factor matrix KR(A_1..A_5).
 
-    With A_n = Q_n R_n, KR(A_n) = (Q_1 x .. x Q_5) KR(R_n), whose Kronecker
-    factor has orthonormal columns: the small core KR(R_n) keeps the singular
-    values (so the rtol * s_1 truncation and the condition) and the (B M5 x L)
-    matrix is never formed. h is projected onto the Q_n one mode at a time.
+    The solve runs on the small core of ``channel.khatri_rao_core``, which
+    keeps the singular values (so the rtol * s_1 truncation and the
+    condition); the (B M5 x L) matrix is never formed. h is projected onto
+    the Q_n one mode at a time.
     """
     mats = channel.steering_factors(omega, transforms, m5)
-    qrs = [np.linalg.qr(a) for a in mats]
+    qs, core = channel.khatri_rao_core(mats)
     proj = np.asarray(h_vec).reshape([a.shape[0] for a in mats])
     for axis in reversed(range(5)):     # the long frequency mode first
-        q = qrs[axis][0]
-        proj = np.moveaxis(np.tensordot(proj, q.conj(), axes=([axis], [0])),
+        proj = np.moveaxis(np.tensordot(proj, qs[axis].conj(), axes=([axis], [0])),
                            -1, axis)
-    core = channel.khatri_rao([r for _, r in qrs])
-    s = np.linalg.svd(core, compute_uv=False)
+    s = core.singular_values
     cond = float(s[0] / max(s[-1], 1e-300))
-    gains = lstsq_pinv(core, proj.reshape(-1), rtol=rtol)
+    gains = svd_solve(core, proj.reshape(-1), rtol=rtol)
     return gains, {"gain_matrix_condition": cond}
 
 

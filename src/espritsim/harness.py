@@ -287,8 +287,9 @@ def run_experiment(cfg):
     """Run the Monte-Carlo sweep and return (rows, csv file map).
 
     Per (method, SNR): ``cfg.trials`` independent trials with derived RNG
-    streams; the analytic method evaluates the perturbation kit once per
-    SNR. A method whose failed-trial fraction exceeds
+    streams. The analytic method builds the perturbation kit once per sweep,
+    which takes the norms of its J-long sensitivities once; each SNR point
+    only scales them. A method whose failed-trial fraction exceeds
     ``cfg.max_failure_rate`` raises TrialFailureRateError after the sweep.
     """
     scenario = cfg.scenario

@@ -1,6 +1,6 @@
-"""Dense complex linear-algebra and FFT primitives shared by all estimators.
+"""Dense complex linear-algebra primitives shared by all estimators.
 
-Thin, contract-carrying wrappers around LAPACK (numpy, scipy) and pocketfft.
+Thin, contract-carrying wrappers around LAPACK (numpy, scipy).
 Every routine validates its input, normalizes the output layout (descending
 singular values, complex dtype) and converts backend failures into the
 package's error types so callers can distinguish bad input from a
@@ -128,53 +128,45 @@ def pinv(a, rtol=1e-12):
 
     An all-zero matrix maps to the all-zero transpose-shaped matrix.
     """
-    a = _as_matrix(a)
-    res = _svd(a)
-    s = res.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    keep = s > rtol * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
+    return svd_pinv(_svd(_as_matrix(a)), rtol)
+
+
+def svd_pinv(res, rtol=1e-12):
+    """``pinv`` of the operand whose thin SVD is ``res``."""
+    inv_s = _truncated_inverse(res.singular_values, rtol)
+    if inv_s is None:
+        return np.zeros((res.right.shape[0], res.left.shape[0]), dtype=np.complex128)
     return (res.right * inv_s) @ res.left.conj().T
 
 
 def lstsq_pinv(a, b, rtol=1e-12):
     """Minimum-norm least-squares solve ``pinv(a) @ b`` without forming the pseudoinverse."""
-    a = _as_matrix(a, "lhs")
+    return svd_solve(_svd(_as_matrix(a, "lhs")), b, rtol)
+
+
+def svd_solve(res, b, rtol=1e-12):
+    """``lstsq_pinv`` of the lhs whose thin SVD is ``res``."""
     b = np.asarray(b, dtype=np.complex128)
     if not np.all(np.isfinite(b)):
         raise InvalidInputError("rhs contains non-finite entries")
-    res = _svd(a)
-    s = res.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        shape = (a.shape[1],) if b.ndim == 1 else (a.shape[1], b.shape[1])
+    inv_s = _truncated_inverse(res.singular_values, rtol)
+    if inv_s is None:
+        shape = (res.right.shape[0],) + b.shape[1:]
         return np.zeros(shape, dtype=np.complex128)
-    keep = s > rtol * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
     proj = res.left.conj().T @ b
     if b.ndim == 1:
         return res.right @ (inv_s * proj)
     return res.right @ (inv_s[:, None] * proj)
 
 
-def fft_convolve(a, b):
-    """Full linear convolution of two complex vectors via zero-padded FFT.
-
-    Output length is ``len(a) + len(b) - 1``; matches the direct O(n^2)
-    convolution to ~1e-12 relative.
-    """
-    a = np.asarray(a, dtype=np.complex128).ravel()
-    b = np.asarray(b, dtype=np.complex128).ravel()
-    if a.size < 1 or b.size < 1:
-        raise InvalidInputError("fft_convolve needs nonempty vectors")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("fft_convolve operands must be finite")
-    n_out = a.size + b.size - 1
-    nfft = _next_pow2(n_out)
-    out = np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b, nfft))[:n_out]
-    return out
+def _truncated_inverse(s, rtol):
+    """1 / s on the singular values above ``rtol * s_max``, 0 below; None if s_max is 0."""
+    if s.size == 0 or s[0] == 0.0:
+        return None
+    keep = s > rtol * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return inv_s
 
 
 def _next_pow2(n):

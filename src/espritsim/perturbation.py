@@ -9,7 +9,10 @@ Everything is linearized in the vectorized observation error dh:
 * the 3 x J position sensitivity Psi through the localization geometry.
 
 With dh circular Gaussian of per-entry variance N0 / (N_P E_s) every RMSE
-is sqrt(N0 ||.||^2 / (2 N_P E_s)).
+is sqrt(N0 / (2 N_P E_s)) ||.||, with the norms taken once per kit. Every
+matrix the kit inverts is a Khatri-Rao product of small per-mode factors: it
+is pseudo-inverted through ``channel.khatri_rao_core``, and each J-long row
+is a Tucker tensor on that core, written by one (B x r5)(r5 x M5) product.
 
 Sign note: the elevation and delay maps enter the angular frequencies with a
 negative derivative (w2 = pi cos el, w5 = -2 pi df tau), so kappa_2, kappa_4
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import channel, shift, slac
 from .channel import SPEED_OF_LIGHT
-from .kernels import InvalidInputError, lstsq_pinv, pinv
+from .kernels import InvalidInputError, pinv, svd_pinv
 
 
 class IllPosedScenarioError(ValueError):
@@ -59,6 +62,9 @@ class PerturbationKit:
     b_pinv: np.ndarray | None = None        # (L, J)
     pi: np.ndarray | None = None            # (L, 2, 2J)
     psi: np.ndarray | None = None           # (3, J)
+    kappa_norm: np.ndarray | None = None    # (L, 5) ||kappa[l, n]||
+    pi_norm: np.ndarray | None = None       # (L,) ||pi[l]||_F
+    psi_norm: float | None = None           # ||psi||_F
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -70,21 +76,28 @@ class PerturbationKit:
         return self.xi.shape[-1]
 
 
-def _blockwise_convolve(vec_blocks, kernel, m5):
-    """Convolve each K5 block with the L5 kernel; returns (B, M5)."""
-    b, k5 = vec_blocks.shape
-    nfft = 1 << (m5 - 1).bit_length()
-    out = np.fft.ifft(np.fft.fft(vec_blocks, nfft, axis=1)
-                      * np.fft.fft(kernel, nfft)[None, :], axis=1)
-    return out[:, :m5]
+def _tucker_into(core, factors, out):
+    """Write core x_1 F_1 .. x_5 F_5 (C-order) into ``out``.
+
+    ``core`` is (r_1..r_5), or (L, r_1..r_5) for L tensors at once; F_m is
+    (N_m, r_m), and mode 5 is one (N_1..N_4 x r_5)(r_5 x N_5) product.
+    """
+    x = core
+    for axis, f in enumerate(factors[:4], start=core.ndim - 5):
+        x = np.moveaxis(np.tensordot(f, x, axes=([1], [axis])), 0, axis)
+    f5 = factors[4]
+    np.matmul(x.reshape(-1, f5.shape[1]), f5.T, out=out.reshape(-1, f5.shape[0]))
 
 
 def build_xi_upsilon(paths, transforms, scenario, l5):
     """Frequency-error sensitivities xi and upsilon for every (path, dim).
 
-    Built from the noiseless factorization H = P Diag(gamma) G^T: the
-    lambda row lives on the smoothed stack, chi on the smoothing window, and
-    their blockwise convolution lifts the pair onto the full observation.
+    From the noiseless H = P Diag(gamma) G^T: lambda_l = (J2 - Phi J1)^H u_l^*,
+    with u_l^T row l of (J1 P)^+, lives on the smoothed stack and chi_l on the
+    window; their blockwise convolution lifts the pair onto the observation.
+    As J1 P = KR(C_m) (selector on factor n), lambda_l is a Tucker tensor with
+    core conj(row l of KR(R_m)^+), factors Q_m, and (J2^H - conj(phi) J1^H) Q_n
+    in mode n; the convolution with chi_l acts on its mode-5 factor alone.
     """
     m5 = scenario.m[4]
     k5 = m5 + 1 - l5
@@ -96,36 +109,27 @@ def build_xi_upsilon(paths, transforms, scenario, l5):
     n_paths = len(paths)
 
     factors = channel.beamspace_factors(paths, transforms, scenario)
-    p_mat = channel.khatri_rao(factors[:4] + [channel.steering_matrix(k5, omega[:, 4])])
-    g_mat = channel.steering_matrix(l5, omega[:, 4])
+    p_factors = factors[:4] + [channel.steering_matrix(k5, omega[:, 4])]
+    chi = pinv(channel.steering_matrix(l5, omega[:, 4]).T).conj()   # column l = chi_l
+    selectors = [(t.l1, t.l2) for t in transforms] + [shift.element_selectors(k5)]
 
-    sel = shift.selectors_for_transforms(transforms, k5)
-    # chi_l^* is the l-th column of (G^T)^+
-    chi = pinv(g_mat.T).conj()                      # (L5, L): column l = chi_l
-
-    beam_dims = tuple(t.n for t in transforms)
-    n_blocks = int(np.prod(beam_dims))
-    j_total = n_blocks * m5
+    j_total = int(np.prod([t.n for t in transforms])) * m5
     xi = np.empty((n_paths, 5, j_total), dtype=np.complex128)
     upsilon = np.empty_like(xi)
 
-    for n in range(5):
-        pair = sel[n]
-        j1p = pair.first.apply(p_mat)
-        s = np.linalg.svd(j1p, compute_uv=False)
-        if s[-1] <= 1e-12 * s[0]:
+    for n, (s1, s2) in enumerate(selectors):
+        qs, core = channel.khatri_rao_core(
+            [s1 @ f if m == n else f for m, f in enumerate(p_factors)])
+        s = core.singular_values
+        if s.size < n_paths or s[-1] <= 1e-12 * s[0]:
             raise IllPosedScenarioError(f"J1 P rank deficient in dimension {n + 1}")
-        j1p_pinv = pinv(j1p)                        # (L, rows)
+        lam_cores = svd_pinv(core).conj().reshape((n_paths,) + tuple(q.shape[1] for q in qs))
+        j2q, j1q = s2.conj().T @ qs[n], s1.conj().T @ qs[n]
         for l in range(n_paths):
-            # lambda^H = u^T (J2 - Phi J1) with u^T the l-th pinv row,
-            # so lambda = (J2 - Phi J1)^H u^*
-            row = j1p_pinv[l].conj()
-            lam = pair.second.apply_adjoint(row) \
-                - np.conj(phi[l, n]) * pair.first.apply_adjoint(row)
-            lam_blocks = lam.reshape(n_blocks, k5)
-            xi_ln = _blockwise_convolve(lam_blocks, chi[:, l], m5).reshape(-1)
-            xi[l, n] = xi_ln
-            upsilon[l, n] = phi[l, n] * xi_ln / np.conj(gains[l])
+            lam = [j2q - np.conj(phi[l, n]) * j1q if m == n else q for m, q in enumerate(qs)]
+            lam[4] = np.stack([np.convolve(c, chi[:, l]) for c in lam[4].T], axis=1)
+            _tucker_into(lam_cores[l], lam, xi[l, n])
+            np.multiply(xi[l, n], phi[l, n] / np.conj(gains[l]), out=upsilon[l, n])
 
     return PerturbationKit(paths=list(paths), transforms=tuple(transforms),
                            scenario=scenario, l5=l5, k5=k5, omega=omega,
@@ -133,8 +137,11 @@ def build_xi_upsilon(paths, transforms, scenario, l5):
 
 
 def build_kappa(kit, angle_tol=1e-9):
-    """Channel-parameter sensitivities kappa and the gain pair (Upsilon, Pi)."""
-    scen = kit.scenario
+    """Channel-parameter sensitivities kappa, the gain pair (Upsilon, Pi), and their norms.
+
+    B^+ comes from the QR core of B = KR(B_1..B_4, A_5), so Upsilon_n =
+    KR(R)^+ KR(Q_m^H B-breve_m) Diag(gamma) is L x L work.
+    """
     n_paths = kit.n_paths
     j_total = kit.j_total
     kappa = np.empty((n_paths, 5, j_total), dtype=np.complex128)
@@ -150,51 +157,48 @@ def build_kappa(kit, angle_tol=1e-9):
         if abs(sp_el) < angle_tol or abs(st_el) < angle_tol:
             raise SingularParameterizationError(
                 f"sin(el) ~ 0 on path {l}", path=l)
-        u = kit.upsilon[l]
-        kappa[l, 0] = u[0] / (np.pi * cp_az * sp_el) \
-            + sp_az * cp_el * u[1] / (np.pi * cp_az * sp_el ** 2)
-        kappa[l, 1] = -u[1] / (np.pi * sp_el)
-        kappa[l, 2] = u[2] / (np.pi * ct_az * st_el) \
-            + st_az * ct_el * u[3] / (np.pi * ct_az * st_el ** 2)
-        kappa[l, 3] = -u[3] / (np.pi * st_el)
-        kappa[l, 4] = -u[4] / (2 * np.pi * scen.delta_f)
+        k_l = np.zeros((5, 5))
+        k_l[0, :2] = 1 / (np.pi * cp_az * sp_el), sp_az * cp_el / (np.pi * cp_az * sp_el ** 2)
+        k_l[1, 1] = -1 / (np.pi * sp_el)
+        k_l[2, 2:4] = 1 / (np.pi * ct_az * st_el), st_az * ct_el / (np.pi * ct_az * st_el ** 2)
+        k_l[3, 3] = -1 / (np.pi * st_el)
+        k_l[4, 4] = -1 / (2 * np.pi * kit.scenario.delta_f)
+        np.matmul(k_l, kit.upsilon[l].view(np.float64), out=kappa[l].view(np.float64))
 
     # gain sensitivities: B = B_1 o..o B_4 o A_5^{M5}
-    factors = channel.beamspace_factors(kit.paths, kit.transforms, scen)
-    b_mat = channel.khatri_rao(factors)
-    b_pinv = pinv(b_mat)                             # (L, J)
+    factors = channel.beamspace_factors(kit.paths, kit.transforms, kit.scenario)
+    qs, core = channel.khatri_rao_core(factors)
+    core_pinv = svd_pinv(core)                       # KR(R)^+, (L, prod r_m)
+    b_pinv = np.empty((n_paths, j_total), dtype=np.complex128)
+    _tucker_into(core_pinv.reshape((n_paths,) + tuple(q.shape[1] for q in qs)),
+                 [q.conj() for q in qs], b_pinv)
     upsilon_gain = np.empty((5, n_paths, n_paths), dtype=np.complex128)
     for n in range(5):
+        m_n = factors[4].shape[0] if n == 4 else kit.transforms[n].m
+        deriv = 1j * np.arange(m_n)[:, None] * channel.steering_matrix(m_n, kit.omega[:, n])
         if n < 4:
-            t = kit.transforms[n].t
-            m_n = t.shape[0]
-            a_n = channel.steering_matrix(m_n, kit.omega[:, n])
-            deriv = t.conj().T @ (1j * np.arange(m_n)[:, None] * a_n)
-        else:
-            m5 = scen.m[4]
-            a_5 = channel.steering_matrix(m5, kit.omega[:, 4])
-            deriv = 1j * np.arange(m5)[:, None] * a_5
-        b_breve = channel.khatri_rao([deriv if i == n else factors[i]
-                                      for i in range(5)])
-        upsilon_gain[n] = (b_pinv @ b_breve) * kit.gains[None, :]
+            deriv = kit.transforms[n].t.conj().T @ deriv
+        b_breve = channel.khatri_rao([q.conj().T @ (deriv if m == n else f)
+                                      for m, (q, f) in enumerate(zip(qs, factors))])
+        upsilon_gain[n] = (core_pinv @ b_breve) * kit.gains[None, :]
 
-    v_stacks = [kit.upsilon[:, n, :].T for n in range(5)]  # each (J, L)
+    # Pi_l = [[Re b, -Im b], [Im b, Re b]] - sum_n [Re c; Im c] [Im v*, Re v*] with b = B^+[l],
+    # c = Upsilon_n[l], v = upsilon[:, n]; w is the sum for every l, (re, im) interleaved
+    coeff = np.stack([upsilon_gain.real, upsilon_gain.imag], 2).transpose(1, 2, 3, 0)
+    w = coeff.reshape(2 * n_paths, -1) @ kit.upsilon.view(np.float64).reshape(5 * n_paths, -1)
+    w = w.reshape(n_paths, 2, j_total, 2)
     pi = np.empty((n_paths, 2, 2 * j_total))
-    for l in range(n_paths):
-        row = b_pinv[l]
-        pi_l = np.block([[row.real[None, :], -row.imag[None, :]],
-                         [row.imag[None, :], row.real[None, :]]])
-        for n in range(5):
-            coeff = upsilon_gain[n][l]               # (L,)
-            vh = v_stacks[n].conj().T                # (L, J)
-            right = np.concatenate([vh.imag, vh.real], axis=1)
-            pi_l -= np.vstack([coeff.real, coeff.imag]) @ right
-        pi[l] = pi_l
+    np.add(b_pinv.real, w[:, 0, :, 1], out=pi[:, 0, :j_total])
+    np.subtract(-b_pinv.imag, w[:, 0, :, 0], out=pi[:, 0, j_total:])
+    np.add(b_pinv.imag, w[:, 1, :, 1], out=pi[:, 1, :j_total])
+    np.subtract(b_pinv.real, w[:, 1, :, 0], out=pi[:, 1, j_total:])
 
     kit.kappa = kappa
     kit.upsilon_gain = upsilon_gain
     kit.b_pinv = b_pinv
     kit.pi = pi
+    kit.kappa_norm = np.array([[np.linalg.norm(row) for row in k] for k in kappa])
+    kit.pi_norm = np.array([np.linalg.norm(p) for p in pi])
     return kit
 
 
@@ -205,20 +209,16 @@ PARAM_KEYS = ("rmse_phi_az", "rmse_phi_el", "rmse_theta_az", "rmse_theta_el",
 def analytic_param_rmse(kit, n0, n_p=None, e_s=None):
     """Per-path closed-form RMSE of angles (rad), delay (s), and gain.
 
-    Each is sqrt(N0 ||kappa||^2 / (2 N_P E_s)); the gain uses ||Pi||_F.
+    Each is sqrt(N0 / (2 N_P E_s)) times the stored ||kappa||; the gain uses ||Pi||_F.
     """
-    if kit.kappa is None:
+    if kit.kappa_norm is None:
         raise InvalidInputError("call build_kappa first")
     n_p = kit.scenario.n_p if n_p is None else n_p
     e_s = kit.scenario.e_s if e_s is None else e_s
-    scale = n0 / (2 * n_p * e_s)
-    out = []
-    for l in range(kit.n_paths):
-        row = {key: float(np.sqrt(scale) * np.linalg.norm(kit.kappa[l, i]))
-               for i, key in enumerate(PARAM_KEYS)}
-        row["rmse_gamma"] = float(np.sqrt(scale) * np.linalg.norm(kit.pi[l]))
-        out.append(row)
-    return out
+    root = np.sqrt(n0 / (2 * n_p * e_s))
+    return [{**{key: float(root * v) for key, v in zip(PARAM_KEYS, k_norms)},
+             "rmse_gamma": float(root * p_norm)}
+            for k_norms, p_norm in zip(kit.kappa_norm, kit.pi_norm)]
 
 
 def _rotation_jacobian(az, el):
@@ -232,7 +232,7 @@ def _rotation_jacobian(az, el):
 
 def build_psi(kit, p_t, p_r, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
               mu_rtol=1e-9):
-    """Position sensitivity Psi (3 x J): dp = Im(Psi dh).
+    """Position sensitivity Psi (3 x J): dp = Im(Psi dh), and its norm.
 
     Uses the same localization geometry as the estimator. A direct path
     (mu = 0) contributes the identity constraint, so its projector
@@ -256,7 +256,6 @@ def build_psi(kit, p_t, p_r, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
     mirror_r = np.diag([rx_axis_sign, 1.0, 1.0])
     psi = np.zeros((3, kit.j_total), dtype=np.complex128)
     for l, (p, g, w) in enumerate(zip(kit.paths, geos, weights)):
-        ct = SPEED_OF_LIGHT * p.tau
         omega_t = mirror_t @ _rotation_jacobian(p.phi_az, p.phi_el)
         omega_r = mirror_r @ _rotation_jacobian(p.theta_az, p.theta_el)
         d_breve = -SPEED_OF_LIGHT * c_inv @ g.c_mat @ np.column_stack(
@@ -273,6 +272,7 @@ def build_psi(kit, p_t, p_r, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
             [p.tau * omega_t, p.tau * omega_r, g.f_t + g.f_r])
         psi += e_breve @ kit.kappa[l].conj()
     kit.psi = psi
+    kit.psi_norm = np.linalg.norm(psi)
     return kit
 
 
@@ -286,12 +286,12 @@ def build_psi_scenario(kit, weights=None, mu_rtol=1e-9):
 
 
 def analytic_pos_rmse(kit, n0, n_p=None, e_s=None):
-    """Closed-form position RMSE sqrt(N0 ||Psi||_F^2 / (2 N_P E_s)) in meters."""
-    if kit.psi is None:
+    """Closed-form position RMSE sqrt(N0 / (2 N_P E_s)) ||Psi||_F in meters, stored norm."""
+    if kit.psi_norm is None:
         raise InvalidInputError("call build_psi first")
     n_p = kit.scenario.n_p if n_p is None else n_p
     e_s = kit.scenario.e_s if e_s is None else e_s
-    return float(np.sqrt(n0 / (2 * n_p * e_s)) * np.linalg.norm(kit.psi))
+    return float(np.sqrt(n0 / (2 * n_p * e_s)) * kit.psi_norm)
 
 
 def build_kit(paths, transforms, scenario, l5, with_position=True):

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from espritsim import kernels
 
@@ -204,35 +202,3 @@ class TestQrR:
         with pytest.raises(kernels.NumericFailureError, match="geqrf failed"):
             kernels.qr_r(np.eye(3))
 
-
-class TestFftConvolve:
-    def test_simple(self):
-        assert np.allclose(kernels.fft_convolve([1, 0], [1, 1]), [1, 1, 0])
-
-    def test_impulse_identity(self, rng):
-        b = random_complex(rng, 9)
-        out = kernels.fft_convolve([1.0], b)
-        assert np.allclose(out, b, atol=1e-12)
-
-    def test_matches_direct(self, rng):
-        a = random_complex(rng, 7)
-        b = random_complex(rng, 5)
-        direct = np.array([sum(a[j] * b[k - j]
-                               for j in range(max(0, k - 4), min(7, k + 1)))
-                           for k in range(11)])
-        got = kernels.fft_convolve(a, b)
-        assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
-
-    @settings(max_examples=30, deadline=None)
-    @given(na=st.integers(1, 4096), nb=st.integers(1, 4096), seed=st.integers(0, 2**31))
-    def test_matches_numpy_any_size(self, na, nb, seed):
-        r = np.random.default_rng(seed)
-        a = r.standard_normal(na) + 1j * r.standard_normal(na)
-        b = r.standard_normal(nb) + 1j * r.standard_normal(nb)
-        want = np.convolve(a, b)
-        got = kernels.fft_convolve(a, b)
-        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1)
-
-    def test_rejects_empty(self):
-        with pytest.raises(kernels.InvalidInputError):
-            kernels.fft_convolve([], [1.0])

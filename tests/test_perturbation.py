@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espritsim import channel, esprit, perturbation, shift, slac
 from espritsim.kernels import pinv
@@ -112,7 +116,7 @@ class TestXiUpsilon:
         row = j1p_pinv[0].conj()
         got_lam = pair.second.apply_adjoint(row) \
             - np.conj(phi) * pair.first.apply_adjoint(row)
-        got_xi = perturbation._blockwise_convolve(got_lam[None, :], chi, 4)[0]
+        got_xi = blockwise_convolve(got_lam[None, :], chi, 4)[0]
         assert np.allclose(got_lam, lam, atol=1e-12)
         assert np.allclose(got_xi, want_xi, atol=1e-12)
         assert np.allclose(phi * got_xi / np.conj(gamma),
@@ -327,3 +331,188 @@ class TestPsi:
         a = perturbation.analytic_pos_rmse(kit, 2e-10)
         b = perturbation.analytic_pos_rmse(kit, 2e-9)
         assert b / a == pytest.approx(np.sqrt(10), rel=1e-12)
+
+
+# -- reference construction on materialized products ------------------------
+
+def blockwise_convolve(vec_blocks, kernel, m5):
+    """Convolve each K5 block with the L5 kernel by FFT; returns (B, M5)."""
+    nfft = 1 << (m5 - 1).bit_length()
+    out = np.fft.ifft(np.fft.fft(vec_blocks, nfft, axis=1)
+                      * np.fft.fft(kernel, nfft)[None, :], axis=1)
+    return out[:, :m5]
+
+
+def reference_kit(paths, transforms, scen, l5):
+    """The kit's arrays built on materialized products, as a reference.
+
+    J1 P is the (B K5) x L matrix and is pseudo-inverted as such, each xi row
+    is an FFT blockwise convolution, and B^+ is the pinv of the J x L matrix
+    B. Returns a PerturbationKit with xi, upsilon, kappa, upsilon_gain,
+    b_pinv and pi set, so ``build_psi_scenario`` can run on it.
+    """
+    m5 = scen.m[4]
+    k5 = m5 + 1 - l5
+    gains = np.array([p.gamma for p in paths], dtype=np.complex128)
+    omega = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+    phi = np.exp(1j * omega)
+    n_paths = len(paths)
+    factors = channel.beamspace_factors(paths, transforms, scen)
+    p_mat = channel.khatri_rao(factors[:4] + [channel.steering_matrix(k5, omega[:, 4])])
+    chi = pinv(channel.steering_matrix(l5, omega[:, 4]).T).conj()
+    n_blocks = int(np.prod([t.n for t in transforms]))
+    xi = np.empty((n_paths, 5, n_blocks * m5), dtype=np.complex128)
+    upsilon = np.empty_like(xi)
+    for n, pair in enumerate(shift.selectors_for_transforms(transforms, k5)):
+        j1p = pair.first.apply(p_mat)
+        s = np.linalg.svd(j1p, compute_uv=False)
+        if s[-1] <= 1e-12 * s[0]:
+            raise perturbation.IllPosedScenarioError(f"J1 P rank deficient in dimension {n + 1}")
+        j1p_pinv = pinv(j1p)
+        for l in range(n_paths):
+            row = j1p_pinv[l].conj()
+            lam = pair.second.apply_adjoint(row) \
+                - np.conj(phi[l, n]) * pair.first.apply_adjoint(row)
+            xi[l, n] = blockwise_convolve(lam.reshape(n_blocks, k5), chi[:, l], m5).reshape(-1)
+            upsilon[l, n] = phi[l, n] * xi[l, n] / np.conj(gains[l])
+    kit = perturbation.PerturbationKit(
+        paths=list(paths), transforms=tuple(transforms), scenario=scen, l5=l5,
+        k5=k5, omega=omega, phi=phi, gains=gains, xi=xi, upsilon=upsilon)
+
+    kit.kappa = np.empty_like(xi)
+    for l, p in enumerate(paths):
+        u = upsilon[l]
+        sp_el, cp_el = np.sin(p.phi_el), np.cos(p.phi_el)
+        st_el, ct_el = np.sin(p.theta_el), np.cos(p.theta_el)
+        cp_az, sp_az = np.cos(p.phi_az), np.sin(p.phi_az)
+        ct_az, st_az = np.cos(p.theta_az), np.sin(p.theta_az)
+        kit.kappa[l, 0] = u[0] / (np.pi * cp_az * sp_el) \
+            + sp_az * cp_el * u[1] / (np.pi * cp_az * sp_el ** 2)
+        kit.kappa[l, 1] = -u[1] / (np.pi * sp_el)
+        kit.kappa[l, 2] = u[2] / (np.pi * ct_az * st_el) \
+            + st_az * ct_el * u[3] / (np.pi * ct_az * st_el ** 2)
+        kit.kappa[l, 3] = -u[3] / (np.pi * st_el)
+        kit.kappa[l, 4] = -u[4] / (2 * np.pi * scen.delta_f)
+
+    kit.b_pinv = pinv(channel.khatri_rao(factors))
+    kit.upsilon_gain = np.empty((5, n_paths, n_paths), dtype=np.complex128)
+    for n in range(5):
+        m_n = factors[4].shape[0] if n == 4 else transforms[n].m
+        deriv = 1j * np.arange(m_n)[:, None] * channel.steering_matrix(m_n, omega[:, n])
+        if n < 4:
+            deriv = transforms[n].t.conj().T @ deriv
+        b_breve = channel.khatri_rao([deriv if i == n else factors[i] for i in range(5)])
+        kit.upsilon_gain[n] = (kit.b_pinv @ b_breve) * gains[None, :]
+    kit.pi = np.empty((n_paths, 2, 2 * xi.shape[-1]))
+    for l in range(n_paths):
+        row = kit.b_pinv[l]
+        pi_l = np.block([[row.real[None, :], -row.imag[None, :]],
+                         [row.imag[None, :], row.real[None, :]]])
+        for n in range(5):
+            coeff = kit.upsilon_gain[n][l]
+            vh = upsilon[:, n, :].conj()
+            pi_l -= np.vstack([coeff.real, coeff.imag]) \
+                @ np.concatenate([vh.imag, vh.real], axis=1)
+        kit.pi[l] = pi_l
+    return kit
+
+
+KIT_ARRAYS = ("xi", "upsilon", "kappa", "upsilon_gain", "b_pinv", "pi")
+# the six-path scene of criterion 5
+SIX_PATH_SCATTERERS = [[10, 2.5, 0], [6, 7, 1], [14, 1, 2], [8, 4.5, 0.5], [12, 6, 1.5]]
+
+
+def assert_kit_matches(kit, ref, arrays=KIT_ARRAYS, rtol=1e-12):
+    """Each array within ``rtol`` of the reference, relative per last-axis row."""
+    for name in arrays:
+        got, want = getattr(kit, name), getattr(ref, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        got, want = got.reshape(-1, want.shape[-1]), want.reshape(-1, want.shape[-1])
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= rtol * np.linalg.norm(want, axis=1)), (name, err.max())
+
+
+class TestAgainstMaterializedReference:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_paths=st.integers(1, 3),
+           beams=st.tuples(*[st.integers(3, 4)] * 4), m5=st.integers(4, 12))
+    def test_tiny_geometries(self, data, n_paths, beams, m5):
+        l5 = data.draw(st.integers(n_paths, m5 - 1), label="l5")
+        # frequencies on a 0.45 rad lattice, |w| <= 1.8 in the angle modes so
+        # both angle maps stay regular; w5 over most of the circle
+        spatial = st.integers(-4, 4).map(lambda k: 0.45 * k)
+        om = np.array([data.draw(st.tuples(*[spatial] * 4, st.integers(-6, 6)))
+                       for _ in range(n_paths)], dtype=float)
+        om[:, 4] *= 0.45
+        gains = [data.draw(st.sampled_from([1.0, 0.5 - 0.7j, -0.8j, 2.0 + 0.3j]))
+                 for _ in range(n_paths)]
+        scen = channel.Scenario(
+            p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
+            m=(4, 4, 4, 4, m5), n=beams, delta_f=8e6, f_c=30e9,
+            n_p=16, n_c=600, e_s=1.0, n0=0.0, seed=5)
+        paths = synthetic_paths(om, gains, scen.delta_f)
+        transforms = channel.scenario_transforms(scen, paths)
+        try:
+            ref = reference_kit(paths, transforms, scen, l5)
+        except perturbation.IllPosedScenarioError:
+            with pytest.raises(perturbation.IllPosedScenarioError):
+                perturbation.build_xi_upsilon(paths, transforms, scen, l5)
+            return
+        kit = perturbation.build_xi_upsilon(paths, transforms, scen, l5)
+        perturbation.build_kappa(kit)
+        assert_kit_matches(kit, ref)
+
+    @staticmethod
+    def check_scene(scen):
+        paths = channel.params_from_geometry(scen)
+        transforms = channel.scenario_transforms(scen, paths)
+        l5 = esprit.default_l5(scen.m[4])
+        kit = perturbation.build_kit(paths, transforms, scen, l5)
+        ref = perturbation.build_psi_scenario(reference_kit(paths, transforms, scen, l5))
+        assert_kit_matches(kit, ref, KIT_ARRAYS + ("psi",))
+
+    def test_six_path_desk(self, desk_scenario):
+        # six paths on four beams: the spatial QR cores are 4 x 6 (rank below L)
+        self.check_scene(dataclasses.replace(desk_scenario, scatterers=SIX_PATH_SCATTERERS,
+                                             seed=13))
+
+    @pytest.mark.fullscale
+    @pytest.mark.parametrize("scatterers, seed", [([[10, 2.5, 0]], 7),
+                                                  (None, 13)], ids=["full", "six-path"])
+    def test_full_size(self, scatterers, seed):
+        scen = channel.Scenario(
+            p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=scatterers or SIX_PATH_SCATTERERS,
+            m=(8, 8, 8, 8, 500), n=(4, 4, 4, 4), delta_f=120e3, f_c=30e9,
+            n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=seed)
+        self.check_scene(scen)
+
+
+
+class TestAnalyticNorms:
+    def test_rows_equal_per_call_norms(self, desk_kit):
+        # the stored norms give exactly the per-call norms of the kept arrays
+        scen, paths, transforms, l5, kit, _ = desk_kit
+        root = np.sqrt(1e-9 / (2 * scen.n_p * scen.e_s))
+        for l, row in enumerate(perturbation.analytic_param_rmse(kit, 1e-9)):
+            for i, key in enumerate(perturbation.PARAM_KEYS):
+                assert row[key] == float(root * np.linalg.norm(kit.kappa[l, i]))
+            assert row["rmse_gamma"] == float(root * np.linalg.norm(kit.pi[l]))
+        assert perturbation.analytic_pos_rmse(kit, 1e-9) == float(
+            root * np.linalg.norm(kit.psi))
+
+
+class TestRankCheck:
+    @pytest.mark.parametrize("omegas, m5, l5", [
+        # two paths with the same frequency in every mode: equal columns
+        ([[0.4, 0.3, -0.6, 0.2, 1.0], [0.4, 0.3, -0.6, 0.2, 1.0]], 8, 4),
+        # three paths sharing all four spatial frequencies over K5 = 2
+        # windows: J1 P = b x A5 has rank 2
+        ([[0.4, 0.3, -0.6, 0.2, 1.0], [0.4, 0.3, -0.6, 0.2, -0.5],
+          [0.4, 0.3, -0.6, 0.2, 2.2]], 4, 3),
+    ], ids=["coincident-paths", "shared-spatial-frequencies"])
+    def test_rank_deficient_raises(self, tiny_scenario, omegas, m5, l5):
+        scen = dataclasses.replace(tiny_scenario, m=(4, 4, 4, 4, m5))
+        paths = synthetic_paths(omegas, [1.0, 0.6 - 0.2j, 0.9j][:len(omegas)], scen.delta_f)
+        transforms = channel.scenario_transforms(scen, paths)
+        with pytest.raises(perturbation.IllPosedScenarioError, match="dimension 1"):
+            perturbation.build_xi_upsilon(paths, transforms, scen, l5)
