@@ -29,6 +29,12 @@ SPEED_OF_LIGHT = 299792458.0
 DFT_BEAM_SPACING = np.pi / 4  # matches an 8-element DFT grid
 DIRECTIONAL_BEAM_SPACING = np.pi / 8
 
+# the steering-grid kinds a scenario can point from its path prior
+_SCENARIO_BEAM_KINDS = ("dft", "directional")
+_SCENARIO_KEYS = frozenset({
+    "p_t", "p_r", "scatterers", "m", "n", "delta_f_hz", "carrier_hz", "n_p",
+    "n_c", "e_s", "n0", "seed", "beam_kind", "nlos_power_scale", "weights"})
+
 
 class DegenerateGeometryError(ValueError):
     """Scenario geometry does not admit the angular parameterization."""
@@ -75,20 +81,18 @@ class AngularFreqs:
 
 @dataclass(frozen=True)
 class BeamTransform:
-    """Per-dimension transformation matrix with cached shift-invariance data.
+    """Per-dimension steering-grid transform with its shift-invariance data.
 
-    ``t`` is M_n x N_n (columns are beams), ``f`` satisfies
-    J1 t = J2 t f (exactly when ``exact_shift``), ``q`` is the restoring
-    projector and ``l1``/``l2`` the modified selectors Q and Q f^H.
+    ``t`` is M_n x N_n (columns are beams, steering vectors of ``grid``),
+    ``f`` is the diagonal shift matrix with J1 t = J2 t f, and ``l1``/``l2``
+    are the modified selectors Q and Q f^H for the restoring projector Q.
     """
 
     t: np.ndarray
     f: np.ndarray
-    q: np.ndarray
     l1: np.ndarray
     l2: np.ndarray
-    exact_shift: bool
-    grid: np.ndarray | None = None
+    grid: np.ndarray
 
     @property
     def m(self):
@@ -97,15 +101,6 @@ class BeamTransform:
     @property
     def n(self):
         return self.t.shape[1]
-
-    @classmethod
-    def from_matrix(cls, t, grid=None):
-        """Build the restoration machinery for an arbitrary transform matrix."""
-        t = np.asarray(t, dtype=np.complex128)
-        f, exact = shift.shift_basis(t)
-        q = shift.restore_projector(t, f)
-        return cls(t=t, f=f, q=q, l1=q, l2=q @ f.conj().T, exact_shift=exact,
-                   grid=None if grid is None else np.asarray(grid, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -140,6 +135,13 @@ class Scenario:
             raise InvalidInputError("scenario needs 5 array sizes and 4 beam counts")
         if self.m[4] < 2:
             raise InvalidInputError("need at least two subcarriers")
+        for kind in (self.beam_kind_tx, self.beam_kind_rx):
+            if kind not in _SCENARIO_BEAM_KINDS:
+                raise InvalidInputError(
+                    f"beam kind {kind!r} not in {_SCENARIO_BEAM_KINDS}")
+        over = [i + 1 for i in range(4) if self.n[i] > self.m[i]]
+        if over:
+            raise InvalidInputError(f"more beams than elements in dimensions {over}")
         if self.n_p < self.n[0] * self.n[1]:
             raise UnderdeterminedPilotError(
                 f"N_P={self.n_p} < N1*N2={self.n[0] * self.n[1]} transmit beams")
@@ -154,6 +156,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
+        unknown = sorted(set(d) - _SCENARIO_KEYS)
+        if unknown:
+            raise InvalidInputError(f"unknown scenario keys: {unknown}")
         return cls(
             p_t=d["p_t"], p_r=d["p_r"], scatterers=d.get("scatterers", []),
             m=d["m"], n=d["n"], delta_f=float(d["delta_f_hz"]),
@@ -382,7 +387,7 @@ def make_beam_transform(kind, m_n, n_n, grid=None, focus=0.0):
     else:
         raise InvalidInputError(f"unknown beam kind {kind!r}")
     if n_n > m_n and kind in ("dft", "directional"):
-        raise InvalidInputError("more beams than elements; use hybrid mode")
+        raise InvalidInputError("more beams than elements")
     if len(grid) != n_n:
         raise InvalidInputError("grid size must match the beam count")
     wrapped = np.sort(wrap_angle(grid))
@@ -392,8 +397,8 @@ def make_beam_transform(kind, m_n, n_n, grid=None, focus=0.0):
     t = steering_matrix(m_n, grid) / np.sqrt(m_n)
     f = np.diag(np.exp(-1j * grid))
     q = shift.restore_projector(t, f)
-    return BeamTransform(t=t, f=f, q=q, l1=q, l2=q @ f.conj().T,
-                         exact_shift=True, grid=np.asarray(grid, dtype=float))
+    return BeamTransform(t=t, f=f, l1=q, l2=q @ f.conj().T,
+                         grid=np.asarray(grid, dtype=float))
 
 
 def scenario_transforms(scenario, paths=None):

@@ -9,8 +9,6 @@ import argparse
 import sys
 
 from . import harness
-from .channel import DegenerateGeometryError, UnderdeterminedPilotError
-from .kernels import InvalidInputError
 
 
 def _build_parser():
@@ -63,8 +61,7 @@ def main(argv=None):
             print("config ok")
             return 0
         cfg = _load_config(args.config, args)
-    except (harness.ConfigError, InvalidInputError, DegenerateGeometryError,
-            UnderdeterminedPilotError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,10 +35,6 @@ class PairingFailureError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class CannotLiftError(ValueError):
-    """Transform is row-rank deficient; the mode cannot be lifted."""
-
-
 @dataclass(frozen=True)
 class SmoothedMatrix:
     """Spatially smoothed stack, shape (N1 N2 N3 N4 K5, L5)."""
@@ -88,7 +84,7 @@ def spatial_smooth(tensor, l5):
 def signal_subspace(tensor, n_paths, l5, method="dense"):
     """Orthonormal basis of the top-``n_paths`` left singular subspace.
 
-    The one subspace entry point of the matrix pipeline; it takes the (lifted)
+    The one subspace entry point of the matrix pipeline; it takes the
     tensor and the smoothing window. ``dense`` takes a LAPACK SVD of the
     materialized smoothed stack (the oracle); ``fast`` runs Lanczos on the
     implicit Hankel-block operator of the same stack, which is never built.
@@ -213,26 +209,8 @@ def estimate_gains(omega, transforms, h_vec, m5, rtol=1e-12):
     return gains, {"gain_matrix_condition": cond}
 
 
-def hybrid_lift(tensor, n, transform, rank_rtol=1e-10):
-    """Undo the mode-``n`` beam transform: mode product with pinv(T_n^H).
-
-    Restores the element-space Vandermonde factor so plain selectors apply.
-    Requires T_n full row rank (the M_n < N_n regime).
-    """
-    t = channel.transform_matrix(transform)
-    res = svd_thin(t)
-    s = res.singular_values
-    if t.shape[0] > t.shape[1] or s[-1] <= rank_rtol * s[0]:
-        raise CannotLiftError("transform is not full row rank")
-    th_pinv = (res.left / s) @ res.right.conj().T  # pinv(T_n^H), (M_n x N_n)
-    axis = n - 1
-    out = np.tensordot(th_pinv, np.asarray(tensor, dtype=np.complex128),
-                       axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
 def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
-                    method="dense", rng=None, beta=None, hybrid_modes=()):
+                    method="dense", rng=None, beta=None):
     """Run the full matrix-based beamspace ESPRIT chain on a noisy tensor.
 
     Parameters
@@ -242,28 +220,19 @@ def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
     n_paths : assumed model order L
     l5 : smoothing window (columns)
     method : 'dense' or 'fast' signal subspace
-    hybrid_modes : spatial dimensions (1-based) to lift to element space
-        before smoothing; their selectors become the plain windows.
     """
     rng = np.random.default_rng() if rng is None else rng
     noisy = np.asarray(noisy, dtype=np.complex128)
     t_start = time.perf_counter()
 
-    work = noisy
-    eff_transforms = list(transforms)
-    for n in hybrid_modes:
-        work = hybrid_lift(work, n, transforms[n - 1])
-        eff_transforms[n - 1] = None
-
-    u_s, diagnostics = signal_subspace(work, n_paths, l5, method=method)
-    k5 = work.shape[-1] + 1 - l5
-    pairs = shift.selectors_for_transforms(eff_transforms, k5, work.shape[:4])
+    u_s, diagnostics = signal_subspace(noisy, n_paths, l5, method=method)
+    k5 = noisy.shape[-1] + 1 - l5
+    pairs = shift.selectors_for_transforms(transforms, k5)
     gammas, residuals = rotation_factors(u_s, pairs)
     diagnostics["rotation_residual"] = max(residuals)
 
     _, omega, pair_diag = auto_pair(gammas, rng=rng, beta=beta)
     diagnostics.update(pair_diag)
-    # gains always solve against the original beamspace observation
     return _estimate_tail(omega, transforms, noisy, delta_f, diagnostics,
                           t_start)
 

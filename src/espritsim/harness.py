@@ -12,7 +12,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -78,15 +78,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
         try:
+            d = dict(d)
+            unknown = sorted(set(d) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ConfigError(f"unknown config keys: {unknown}")
             scenario = channel.Scenario.from_dict(d.pop("scenario"))
-            return cls(scenario=scenario,
-                       snr_grid_db=tuple(d.pop("snr_grid_db")),
-                       **{k: v for k, v in d.items()
-                          if k in ("trials", "methods", "l5", "outputs", "seed",
-                                   "threads", "dump_trials", "observation",
-                                   "max_failure_rate")})
+            return cls(scenario=scenario, **d)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -262,7 +260,7 @@ def _rows_from_trials(method, snr_db, outputs, scenario, n0, n_attempted):
     return rows, failures
 
 
-def _analytic_rows(kit, snr_db, n0, scenario):
+def _analytic_rows(kit, snr_db, n0):
     per_path = perturbation.analytic_param_rmse(kit, n0)
     pos = perturbation.analytic_pos_rmse(kit, n0)
     n_paths = len(per_path)
@@ -346,7 +344,7 @@ def run_experiment(cfg):
                         trial_dump.append((method, snr_db, t, out))
 
         if kit is not None:
-            rows.extend(_analytic_rows(kit, snr_db, n0, scenario))
+            rows.extend(_analytic_rows(kit, snr_db, n0))
 
         rows.append(MetricRow("perfect_csi", snr_db, "all", "rate_bps_hz",
                               slac.effective_rate(u_perf, np.zeros(scenario.m[4]),
@@ -361,7 +359,7 @@ def run_experiment(cfg):
     breaches = {m: r for m, r in worst.items() if r > cfg.max_failure_rate}
     if breaches:
         raise TrialFailureRateError(
-            f"failure rate breached 5% cap: {breaches}")
+            f"failure rate breached {cfg.max_failure_rate * 100:g}% cap: {breaches}")
     return rows, files
 
 
@@ -375,15 +373,13 @@ FIGURE_METRICS = {
 }
 
 
-def write_figures(rows, outdir, which=None):
+def write_figures(rows, outdir):
     """Write one CSV per figure analog; returns {figure: path}."""
     import os
 
     os.makedirs(outdir, exist_ok=True)
     files = {}
     for fig, metrics in FIGURE_METRICS.items():
-        if which and fig not in which:
-            continue
         path = os.path.join(outdir, FIGURE_FILES[fig])
         sel = [r for r in rows if r.metric in metrics]
         with open(path, "w", newline="") as fh:

@@ -16,43 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import InvalidInputError, _qr_r_overwrite, lstsq_pinv
-
-
-class NeedsHybridError(ValueError):
-    """J2 T is column-rank deficient; caller must lift the mode to element space."""
+from .kernels import InvalidInputError, _qr_r_overwrite
 
 
 class InsufficientBeamsError(ValueError):
     """Fewer than three beams leave no room for the rank-(N-2) projector."""
-
-
-def shift_basis(t, exact_tol=1e-10, rank_rtol=1e-10):
-    """Least-squares shift matrix F with J1 T = J2 T F, flagged exact when it holds.
-
-    Returns
-    -------
-    (F, exact) : (ndarray, bool)
-        F is N x N; ``exact`` when the residual is below
-        ``exact_tol * ||T||_F``.
-
-    Raises
-    ------
-    NeedsHybridError
-        When J2 T is column-rank deficient (e.g. M_n < N_n).
-    """
-    t = np.asarray(t, dtype=np.complex128)
-    if t.ndim != 2 or t.shape[0] < 2:
-        raise InvalidInputError("transform needs at least two rows")
-    j1t = t[:-1, :]
-    j2t = t[1:, :]
-    s = np.linalg.svd(j2t, compute_uv=False)
-    if s.size == 0 or s[0] == 0 or s[-1] < rank_rtol * s[0] or j2t.shape[0] < j2t.shape[1]:
-        raise NeedsHybridError("J2 T is not full column rank; use mode lifting")
-    f = lstsq_pinv(j2t, j1t)
-    residual = np.linalg.norm(j1t - j2t @ f)
-    exact = residual <= exact_tol * max(np.linalg.norm(t), 1e-300)
-    return f, exact
 
 
 def restore_projector(t, f, deflate_rtol=1e-12):
@@ -246,17 +214,10 @@ def element_selectors(m_n):
     return eye[:-1, :], eye[1:, :]
 
 
-def selectors_for_transforms(transforms, k5, beam_dims=None):
-    """Selector pairs for all five dimensions given the four beam transforms.
-
-    A ``None`` transform marks a mode lifted to element space: it gets plain
-    overlap selectors of its size in ``beam_dims`` (default: the beam counts).
-    """
-    if beam_dims is None:
-        beam_dims = tuple(t.t.shape[1] for t in transforms)
-    pairs = []
-    for i, t in enumerate(transforms):
-        l1, l2 = element_selectors(beam_dims[i]) if t is None else (t.l1, t.l2)
-        pairs.append(lifted_selectors(i + 1, beam_dims, k5, l1=l1, l2=l2))
+def selectors_for_transforms(transforms, k5):
+    """Selector pairs for all five dimensions given the four beam transforms."""
+    beam_dims = tuple(t.n for t in transforms)
+    pairs = [lifted_selectors(i + 1, beam_dims, k5, l1=t.l1, l2=t.l2)
+             for i, t in enumerate(transforms)]
     pairs.append(lifted_selectors(5, beam_dims, k5))
     return pairs

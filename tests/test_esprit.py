@@ -442,42 +442,3 @@ class TestMethodAgreement:
         a, _ = match_rows(om1, truth)
         b, _ = match_rows(om2, truth)
         assert np.abs(channel.wrap_angle(a - b)).max() < 1e-10
-
-
-class TestHybrid:
-    def test_identity_lift(self, rng):
-        t = rng.standard_normal((4, 4, 4, 4, 6)) + 0j
-        out = esprit.hybrid_lift(t, 2, np.eye(4))
-        assert np.allclose(out, t, atol=1e-12)
-
-    def test_pinv_identity(self, rng):
-        t = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        th_pinv = np.linalg.pinv(t.conj().T)
-        assert np.allclose(th_pinv @ t.conj().T, np.eye(3), atol=1e-10)
-
-    def test_rank_deficient_rejected(self):
-        t = np.ones((3, 5), dtype=complex)  # rank 1
-        with pytest.raises(esprit.CannotLiftError):
-            esprit.hybrid_lift(np.zeros((2, 2, 3, 2, 4), dtype=complex), 3, t)
-
-    def test_hybrid_pipeline_recovers(self, rng):
-        # dimension 3 has more beams than elements: M=3 < N=5
-        scen = channel.Scenario(
-            p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
-            m=(4, 4, 3, 4, 8), n=(3, 3, 5, 3), delta_f=8e6, f_c=30e9,
-            n_p=16, n_c=600, e_s=1.0, n0=0.0, seed=5)
-        om = np.array([[0.4, -0.9, 0.6, -0.3, 1.0],
-                       [-0.6, 0.5, -1.0, 0.7, -0.4]])
-        paths = synthetic_paths(om, [1.0, 0.6 - 0.2j], scen.delta_f)
-        t_rand = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        transforms = [
-            channel.make_beam_transform("custom", 4, 3, grid=[-0.8, 0.1, 0.9]),
-            channel.make_beam_transform("custom", 4, 3, grid=[-1.0, -0.1, 0.8]),
-            t_rand,
-            channel.make_beam_transform("custom", 4, 3, grid=[-0.9, 0.0, 1.0]),
-        ]
-        tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
-        est = esprit.esprit_pipeline(tensor, transforms, 2, 5, scen.delta_f,
-                                     rng=rng, hybrid_modes=(3,))
-        got, _ = match_rows(est.omega, om)
-        assert np.abs(channel.wrap_angle(got - om)).max() < 1e-8

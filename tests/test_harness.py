@@ -134,6 +134,18 @@ class TestConfig:
             harness.ExperimentConfig.from_dict(
                 desk_config(l5=64, methods=["tensor", method]))
 
+    @pytest.mark.parametrize("section", ["top", "scenario"])
+    def test_rejects_unknown_keys(self, section):
+        doc = desk_config()
+        (doc if section == "top" else doc["scenario"])["trails"] = 1
+        with pytest.raises(harness.ConfigError, match="'trails'"):
+            harness.ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [5, [1], "x"])
+    def test_rejects_non_object(self, doc):
+        with pytest.raises(harness.ConfigError):
+            harness.ExperimentConfig.from_dict(doc)
+
 
 class TestRunExperiment:
     def test_noiseless_end_to_end(self):
@@ -273,7 +285,11 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_run_single_trial", flaky)
         cfg = harness.ExperimentConfig.from_dict(
             desk_config(trials=4, methods=["matrix_dense"]))
-        with pytest.raises(harness.TrialFailureRateError):
+        with pytest.raises(harness.TrialFailureRateError, match="breached 5% cap"):
+            harness.run_experiment(cfg)
+        # the message states the cap in force
+        cfg = dataclasses.replace(cfg, max_failure_rate=0.25)
+        with pytest.raises(harness.TrialFailureRateError, match="breached 25% cap"):
             harness.run_experiment(cfg)
 
     def test_failures_reported_in_rows(self, monkeypatch):
@@ -350,6 +366,22 @@ class TestCli:
         res = self.run_cli("validate-config", str(path))
         assert res.returncode == 2
         assert "K5 >= 2" in res.stderr
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"m": [4, 8, 8, 8, 64], "n": [6, 4, 4, 4]}, "more beams than elements"),
+        ({"beam_kind": "custom"}, "beam kind 'custom'"),
+    ])
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_unbuildable_scenario_exit_code_2(self, tmp_path, capsys, command,
+                                              scenario, message):
+        # set-up cannot build these transforms: reject at load, not mid-run
+        doc = desk_config()
+        doc["scenario"].update(scenario)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        args = [str(path)] if command == "validate-config" else ["--config", str(path)]
+        assert cli.main([command, *args]) == 2
+        assert message in capsys.readouterr().err
 
     def test_run_and_figures(self, tmp_path):
         path = desk_config(tmp_path, trials=2)
