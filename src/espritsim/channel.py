@@ -476,8 +476,17 @@ def observe_and_estimate(tensor, scenario, rng, mode="direct", n0=None):
     n1, n2, n3, n4, m5 = tensor.shape
     scale_sq = n0 / (scenario.n_p * scenario.e_s)
     if mode == "direct":
-        noise = rng.standard_normal(tensor.shape) + 1j * rng.standard_normal(tensor.shape)
-        return tensor + np.sqrt(scale_sq / 2) * noise
+        # tensor + c (a + 1j b) part by part: the same draws in the same order
+        # and the same roundings, without the complex temporaries
+        c = np.sqrt(scale_sq / 2)
+        est = tensor.copy()
+        draw = rng.standard_normal(tensor.shape)
+        draw *= c
+        est.real += draw
+        rng.standard_normal(out=draw)
+        draw *= c
+        est.imag += draw
+        return est
     if mode != "pilot":
         raise InvalidInputError(f"unknown observation mode {mode!r}")
 

@@ -85,6 +85,13 @@ def hankel_matvec(op, x, adjoint=False):
     K5-1..M5-1 adjoint. Circular wrap-around of length ``op.nfft`` >= M5
     lands only on the lower, discarded indices, so these outputs are exact.
     Results are bit-stable across calls: the cached block FFTs are reused.
+
+    Both directions work in one (B, nfft) array: the forward product is
+    multiplied into it and inverse-transformed in place; the adjoint writes
+    the conjugated, reversed blocks into its zero-padded head, then
+    transforms, multiplies and sums it in place. The FFT calls, operand
+    order and summation order are those of the out-of-place form, so the
+    result is bit-identical to it.
     """
     x = np.asarray(x, dtype=np.complex128).ravel()
     b, m5 = op.blocks.shape
@@ -92,15 +99,18 @@ def hankel_matvec(op, x, adjoint=False):
         if x.size != op.l5:
             raise InvalidInputError(f"forward operand must have length {op.l5}")
         xf = np.fft.fft(x[::-1], op.nfft)
-        conv = np.fft.ifft(op.blocks_fft * xf[None, :], axis=1)
+        conv = np.multiply(op.blocks_fft, xf)
+        np.fft.ifft(conv, axis=1, out=conv)
         return conv[:, op.l5 - 1: op.l5 - 1 + op.k5].reshape(-1)
     if x.size != b * op.k5:
         raise InvalidInputError(f"adjoint operand must have length {b * op.k5}")
-    xb = x.reshape(b, op.k5).conj()[:, ::-1]
-    xf = np.fft.fft(xb, op.nfft, axis=1)
-    acc = np.sum(op.blocks_fft * xf, axis=0)
-    conv = np.fft.ifft(acc)
-    return conv[op.k5 - 1: op.k5 - 1 + op.l5].conj()
+    xf = np.zeros((b, op.nfft), dtype=np.complex128)
+    np.conjugate(x.reshape(b, op.k5)[:, ::-1], out=xf[:, :op.k5])
+    np.fft.fft(xf, axis=1, out=xf)
+    np.multiply(op.blocks_fft, xf, out=xf)
+    acc = np.sum(xf, axis=0)
+    np.fft.ifft(acc, out=acc)
+    return acc[op.k5 - 1: op.k5 - 1 + op.l5].conj()
 
 
 @dataclass
@@ -141,6 +151,10 @@ def lanczos_bidiag(op, steps, n_wanted):
     Ritz vectors to U_s = U_k P_L; the long re-projection sweeps are never
     paid. The start vector has equal entries.
 
+    The left frame is allocated unfilled (rows past the kept steps are never
+    read); each forward product lands in its frame row, and the recurrence
+    and normalization run in place on that row's float64 view.
+
     Runs at most ``steps`` steps and ends on the first of:
 
     - breakdown: a recursion norm falls below ``BREAKDOWN_RTOL * ||H||_F``
@@ -166,7 +180,7 @@ def lanczos_bidiag(op, steps, n_wanted):
 
     # one contiguous row per basis vector: projecting against the first k
     # vectors reads k rows instead of striding through the whole frame
-    u_frame = np.zeros((steps, rows), dtype=np.complex128)
+    u_frame = np.empty((steps, rows), dtype=np.complex128)
     v_frame = np.zeros((steps, l5), dtype=np.complex128)
     alphas = np.zeros(steps)
     betas = np.zeros(max(steps - 1, 0))
@@ -175,15 +189,19 @@ def lanczos_bidiag(op, steps, n_wanted):
     n_u, n_v = 0, 1
 
     for ell in range(steps):
-        u = hankel_matvec(op, v_frame[ell])
+        u = u_frame[ell]
+        u[:] = hankel_matvec(op, v_frame[ell])
+        # a real beta scales both parts alike, and numpy divides a complex
+        # array by a real as x * (1 / a): the float64 view rounds the same
+        ur = u.view(np.float64)
         if ell > 0:
-            u -= betas[ell - 1] * u_frame[ell - 1]
+            ur -= betas[ell - 1] * u_frame[ell - 1].view(np.float64)
         a = np.linalg.norm(u)
         if a <= BREAKDOWN_RTOL * scale:
             stop = "breakdown"
             break
         alphas[ell] = a
-        u_frame[ell] = u / a
+        ur *= 1.0 / a
         n_u = ell + 1
 
         if ell == steps - 1:

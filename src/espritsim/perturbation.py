@@ -254,13 +254,15 @@ def build_psi(kit, p_t, p_r, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
 
     mirror_t = np.diag([tx_axis_sign, 1.0, 1.0])
     mirror_r = np.diag([rx_axis_sign, 1.0, 1.0])
-    psi = np.zeros((3, kit.j_total), dtype=np.complex128)
+    # d-breve and e-breve are real, so Psi = conj(M kappa) with M the 3 x 5L
+    # stack of both: one real product on kappa's float view
+    m = np.zeros((3, kit.n_paths, 5))
     for l, (p, g, w) in enumerate(zip(kit.paths, geos, weights)):
         omega_t = mirror_t @ _rotation_jacobian(p.phi_az, p.phi_el)
         omega_r = mirror_r @ _rotation_jacobian(p.theta_az, p.theta_el)
         d_breve = -SPEED_OF_LIGHT * c_inv @ g.c_mat @ np.column_stack(
             [p.tau * omega_r, g.f_r])
-        psi += d_breve @ kit.kappa[l, 2:5].conj()
+        m[:, l, 2:5] = d_breve
         if g.direct:
             continue
         mu, delta = g.mu, g.delta
@@ -270,7 +272,10 @@ def build_psi(kit, p_t, p_r, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
                        - (proj * np.eye(3) + np.outer(mu, delta - p_r)) / mu2)
         e_breve = SPEED_OF_LIGHT * c_inv @ c_breve @ np.column_stack(
             [p.tau * omega_t, p.tau * omega_r, g.f_t + g.f_r])
-        psi += e_breve @ kit.kappa[l].conj()
+        m[:, l] += e_breve
+    kappa = kit.kappa.view(np.float64).reshape(5 * kit.n_paths, -1)
+    psi = (m.reshape(3, -1) @ kappa).view(np.complex128)
+    np.conjugate(psi, out=psi)
     kit.psi = psi
     kit.psi_norm = np.linalg.norm(psi)
     return kit

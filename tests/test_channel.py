@@ -185,6 +185,45 @@ class TestObservation:
         scen, _, _, tensor, _ = desk_setup
         out = channel.observe_and_estimate(tensor, scen, rng, n0=0.0)
         assert np.array_equal(out, tensor)
+        assert not np.shares_memory(out, tensor)
+
+    def test_direct_draw_bit_exact(self, desk_setup):
+        # the real and imaginary parts are added in place, in draw order, to
+        # the same bits as tensor + sqrt(s / 2) (a + 1j b)
+        scen, _, _, tensor, _ = desk_setup
+        n0 = 3e-4
+        before = tensor.copy()
+        got = channel.observe_and_estimate(tensor, scen, np.random.default_rng(17), n0=n0)
+        r = np.random.default_rng(17)
+        a = r.standard_normal(tensor.shape)
+        b = r.standard_normal(tensor.shape)
+        want = tensor + np.sqrt(n0 / (scen.n_p * scen.e_s) / 2) * (a + 1j * b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(tensor.view(np.uint64), before.view(np.uint64))
+        wide = np.zeros(tensor.shape[:4] + (2 * tensor.shape[4],), dtype=complex)
+        wide[..., ::2] = tensor
+        view = channel.observe_and_estimate(wide[..., ::2], scen,
+                                            np.random.default_rng(17), n0=n0)
+        assert np.array_equal(view.view(np.uint64), want.view(np.uint64))
+        assert not np.any(wide[..., 1::2])
+
+    def test_pilot_mode_matches_pilot_loop(self, tiny_scenario):
+        scen = tiny_scenario
+        r = np.random.default_rng(23)
+        tensor = r.standard_normal((3, 3, 3, 3, 8)) + 1j * r.standard_normal((3, 3, 3, 3, 8))
+        n0 = 1e-2
+        got = channel.observe_and_estimate(tensor, scen, np.random.default_rng(5),
+                                           mode="pilot", n0=n0)
+        r = np.random.default_rng(5)
+        s = channel.pilot_matrix(9, scen.n_p, scen.e_s)
+        want = np.empty_like(tensor)
+        for k in range(8):
+            h = tensor[..., k].reshape(9, 9).T
+            z = r.standard_normal((9, scen.n_p)) + 1j * r.standard_normal((9, scen.n_p))
+            y = h @ s + np.sqrt(n0 / 2) * z
+            want[..., k] = ((y @ s.conj().T) / (scen.n_p * scen.e_s)).T.reshape(3, 3, 3, 3)
+        assert np.array_equal(got, want)
 
     def test_error_variance(self, tiny_scenario, rng):
         scen = tiny_scenario

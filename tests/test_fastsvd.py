@@ -296,6 +296,108 @@ def test_planted_gapped_signal_matches_dense(seed):
     assert_matches_dense(op, n_paths, tol=1e-10)
 
 
+# Out-of-place reference for the in-place products and left recurrence: the
+# same FFT calls, operand order and summation order, so results match bit for bit.
+def reference_matvec(op, x, adjoint=False):
+    if not adjoint:
+        xf = np.fft.fft(x[::-1], op.nfft)
+        conv = np.fft.ifft(op.blocks_fft * xf[None, :], axis=1)
+        return conv[:, op.l5 - 1: op.l5 - 1 + op.k5].reshape(-1)
+    xb = x.reshape(op.blocks.shape[0], op.k5).conj()[:, ::-1]
+    xf = np.fft.fft(xb, op.nfft, axis=1)
+    conv = np.fft.ifft(np.sum(op.blocks_fft * xf, axis=0))
+    return conv[op.k5 - 1: op.k5 - 1 + op.l5].conj()
+
+
+def reference_lanczos(op, steps, n_wanted):
+    rows, l5 = op.shape
+    scale = op.frobenius_norm()
+    u_frame = np.zeros((steps, rows), dtype=np.complex128)
+    v_frame = np.zeros((steps, l5), dtype=np.complex128)
+    alphas = np.zeros(steps)
+    betas = np.zeros(max(steps - 1, 0))
+    v_frame[0] = 1.0 / np.sqrt(l5)
+    stop, n_u, n_v = "cap", 0, 1
+    for ell in range(steps):
+        u = reference_matvec(op, v_frame[ell])
+        if ell > 0:
+            u -= betas[ell - 1] * u_frame[ell - 1]
+        a = np.linalg.norm(u)
+        if a <= fastsvd.BREAKDOWN_RTOL * scale:
+            stop = "breakdown"
+            break
+        alphas[ell] = a
+        u_frame[ell] = u / a
+        n_u = ell + 1
+        if ell == steps - 1:
+            break
+        r = reference_matvec(op, u_frame[ell], adjoint=True)
+        r -= alphas[ell] * v_frame[ell]
+        basis = v_frame[:ell + 1]
+        for _ in range(2):
+            r -= np.conj(basis @ np.conj(r)) @ basis
+        bnorm = np.linalg.norm(r)
+        if bnorm <= fastsvd.BREAKDOWN_RTOL * scale:
+            stop = "breakdown"
+            break
+        betas[ell] = bnorm
+        if n_u > n_wanted:
+            core = fastsvd.bidiag_svd(fastsvd.Bidiagonal(
+                a=alphas[:n_u], b=betas[:ell], u_frame=u_frame[:n_u].T,
+                v_frame=v_frame[:n_u].T))
+            theta = core.singular_values
+            resid = bnorm * np.abs(core.left[-1, :n_wanted])
+            if np.all(resid <= fastsvd.CONVERGED_RTOL * (theta[:n_wanted] - theta[n_wanted])):
+                stop = "converged"
+                break
+        v_frame[ell + 1] = r / bnorm
+        n_v = ell + 2
+    return fastsvd.Bidiagonal(a=alphas[:n_u], b=betas[:n_v - 1], u_frame=u_frame[:n_u].T,
+                              v_frame=v_frame[:n_v].T, stop=stop)
+
+
+def assert_bit_identical_to_reference(op, n_paths):
+    r = np.random.default_rng(3)
+    x = r.standard_normal(op.l5) + 1j * r.standard_normal(op.l5)
+    y = r.standard_normal(op.shape[0]) + 1j * r.standard_normal(op.shape[0])
+    assert np.array_equal(fastsvd.hankel_matvec(op, x), reference_matvec(op, x))
+    assert np.array_equal(fastsvd.hankel_matvec(op, y, adjoint=True),
+                          reference_matvec(op, y, adjoint=True))
+    steps = min(op.l5, 2 * n_paths + 16)
+    got = fastsvd.lanczos_bidiag(op, steps, n_paths)
+    want = reference_lanczos(op, steps, n_paths)
+    assert got.stop == want.stop
+    for name in ("a", "b", "u_frame", "v_frame"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    return got
+
+
+BIT_CASES = {"snr-10": (dict(snr_db=-10.0), 2), "snr0": (dict(snr_db=0.0), 2),
+             "snr30": (dict(snr_db=30.0), 2), "snr40": (dict(snr_db=40.0), 2),
+             "cap": (dict(snr_db=20.0), 6)}
+
+
+@pytest.mark.parametrize("case", BIT_CASES)
+def test_bit_identical_to_out_of_place_reference_desk(desk_scenario, case):
+    kwargs, n_paths = BIT_CASES[case]
+    got = assert_bit_identical_to_reference(one_sided_operator(desk_scenario, **kwargs),
+                                            n_paths)
+    assert got.stop == ("cap" if case == "cap" else "converged")
+
+
+def test_bit_identical_to_out_of_place_reference_breakdown(desk_setup):
+    scen, _, _, tensor, _ = desk_setup
+    op = fastsvd.HankelBlockOperator.from_tensor(tensor, esprit.default_l5(scen.m[4]))
+    assert assert_bit_identical_to_reference(op, 2).stop == "breakdown"
+
+
+@pytest.mark.fullscale
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 30.0, 40.0])
+def test_bit_identical_to_out_of_place_reference_full(desk_scenario, snr_db):
+    full = dataclasses.replace(desk_scenario, m=(8, 8, 8, 8, 500), delta_f=120e3)
+    assert_bit_identical_to_reference(one_sided_operator(full, snr_db=snr_db), 2)
+
+
 class TestFastSignalSubspace:
     def test_projector_matches_dense(self, desk_setup):
         scen, _, _, tensor, _ = desk_setup

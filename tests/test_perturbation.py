@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -313,8 +314,6 @@ class TestPsi:
 
     def test_zero_weight_masks_nlos(self, desk_kit):
         scen, paths, transforms, l5, kit, _ = desk_kit
-        import copy
-
         kit2 = copy.copy(kit)
         tx_sign, rx_sign = channel.array_axis_signs(scen)
         perturbation.build_psi(kit2, scen.p_t, scen.p_r,
@@ -326,11 +325,62 @@ class TestPsi:
         resid = kit2.psi.T - los_rows.T @ coeffs
         assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(kit2.psi)
 
+    @pytest.mark.parametrize("scene", ["desk", "six-path", "nlos-weight"])
+    def test_matches_per_path_loop(self, desk_kit, desk_scenario, scene):
+        # the stacked real product sums d-breve and e-breve before the
+        # product, so it agrees with the per-path loop to round-off
+        scen, paths, transforms, l5, kit, _ = desk_kit
+        weights = None
+        if scene == "six-path":
+            scen = dataclasses.replace(desk_scenario, scatterers=SIX_PATH_SCATTERERS,
+                                       seed=13)
+            paths = channel.params_from_geometry(scen)
+            transforms = channel.scenario_transforms(scen, paths)
+            kit = perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
+        elif scene == "nlos-weight":
+            weights = np.array([1.0, 0.3])
+        tx_sign, rx_sign = channel.array_axis_signs(scen)
+        got = perturbation.build_psi(copy.copy(kit), scen.p_t, scen.p_r, weights,
+                                     tx_sign, rx_sign)
+        want = per_path_psi(kit, scen.p_t, scen.p_r, weights, tx_sign, rx_sign)
+        assert got.psi.shape == want.shape and got.psi.dtype == want.dtype
+        assert np.linalg.norm(got.psi - want) <= 1e-13 * np.linalg.norm(want)
+        assert got.psi_norm == pytest.approx(np.linalg.norm(want), rel=1e-13)
+
     def test_position_rmse_scaling(self, desk_kit):
         scen, paths, transforms, l5, kit, _ = desk_kit
         a = perturbation.analytic_pos_rmse(kit, 2e-10)
         b = perturbation.analytic_pos_rmse(kit, 2e-9)
         assert b / a == pytest.approx(np.sqrt(10), rel=1e-12)
+
+
+def per_path_psi(kit, p_t, p_r, weights, tx_axis_sign, rx_axis_sign, mu_rtol=1e-9):
+    """Psi accumulated path by path from conjugated kappa blocks (reference)."""
+    if weights is None:
+        weights = np.ones(kit.n_paths)
+    geos = slac.localization_geometry(kit.paths, p_t, weights,
+                                      tx_axis_sign, rx_axis_sign, mu_rtol)
+    c_inv = np.linalg.inv(sum(g.c_mat for g in geos))
+    mirror_t = np.diag([tx_axis_sign, 1.0, 1.0])
+    mirror_r = np.diag([rx_axis_sign, 1.0, 1.0])
+    c = channel.SPEED_OF_LIGHT
+    psi = np.zeros((3, kit.j_total), dtype=np.complex128)
+    for l, (p, g, w) in enumerate(zip(kit.paths, geos, weights)):
+        omega_t = mirror_t @ perturbation._rotation_jacobian(p.phi_az, p.phi_el)
+        omega_r = mirror_r @ perturbation._rotation_jacobian(p.theta_az, p.theta_el)
+        d_breve = -c * c_inv @ g.c_mat @ np.column_stack([p.tau * omega_r, g.f_r])
+        psi += d_breve @ kit.kappa[l, 2:5].conj()
+        if g.direct:
+            continue
+        mu, delta = g.mu, g.delta
+        mu2 = mu @ mu
+        proj = mu @ (delta - p_r)
+        c_breve = w * (2 * proj * np.outer(mu, mu) / mu2 ** 2
+                       - (proj * np.eye(3) + np.outer(mu, delta - p_r)) / mu2)
+        e_breve = c * c_inv @ c_breve @ np.column_stack(
+            [p.tau * omega_t, p.tau * omega_r, g.f_t + g.f_r])
+        psi += e_breve @ kit.kappa[l].conj()
+    return psi
 
 
 # -- reference construction on materialized products ------------------------
