@@ -7,7 +7,7 @@ from .channel import (AngularFreqs, BeamTransform, PathParams, Scenario,
 from .esprit import EspritEstimate, esprit_pipeline, spatial_smooth
 from .kernels import EigResult, SvdResult, eig_general, pinv, svd_thin
 from .perturbation import (PerturbationKit, analytic_param_rmse, analytic_pos_rmse,
-                           build_kappa, build_kit, build_psi, build_xi_upsilon)
+                           build_kit)
 from .slac import LocalizationResult, localize, localize_scenario, rate
 
 __all__ = [
@@ -18,8 +18,7 @@ __all__ = [
     "make_beam_transform", "scenario_transforms", "synth_beamspace_tensor",
     "observe_and_estimate", "esprit_pipeline", "spatial_smooth",
     "svd_thin", "eig_general", "pinv",
-    "build_xi_upsilon", "build_kappa", "build_psi", "build_kit",
-    "analytic_param_rmse", "analytic_pos_rmse",
+    "build_kit", "analytic_param_rmse", "analytic_pos_rmse",
     "localize", "localize_scenario", "rate",
 ]
 

@@ -44,7 +44,7 @@ def _load_config(path, args=None):
         overrides = {}
         if getattr(args, "out", None):
             overrides["outputs"] = args.out
-        if getattr(args, "threads", None):
+        if getattr(args, "threads", None) is not None:
             overrides["threads"] = args.threads
         if getattr(args, "dump_trials", False):
             overrides["dump_trials"] = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -57,8 +58,20 @@ class ExperimentConfig:
     max_failure_rate: float = 0.05
 
     def __post_init__(self):
+        ints = (self.trials, self.seed, self.threads, 1 if self.l5 is None else self.l5)
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in ints):
+            raise ConfigError("trials, seed, threads and l5 must be integers")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if self.observation not in ("direct", "pilot"):
+            raise ConfigError(f"observation {self.observation!r} not in ('direct', 'pilot')")
+        if not (isinstance(self.max_failure_rate, numbers.Real)
+                and 0 <= self.max_failure_rate <= 1):
+            raise ConfigError(f"max_failure_rate={self.max_failure_rate!r} outside [0, 1]")
         if not self.snr_grid_db:
             raise ConfigError("snr grid must be nonempty")
         bad = set(self.methods) - set(ALL_METHODS)
@@ -197,11 +210,8 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
         sq_tau[i] = (ep.tau - tp.tau) ** 2
         sq_gain[i] = np.abs(gains[i] - tp.gamma) ** 2
 
-    tx_sign, rx_sign = channel.array_axis_signs(scenario)
     try:
-        loc = slac.localize(params, scenario.p_t,
-                            slac.path_weights(params, scenario.weights),
-                            tx_sign, rx_sign)
+        loc = slac.localize_scenario(params, scenario)
         sq_pos = float(np.sum((loc.p_hat - scenario.p_r) ** 2))
     except slac.DegenerateLocalizationError as exc:
         return _TrialOutput(ok=False, error=f"localize: {exc}", runtime=runtime,

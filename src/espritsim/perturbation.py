@@ -22,7 +22,7 @@ absorb it through the chain rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,37 +43,38 @@ class SingularParameterizationError(ValueError):
         self.path = path
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationKit:
-    """Sensitivity vectors for one (paths, transforms, L5) configuration."""
+    """Sensitivity vectors for one (paths, transforms, L5) configuration.
+
+    Built complete by ``build_kit``; ``psi`` and ``psi_norm`` are None only
+    for a kit built with ``with_position=False``.
+    """
 
     paths: list
-    transforms: tuple
     scenario: object
-    l5: int
     k5: int
     omega: np.ndarray            # (L, 5)
     phi: np.ndarray              # (L, 5) unit-circle rotations e^{j omega}
     gains: np.ndarray            # (L,)
-    xi: np.ndarray               # (L, 5, J)
     upsilon: np.ndarray          # (L, 5, J)
-    kappa: np.ndarray | None = None        # (L, 5, J)
-    upsilon_gain: np.ndarray | None = None  # (5, L, L) Upsilon_n
-    b_pinv: np.ndarray | None = None        # (L, J)
-    pi: np.ndarray | None = None            # (L, 2, 2J)
-    psi: np.ndarray | None = None           # (3, J)
-    kappa_norm: np.ndarray | None = None    # (L, 5) ||kappa[l, n]||
-    pi_norm: np.ndarray | None = None       # (L,) ||pi[l]||_F
-    psi_norm: float | None = None           # ||psi||_F
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def n_paths(self):
-        return len(self.paths)
+    kappa: np.ndarray            # (L, 5, J)
+    upsilon_gain: np.ndarray     # (5, L, L) Upsilon_n
+    b_pinv: np.ndarray           # (L, J)
+    pi: np.ndarray               # (L, 2, 2J)
+    kappa_norm: np.ndarray       # (L, 5) ||kappa[l, n]||
+    pi_norm: np.ndarray          # (L,) ||pi[l]||_F
+    psi: np.ndarray | None = None        # (3, J)
+    psi_norm: float | None = None        # ||psi||_F
 
     @property
     def j_total(self):
-        return self.xi.shape[-1]
+        return self.upsilon.shape[-1]
+
+    @property
+    def xi(self):
+        """(L, 5, J) xi_{l,n} = upsilon_{l,n} conj(gamma_l) / phi_{l,n}, derived on each read."""
+        return self.upsilon * (np.conj(self.gains)[:, None] / self.phi)[:, :, None]
 
 
 def _tucker_into(core, factors, out):
@@ -89,33 +90,26 @@ def _tucker_into(core, factors, out):
     np.matmul(x.reshape(-1, f5.shape[1]), f5.T, out=out.reshape(-1, f5.shape[0]))
 
 
-def build_xi_upsilon(paths, transforms, scenario, l5):
-    """Frequency-error sensitivities xi and upsilon for every (path, dim).
+def _upsilon(factors, transforms, l5, omega, phi, gains):
+    """Frequency-error sensitivities upsilon for every (path, dim), (L, 5, J).
 
     From the noiseless H = P Diag(gamma) G^T: lambda_l = (J2 - Phi J1)^H u_l^*,
     with u_l^T row l of (J1 P)^+, lives on the smoothed stack and chi_l on the
-    window; their blockwise convolution lifts the pair onto the observation.
+    window; their blockwise convolution lifts the pair onto the observation
+    as xi_{l,n}, and upsilon_{l,n} = xi_{l,n} phi_{l,n} / conj(gamma_l).
     As J1 P = KR(C_m) (selector on factor n), lambda_l is a Tucker tensor with
     core conj(row l of KR(R_m)^+), factors Q_m, and (J2^H - conj(phi) J1^H) Q_n
     in mode n; the convolution with chi_l acts on its mode-5 factor alone.
     """
-    m5 = scenario.m[4]
+    m5 = factors[4].shape[0]
     k5 = m5 + 1 - l5
-    gains = np.array([p.gamma for p in paths], dtype=np.complex128)
-    if np.any(gains == 0):
-        raise InvalidInputError("perturbation needs nonzero path gains")
-    omega = np.stack([channel.to_angular(p, scenario.delta_f).omega for p in paths])
-    phi = np.exp(1j * omega)
-    n_paths = len(paths)
-
-    factors = channel.beamspace_factors(paths, transforms, scenario)
+    n_paths = omega.shape[0]
     p_factors = factors[:4] + [channel.steering_matrix(k5, omega[:, 4])]
     chi = pinv(channel.steering_matrix(l5, omega[:, 4]).T).conj()   # column l = chi_l
     selectors = [(t.l1, t.l2) for t in transforms] + [shift.element_selectors(k5)]
 
     j_total = int(np.prod([t.n for t in transforms])) * m5
-    xi = np.empty((n_paths, 5, j_total), dtype=np.complex128)
-    upsilon = np.empty_like(xi)
+    upsilon = np.empty((n_paths, 5, j_total), dtype=np.complex128)
 
     for n, (s1, s2) in enumerate(selectors):
         qs, core = channel.khatri_rao_core(
@@ -128,25 +122,15 @@ def build_xi_upsilon(paths, transforms, scenario, l5):
         for l in range(n_paths):
             lam = [j2q - np.conj(phi[l, n]) * j1q if m == n else q for m, q in enumerate(qs)]
             lam[4] = np.stack([np.convolve(c, chi[:, l]) for c in lam[4].T], axis=1)
-            _tucker_into(lam_cores[l], lam, xi[l, n])
-            np.multiply(xi[l, n], phi[l, n] / np.conj(gains[l]), out=upsilon[l, n])
-
-    return PerturbationKit(paths=list(paths), transforms=tuple(transforms),
-                           scenario=scenario, l5=l5, k5=k5, omega=omega,
-                           phi=phi, gains=gains, xi=xi, upsilon=upsilon)
+            _tucker_into(lam_cores[l], lam, upsilon[l, n])      # xi_{l,n}
+            upsilon[l, n] *= phi[l, n] / np.conj(gains[l])
+    return upsilon
 
 
-def build_kappa(kit, angle_tol=1e-9):
-    """Channel-parameter sensitivities kappa, the gain pair (Upsilon, Pi), and their norms.
-
-    B^+ comes from the QR core of B = KR(B_1..B_4, A_5), so Upsilon_n =
-    KR(R)^+ KR(Q_m^H B-breve_m) Diag(gamma) is L x L work.
-    """
-    n_paths = kit.n_paths
-    j_total = kit.j_total
-    kappa = np.empty((n_paths, 5, j_total), dtype=np.complex128)
-
-    for l, p in enumerate(kit.paths):
+def _kappa(paths, upsilon, delta_f, angle_tol=1e-9):
+    """Channel-parameter sensitivities kappa (L, 5, J) from upsilon."""
+    kappa = np.empty_like(upsilon)
+    for l, p in enumerate(paths):
         sp_el, cp_el = np.sin(p.phi_el), np.cos(p.phi_el)
         st_el, ct_el = np.sin(p.theta_el), np.cos(p.theta_el)
         cp_az, sp_az = np.cos(p.phi_az), np.sin(p.phi_az)
@@ -162,11 +146,18 @@ def build_kappa(kit, angle_tol=1e-9):
         k_l[1, 1] = -1 / (np.pi * sp_el)
         k_l[2, 2:4] = 1 / (np.pi * ct_az * st_el), st_az * ct_el / (np.pi * ct_az * st_el ** 2)
         k_l[3, 3] = -1 / (np.pi * st_el)
-        k_l[4, 4] = -1 / (2 * np.pi * kit.scenario.delta_f)
-        np.matmul(k_l, kit.upsilon[l].view(np.float64), out=kappa[l].view(np.float64))
+        k_l[4, 4] = -1 / (2 * np.pi * delta_f)
+        np.matmul(k_l, upsilon[l].view(np.float64), out=kappa[l].view(np.float64))
+    return kappa
 
-    # gain sensitivities: B = B_1 o..o B_4 o A_5^{M5}
-    factors = channel.beamspace_factors(kit.paths, kit.transforms, kit.scenario)
+
+def _gain_sensitivities(factors, transforms, omega, gains, upsilon):
+    """The gain pair (B^+, Upsilon_n) and its real stacking Pi.
+
+    B^+ comes from the QR core of B = KR(B_1..B_4, A_5), so Upsilon_n =
+    KR(R)^+ KR(Q_m^H B-breve_m) Diag(gamma) is L x L work.
+    """
+    n_paths, _, j_total = upsilon.shape
     qs, core = channel.khatri_rao_core(factors)
     core_pinv = svd_pinv(core)                       # KR(R)^+, (L, prod r_m)
     b_pinv = np.empty((n_paths, j_total), dtype=np.complex128)
@@ -174,48 +165,38 @@ def build_kappa(kit, angle_tol=1e-9):
                  [q.conj() for q in qs], b_pinv)
     upsilon_gain = np.empty((5, n_paths, n_paths), dtype=np.complex128)
     for n in range(5):
-        m_n = factors[4].shape[0] if n == 4 else kit.transforms[n].m
-        deriv = 1j * np.arange(m_n)[:, None] * channel.steering_matrix(m_n, kit.omega[:, n])
+        m_n = factors[4].shape[0] if n == 4 else transforms[n].m
+        deriv = 1j * np.arange(m_n)[:, None] * channel.steering_matrix(m_n, omega[:, n])
         if n < 4:
-            deriv = kit.transforms[n].t.conj().T @ deriv
+            deriv = transforms[n].t.conj().T @ deriv
         b_breve = channel.khatri_rao([q.conj().T @ (deriv if m == n else f)
                                       for m, (q, f) in enumerate(zip(qs, factors))])
-        upsilon_gain[n] = (core_pinv @ b_breve) * kit.gains[None, :]
+        upsilon_gain[n] = (core_pinv @ b_breve) * gains[None, :]
 
     # Pi_l = [[Re b, -Im b], [Im b, Re b]] - sum_n [Re c; Im c] [Im v*, Re v*] with b = B^+[l],
     # c = Upsilon_n[l], v = upsilon[:, n]; w is the sum for every l, (re, im) interleaved
     coeff = np.stack([upsilon_gain.real, upsilon_gain.imag], 2).transpose(1, 2, 3, 0)
-    w = coeff.reshape(2 * n_paths, -1) @ kit.upsilon.view(np.float64).reshape(5 * n_paths, -1)
+    w = coeff.reshape(2 * n_paths, -1) @ upsilon.view(np.float64).reshape(5 * n_paths, -1)
     w = w.reshape(n_paths, 2, j_total, 2)
     pi = np.empty((n_paths, 2, 2 * j_total))
     np.add(b_pinv.real, w[:, 0, :, 1], out=pi[:, 0, :j_total])
     np.subtract(-b_pinv.imag, w[:, 0, :, 0], out=pi[:, 0, j_total:])
     np.add(b_pinv.imag, w[:, 1, :, 1], out=pi[:, 1, :j_total])
     np.subtract(b_pinv.real, w[:, 1, :, 0], out=pi[:, 1, j_total:])
-
-    kit.kappa = kappa
-    kit.upsilon_gain = upsilon_gain
-    kit.b_pinv = b_pinv
-    kit.pi = pi
-    kit.kappa_norm = np.array([[np.linalg.norm(row) for row in k] for k in kappa])
-    kit.pi_norm = np.array([np.linalg.norm(p) for p in pi])
-    return kit
+    return b_pinv, upsilon_gain, pi
 
 
 PARAM_KEYS = ("rmse_phi_az", "rmse_phi_el", "rmse_theta_az", "rmse_theta_el",
               "rmse_tau")
 
 
-def analytic_param_rmse(kit, n0, n_p=None, e_s=None):
+def analytic_param_rmse(kit, n0):
     """Per-path closed-form RMSE of angles (rad), delay (s), and gain.
 
-    Each is sqrt(N0 / (2 N_P E_s)) times the stored ||kappa||; the gain uses ||Pi||_F.
+    Each is sqrt(N0 / (2 N_P E_s)) times the stored ||kappa||; the gain uses
+    ||Pi||_F. N_P and E_s are the kit's scenario's.
     """
-    if kit.kappa_norm is None:
-        raise InvalidInputError("call build_kappa first")
-    n_p = kit.scenario.n_p if n_p is None else n_p
-    e_s = kit.scenario.e_s if e_s is None else e_s
-    root = np.sqrt(n0 / (2 * n_p * e_s))
+    root = np.sqrt(n0 / (2 * kit.scenario.n_p * kit.scenario.e_s))
     return [{**{key: float(root * v) for key, v in zip(PARAM_KEYS, k_norms)},
              "rmse_gamma": float(root * p_norm)}
             for k_norms, p_norm in zip(kit.kappa_norm, kit.pi_norm)]
@@ -230,22 +211,21 @@ def _rotation_jacobian(az, el):
     ])
 
 
-def build_psi(kit, p_t, p_r, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
-              mu_rtol=1e-9):
-    """Position sensitivity Psi (3 x J): dp = Im(Psi dh), and its norm.
+def _psi(paths, kappa, scenario, weights=None):
+    """Position sensitivity Psi (3 x J): dp = Im(Psi dh).
 
-    Uses the same localization geometry as the estimator. A direct path
-    (mu = 0) contributes the identity constraint, so its projector
-    derivative vanishes and only the delta term survives.
+    Uses the estimator's localization geometry in the scenario's frame signs,
+    with its weight policy unless ``weights`` is given. A direct path (mu = 0)
+    contributes the identity constraint, so its projector derivative vanishes
+    and only the delta term survives.
     """
-    if kit.kappa is None:
-        raise InvalidInputError("call build_kappa first")
-    p_t = np.asarray(p_t, dtype=float)
-    p_r = np.asarray(p_r, dtype=float)
+    n_paths = len(paths)
+    p_r = scenario.p_r
+    tx_axis_sign, rx_axis_sign = channel.array_axis_signs(scenario)
     if weights is None:
-        weights = np.ones(kit.n_paths)
-    geos = slac.localization_geometry(kit.paths, p_t, weights,
-                                      tx_axis_sign, rx_axis_sign, mu_rtol)
+        weights = slac.path_weights(paths, scenario.weights)
+    geos = slac.localization_geometry(paths, scenario.p_t, weights,
+                                      tx_axis_sign, rx_axis_sign)
     c_sum = sum(g.c_mat for g in geos)
     evals = np.linalg.eigvalsh(c_sum)
     if evals[0] <= 1e-12 * max(evals[-1], 1e-300):
@@ -256,8 +236,8 @@ def build_psi(kit, p_t, p_r, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
     mirror_r = np.diag([rx_axis_sign, 1.0, 1.0])
     # d-breve and e-breve are real, so Psi = conj(M kappa) with M the 3 x 5L
     # stack of both: one real product on kappa's float view
-    m = np.zeros((3, kit.n_paths, 5))
-    for l, (p, g, w) in enumerate(zip(kit.paths, geos, weights)):
+    m = np.zeros((3, n_paths, 5))
+    for l, (p, g, w) in enumerate(zip(paths, geos, weights)):
         omega_t = mirror_t @ _rotation_jacobian(p.phi_az, p.phi_el)
         omega_r = mirror_r @ _rotation_jacobian(p.theta_az, p.theta_el)
         d_breve = -SPEED_OF_LIGHT * c_inv @ g.c_mat @ np.column_stack(
@@ -273,36 +253,40 @@ def build_psi(kit, p_t, p_r, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
         e_breve = SPEED_OF_LIGHT * c_inv @ c_breve @ np.column_stack(
             [p.tau * omega_t, p.tau * omega_r, g.f_t + g.f_r])
         m[:, l] += e_breve
-    kappa = kit.kappa.view(np.float64).reshape(5 * kit.n_paths, -1)
-    psi = (m.reshape(3, -1) @ kappa).view(np.complex128)
+    psi = (m.reshape(3, -1) @ kappa.view(np.float64).reshape(5 * n_paths, -1)).view(np.complex128)
     np.conjugate(psi, out=psi)
-    kit.psi = psi
-    kit.psi_norm = np.linalg.norm(psi)
-    return kit
+    return psi
 
 
-def build_psi_scenario(kit, weights=None, mu_rtol=1e-9):
-    """``build_psi`` with the kit's scenario geometry and frame signs."""
-    scen = kit.scenario
-    tx_sign, rx_sign = channel.array_axis_signs(scen)
-    if weights is None:
-        weights = slac.path_weights(kit.paths, scen.weights)
-    return build_psi(kit, scen.p_t, scen.p_r, weights, tx_sign, rx_sign, mu_rtol)
-
-
-def analytic_pos_rmse(kit, n0, n_p=None, e_s=None):
+def analytic_pos_rmse(kit, n0):
     """Closed-form position RMSE sqrt(N0 / (2 N_P E_s)) ||Psi||_F in meters, stored norm."""
     if kit.psi_norm is None:
-        raise InvalidInputError("call build_psi first")
-    n_p = kit.scenario.n_p if n_p is None else n_p
-    e_s = kit.scenario.e_s if e_s is None else e_s
-    return float(np.sqrt(n0 / (2 * n_p * e_s)) * kit.psi_norm)
+        raise InvalidInputError("kit was built with with_position=False: no Psi")
+    return float(np.sqrt(n0 / (2 * kit.scenario.n_p * kit.scenario.e_s)) * kit.psi_norm)
 
 
 def build_kit(paths, transforms, scenario, l5, with_position=True):
-    """Convenience: xi/upsilon -> kappa -> (optionally) psi in one call."""
-    kit = build_xi_upsilon(paths, transforms, scenario, l5)
-    build_kappa(kit)
-    if with_position:
-        build_psi_scenario(kit)
-    return kit
+    """The complete perturbation kit of one configuration.
+
+    upsilon, then kappa, the gain pair and Pi, and (unless
+    ``with_position=False``) Psi, with the norms every analytic RMSE scales.
+    """
+    gains = np.array([p.gamma for p in paths], dtype=np.complex128)
+    if np.any(gains == 0):
+        raise InvalidInputError("perturbation needs nonzero path gains")
+    omega = np.stack([channel.to_angular(p, scenario.delta_f).omega for p in paths])
+    phi = np.exp(1j * omega)
+    factors = channel.beamspace_factors(paths, transforms, scenario)
+
+    upsilon = _upsilon(factors, transforms, l5, omega, phi, gains)
+    kappa = _kappa(paths, upsilon, scenario.delta_f)
+    b_pinv, upsilon_gain, pi = _gain_sensitivities(factors, transforms, omega, gains,
+                                                   upsilon)
+    psi = _psi(paths, kappa, scenario) if with_position else None
+    return PerturbationKit(
+        paths=list(paths), scenario=scenario, k5=scenario.m[4] + 1 - l5, omega=omega,
+        phi=phi, gains=gains, upsilon=upsilon, kappa=kappa, upsilon_gain=upsilon_gain,
+        b_pinv=b_pinv, pi=pi,
+        kappa_norm=np.array([[np.linalg.norm(row) for row in k] for k in kappa]),
+        pi_norm=np.array([np.linalg.norm(p) for p in pi]),
+        psi=psi, psi_norm=None if psi is None else np.linalg.norm(psi))

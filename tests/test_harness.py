@@ -141,6 +141,11 @@ class TestConfig:
         with pytest.raises(harness.ConfigError, match="'trails'"):
             harness.ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("rate", [0, 0.05, 1.0])
+    def test_accepts_failure_cap_in_unit_interval(self, rate):
+        cfg = harness.ExperimentConfig.from_dict(desk_config(max_failure_rate=rate))
+        assert cfg.max_failure_rate == rate
+
     @pytest.mark.parametrize("doc", [5, [1], "x"])
     def test_rejects_non_object(self, doc):
         with pytest.raises(harness.ConfigError):
@@ -382,6 +387,33 @@ class TestCli:
         args = [str(path)] if command == "validate-config" else ["--config", str(path)]
         assert cli.main([command, *args]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"trials": 2.5}, "must be integers"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 1.5}, "must be integers"),
+        ({"l5": 3.5}, "must be integers"),
+        ({"threads": 0}, "threads must be >= 1"),
+        ({"threads": -2}, "threads must be >= 1"),
+        ({"threads": True}, "must be integers"),
+        ({"observation": "pilott"}, "observation 'pilott'"),
+        ({"max_failure_rate": -1}, "outside [0, 1]"),
+        ({"max_failure_rate": 1.5}, "outside [0, 1]"),
+    ], ids=["float-trials", "negative-seed", "float-seed", "float-l5", "zero-threads",
+            "negative-threads", "bool-threads", "unknown-observation",
+            "negative-failure-cap", "failure-cap-above-one"])
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_bad_value_exit_code_2(self, tmp_path, capsys, command, overrides, message):
+        # rejected at load time, before any trial runs
+        path = desk_config(tmp_path, **overrides)
+        args = [str(path)] if command == "validate-config" else ["--config", str(path)]
+        assert cli.main([command, *args]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_threads_flag_exit_code_2(self, tmp_path, capsys):
+        path = desk_config(tmp_path)
+        assert cli.main(["run", "--config", str(path), "--threads", "0"]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
 
     def test_run_and_figures(self, tmp_path):
         path = desk_config(tmp_path, trials=2)

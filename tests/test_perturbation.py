@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from espritsim import channel, esprit, perturbation, shift, slac
-from espritsim.kernels import pinv
+from espritsim.kernels import InvalidInputError, pinv
 from tests.conftest import match_rows, synthetic_paths
 
 
@@ -45,6 +44,7 @@ class TestXiUpsilon:
         g_mat = channel.steering_matrix(l5, om[:, 4])
         chi = pinv(g_mat.T).conj()
         sel = shift.selectors_for_transforms(transforms, k5)
+        xi = kit.xi                     # derived from upsilon on each read
         for trial in range(100):
             dh = rng.standard_normal(kit.j_total) + 1j * rng.standard_normal(kit.j_total)
             dmat = smoothed_error(dh, scen.n, k5, l5)
@@ -56,7 +56,7 @@ class TestXiUpsilon:
             matrix_form = row @ (pair.second.apply(dmat)
                                  - phi * pair.first.apply(dmat)) \
                 @ chi[:, l].conj() / kit.gains[l]
-            vector_form = kit.xi[l, n].conj() @ dh / kit.gains[l]
+            vector_form = xi[l, n].conj() @ dh / kit.gains[l]
             assert abs(matrix_form - vector_form) <= 1e-10 * max(abs(vector_form), 1e-30)
 
     def test_tiny_perturbation_linearity(self, desk_kit):
@@ -133,8 +133,7 @@ class TestKappa:
         paths = synthetic_paths(om, [1.0, 0.8], scen.delta_f)
         assert paths[0].phi_el == pytest.approx(np.pi / 2)
         transforms = channel.scenario_transforms(scen, paths)
-        kit = perturbation.build_xi_upsilon(paths, transforms, scen, 4)
-        perturbation.build_kappa(kit)
+        kit = perturbation.build_kit(paths, transforms, scen, 4, with_position=False)
         assert np.allclose(kit.kappa[0, 1], -kit.upsilon[0, 1] / np.pi, atol=1e-15)
 
     def test_finite_difference_richardson(self, desk_kit):
@@ -209,18 +208,16 @@ class TestKappa:
                                     theta_az=0.3, theta_el=1.2, tau=1e-8,
                                     gamma=1.0)]
         transforms = channel.scenario_transforms(scen, paths)
-        kit = perturbation.build_xi_upsilon(paths, transforms, scen, 4)
         with pytest.raises(perturbation.SingularParameterizationError):
-            perturbation.build_kappa(kit)
+            perturbation.build_kit(paths, transforms, scen, 4, with_position=False)
 
 
 class TestAnalyticRmse:
     def test_energy_homogeneity(self, desk_kit):
-        import dataclasses
-
         scen, paths, transforms, l5, kit, _ = desk_kit
         rows1 = perturbation.analytic_param_rmse(kit, 1e-9)
-        rows2 = perturbation.analytic_param_rmse(kit, 1e-9, e_s=2 * scen.e_s)
+        doubled = dataclasses.replace(kit, scenario=dataclasses.replace(scen, e_s=2 * scen.e_s))
+        rows2 = perturbation.analytic_param_rmse(doubled, 1e-9)
         for a, b in zip(rows1, rows2):
             for key in a:
                 assert b[key] == pytest.approx(a[key] / np.sqrt(2), rel=1e-12)
@@ -230,6 +227,13 @@ class TestAnalyticRmse:
         pos1 = perturbation.analytic_pos_rmse(kit, 1e-9)
         pos2 = perturbation.analytic_pos_rmse(kit, 1e-8)
         assert pos2 == pytest.approx(pos1 * np.sqrt(10), rel=1e-12)
+
+    def test_position_needs_a_position_kit(self, desk_kit):
+        scen, paths, transforms, l5, _, _ = desk_kit
+        kit = perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
+        assert kit.psi is None and kit.psi_norm is None
+        with pytest.raises(InvalidInputError, match="with_position=False"):
+            perturbation.analytic_pos_rmse(kit, 1e-9)
 
     def test_monte_carlo_agreement_40db(self, desk_kit):
         scen, paths, transforms, l5, kit, tensor = desk_kit
@@ -281,11 +285,8 @@ class TestPsi:
         paths = channel.params_from_geometry(scen)[1:]   # drop the LOS path
         transforms = channel.scenario_transforms(scen, paths)
         l5 = esprit.default_l5(scen.m[4])
-        kit = perturbation.build_xi_upsilon(paths, transforms, scen, l5)
-        perturbation.build_kappa(kit)
+        kit = perturbation.build_kit(paths, transforms, scen, l5)
         tx_sign, rx_sign = channel.array_axis_signs(scen)
-        perturbation.build_psi(kit, scen.p_t, scen.p_r,
-                               tx_axis_sign=tx_sign, rx_axis_sign=rx_sign)
         tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
         exact = slac.localize(paths, scen.p_t, None, tx_sign, rx_sign)
         assert np.linalg.norm(exact.p_hat - scen.p_r) < 1e-9
@@ -314,38 +315,35 @@ class TestPsi:
 
     def test_zero_weight_masks_nlos(self, desk_kit):
         scen, paths, transforms, l5, kit, _ = desk_kit
-        kit2 = copy.copy(kit)
-        tx_sign, rx_sign = channel.array_axis_signs(scen)
-        perturbation.build_psi(kit2, scen.p_t, scen.p_r,
-                               weights=np.array([1.0, 0.0]),
-                               tx_axis_sign=tx_sign, rx_axis_sign=rx_sign)
+        psi = perturbation._psi(kit.paths, kit.kappa, scen, weights=np.array([1.0, 0.0]))
         # psi must lie in the span of the LOS kappa rows only
         los_rows = kit.kappa[0].conj()
-        coeffs, *_ = np.linalg.lstsq(los_rows.T, kit2.psi.T, rcond=None)
-        resid = kit2.psi.T - los_rows.T @ coeffs
-        assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(kit2.psi)
+        coeffs, *_ = np.linalg.lstsq(los_rows.T, psi.T, rcond=None)
+        resid = psi.T - los_rows.T @ coeffs
+        assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(psi)
 
     @pytest.mark.parametrize("scene", ["desk", "six-path", "nlos-weight"])
     def test_matches_per_path_loop(self, desk_kit, desk_scenario, scene):
         # the stacked real product sums d-breve and e-breve before the
         # product, so it agrees with the per-path loop to round-off
         scen, paths, transforms, l5, kit, _ = desk_kit
-        weights = None
         if scene == "six-path":
             scen = dataclasses.replace(desk_scenario, scatterers=SIX_PATH_SCATTERERS,
                                        seed=13)
             paths = channel.params_from_geometry(scen)
             transforms = channel.scenario_transforms(scen, paths)
-            kit = perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
-        elif scene == "nlos-weight":
+            kit = perturbation.build_kit(paths, transforms, scen, l5)
+        if scene == "nlos-weight":
             weights = np.array([1.0, 0.3])
-        tx_sign, rx_sign = channel.array_axis_signs(scen)
-        got = perturbation.build_psi(copy.copy(kit), scen.p_t, scen.p_r, weights,
-                                     tx_sign, rx_sign)
-        want = per_path_psi(kit, scen.p_t, scen.p_r, weights, tx_sign, rx_sign)
-        assert got.psi.shape == want.shape and got.psi.dtype == want.dtype
-        assert np.linalg.norm(got.psi - want) <= 1e-13 * np.linalg.norm(want)
-        assert got.psi_norm == pytest.approx(np.linalg.norm(want), rel=1e-13)
+            got = perturbation._psi(kit.paths, kit.kappa, scen, weights)
+            got_norm = np.linalg.norm(got)
+        else:
+            weights = slac.path_weights(paths, scen.weights)
+            got, got_norm = kit.psi, kit.psi_norm
+        want = per_path_psi(kit.paths, kit.kappa, scen, weights)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert got_norm == pytest.approx(np.linalg.norm(want), rel=1e-13)
 
     def test_position_rmse_scaling(self, desk_kit):
         scen, paths, transforms, l5, kit, _ = desk_kit
@@ -354,22 +352,21 @@ class TestPsi:
         assert b / a == pytest.approx(np.sqrt(10), rel=1e-12)
 
 
-def per_path_psi(kit, p_t, p_r, weights, tx_axis_sign, rx_axis_sign, mu_rtol=1e-9):
+def per_path_psi(paths, kappa, scen, weights):
     """Psi accumulated path by path from conjugated kappa blocks (reference)."""
-    if weights is None:
-        weights = np.ones(kit.n_paths)
-    geos = slac.localization_geometry(kit.paths, p_t, weights,
-                                      tx_axis_sign, rx_axis_sign, mu_rtol)
+    p_r = scen.p_r
+    tx_axis_sign, rx_axis_sign = channel.array_axis_signs(scen)
+    geos = slac.localization_geometry(paths, scen.p_t, weights, tx_axis_sign, rx_axis_sign)
     c_inv = np.linalg.inv(sum(g.c_mat for g in geos))
     mirror_t = np.diag([tx_axis_sign, 1.0, 1.0])
     mirror_r = np.diag([rx_axis_sign, 1.0, 1.0])
     c = channel.SPEED_OF_LIGHT
-    psi = np.zeros((3, kit.j_total), dtype=np.complex128)
-    for l, (p, g, w) in enumerate(zip(kit.paths, geos, weights)):
+    psi = np.zeros((3, kappa.shape[-1]), dtype=np.complex128)
+    for l, (p, g, w) in enumerate(zip(paths, geos, weights)):
         omega_t = mirror_t @ perturbation._rotation_jacobian(p.phi_az, p.phi_el)
         omega_r = mirror_r @ perturbation._rotation_jacobian(p.theta_az, p.theta_el)
         d_breve = -c * c_inv @ g.c_mat @ np.column_stack([p.tau * omega_r, g.f_r])
-        psi += d_breve @ kit.kappa[l, 2:5].conj()
+        psi += d_breve @ kappa[l, 2:5].conj()
         if g.direct:
             continue
         mu, delta = g.mu, g.delta
@@ -379,7 +376,7 @@ def per_path_psi(kit, p_t, p_r, weights, tx_axis_sign, rx_axis_sign, mu_rtol=1e-
                        - (proj * np.eye(3) + np.outer(mu, delta - p_r)) / mu2)
         e_breve = c * c_inv @ c_breve @ np.column_stack(
             [p.tau * omega_t, p.tau * omega_r, g.f_t + g.f_r])
-        psi += e_breve @ kit.kappa[l].conj()
+        psi += e_breve @ kappa[l].conj()
     return psi
 
 
@@ -398,8 +395,8 @@ def reference_kit(paths, transforms, scen, l5):
 
     J1 P is the (B K5) x L matrix and is pseudo-inverted as such, each xi row
     is an FFT blockwise convolution, and B^+ is the pinv of the J x L matrix
-    B. Returns a PerturbationKit with xi, upsilon, kappa, upsilon_gain,
-    b_pinv and pi set, so ``build_psi_scenario`` can run on it.
+    B. Returns the arrays xi, upsilon, kappa, upsilon_gain, b_pinv and pi
+    by name.
     """
     m5 = scen.m[4]
     k5 = m5 + 1 - l5
@@ -425,46 +422,43 @@ def reference_kit(paths, transforms, scen, l5):
                 - np.conj(phi[l, n]) * pair.first.apply_adjoint(row)
             xi[l, n] = blockwise_convolve(lam.reshape(n_blocks, k5), chi[:, l], m5).reshape(-1)
             upsilon[l, n] = phi[l, n] * xi[l, n] / np.conj(gains[l])
-    kit = perturbation.PerturbationKit(
-        paths=list(paths), transforms=tuple(transforms), scenario=scen, l5=l5,
-        k5=k5, omega=omega, phi=phi, gains=gains, xi=xi, upsilon=upsilon)
-
-    kit.kappa = np.empty_like(xi)
+    kappa = np.empty_like(xi)
     for l, p in enumerate(paths):
         u = upsilon[l]
         sp_el, cp_el = np.sin(p.phi_el), np.cos(p.phi_el)
         st_el, ct_el = np.sin(p.theta_el), np.cos(p.theta_el)
         cp_az, sp_az = np.cos(p.phi_az), np.sin(p.phi_az)
         ct_az, st_az = np.cos(p.theta_az), np.sin(p.theta_az)
-        kit.kappa[l, 0] = u[0] / (np.pi * cp_az * sp_el) \
+        kappa[l, 0] = u[0] / (np.pi * cp_az * sp_el) \
             + sp_az * cp_el * u[1] / (np.pi * cp_az * sp_el ** 2)
-        kit.kappa[l, 1] = -u[1] / (np.pi * sp_el)
-        kit.kappa[l, 2] = u[2] / (np.pi * ct_az * st_el) \
+        kappa[l, 1] = -u[1] / (np.pi * sp_el)
+        kappa[l, 2] = u[2] / (np.pi * ct_az * st_el) \
             + st_az * ct_el * u[3] / (np.pi * ct_az * st_el ** 2)
-        kit.kappa[l, 3] = -u[3] / (np.pi * st_el)
-        kit.kappa[l, 4] = -u[4] / (2 * np.pi * scen.delta_f)
+        kappa[l, 3] = -u[3] / (np.pi * st_el)
+        kappa[l, 4] = -u[4] / (2 * np.pi * scen.delta_f)
 
-    kit.b_pinv = pinv(channel.khatri_rao(factors))
-    kit.upsilon_gain = np.empty((5, n_paths, n_paths), dtype=np.complex128)
+    b_pinv = pinv(channel.khatri_rao(factors))
+    upsilon_gain = np.empty((5, n_paths, n_paths), dtype=np.complex128)
     for n in range(5):
         m_n = factors[4].shape[0] if n == 4 else transforms[n].m
         deriv = 1j * np.arange(m_n)[:, None] * channel.steering_matrix(m_n, omega[:, n])
         if n < 4:
             deriv = transforms[n].t.conj().T @ deriv
         b_breve = channel.khatri_rao([deriv if i == n else factors[i] for i in range(5)])
-        kit.upsilon_gain[n] = (kit.b_pinv @ b_breve) * gains[None, :]
-    kit.pi = np.empty((n_paths, 2, 2 * xi.shape[-1]))
+        upsilon_gain[n] = (b_pinv @ b_breve) * gains[None, :]
+    pi = np.empty((n_paths, 2, 2 * xi.shape[-1]))
     for l in range(n_paths):
-        row = kit.b_pinv[l]
+        row = b_pinv[l]
         pi_l = np.block([[row.real[None, :], -row.imag[None, :]],
                          [row.imag[None, :], row.real[None, :]]])
         for n in range(5):
-            coeff = kit.upsilon_gain[n][l]
+            coeff = upsilon_gain[n][l]
             vh = upsilon[:, n, :].conj()
             pi_l -= np.vstack([coeff.real, coeff.imag]) \
                 @ np.concatenate([vh.imag, vh.real], axis=1)
-        kit.pi[l] = pi_l
-    return kit
+        pi[l] = pi_l
+    return {"xi": xi, "upsilon": upsilon, "kappa": kappa, "upsilon_gain": upsilon_gain,
+            "b_pinv": b_pinv, "pi": pi}
 
 
 KIT_ARRAYS = ("xi", "upsilon", "kappa", "upsilon_gain", "b_pinv", "pi")
@@ -475,7 +469,7 @@ SIX_PATH_SCATTERERS = [[10, 2.5, 0], [6, 7, 1], [14, 1, 2], [8, 4.5, 0.5], [12, 
 def assert_kit_matches(kit, ref, arrays=KIT_ARRAYS, rtol=1e-12):
     """Each array within ``rtol`` of the reference, relative per last-axis row."""
     for name in arrays:
-        got, want = getattr(kit, name), getattr(ref, name)
+        got, want = getattr(kit, name), ref[name]
         assert got.shape == want.shape and got.dtype == want.dtype, name
         got, want = got.reshape(-1, want.shape[-1]), want.reshape(-1, want.shape[-1])
         err = np.linalg.norm(got - want, axis=1)
@@ -506,10 +500,9 @@ class TestAgainstMaterializedReference:
             ref = reference_kit(paths, transforms, scen, l5)
         except perturbation.IllPosedScenarioError:
             with pytest.raises(perturbation.IllPosedScenarioError):
-                perturbation.build_xi_upsilon(paths, transforms, scen, l5)
+                perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
             return
-        kit = perturbation.build_xi_upsilon(paths, transforms, scen, l5)
-        perturbation.build_kappa(kit)
+        kit = perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
         assert_kit_matches(kit, ref)
 
     @staticmethod
@@ -518,7 +511,9 @@ class TestAgainstMaterializedReference:
         transforms = channel.scenario_transforms(scen, paths)
         l5 = esprit.default_l5(scen.m[4])
         kit = perturbation.build_kit(paths, transforms, scen, l5)
-        ref = perturbation.build_psi_scenario(reference_kit(paths, transforms, scen, l5))
+        ref = reference_kit(paths, transforms, scen, l5)
+        ref["psi"] = per_path_psi(paths, ref["kappa"], scen,
+                                  slac.path_weights(paths, scen.weights))
         assert_kit_matches(kit, ref, KIT_ARRAYS + ("psi",))
 
     def test_six_path_desk(self, desk_scenario):
@@ -565,4 +560,4 @@ class TestRankCheck:
         paths = synthetic_paths(omegas, [1.0, 0.6 - 0.2j, 0.9j][:len(omegas)], scen.delta_f)
         transforms = channel.scenario_transforms(scen, paths)
         with pytest.raises(perturbation.IllPosedScenarioError, match="dimension 1"):
-            perturbation.build_xi_upsilon(paths, transforms, scen, l5)
+            perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
