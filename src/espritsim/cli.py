@@ -20,8 +20,12 @@ def _build_parser():
     run = sub.add_parser("run", help="run a Monte-Carlo experiment")
     run.add_argument("--config", required=True, help="experiment config JSON")
     run.add_argument("--out", default=None, help="output directory for CSVs")
-    run.add_argument("--threads", type=int, default=None)
-    run.add_argument("--dump-trials", action="store_true")
+    run.add_argument("--threads", type=int, default=None,
+                     help="worker processes for the trials (overrides the config's "
+                          "threads); 1 runs them in this process, and the metric "
+                          "CSVs do not depend on the count")
+    run.add_argument("--dump-trials", action="store_true",
+                     help="also write trials.csv, one row per trial")
 
     val = sub.add_parser("validate-config", help="validate a config file")
     val.add_argument("config", help="experiment config JSON")

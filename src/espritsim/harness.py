@@ -1,18 +1,25 @@
 """Monte-Carlo experiment engine: trial orchestration, metrics, CSV emission.
 
 Determinism contract: every trial draws from its own RNG substream keyed by
-(seed, snr index, trial index); per-trial results land in preallocated slots
+(seed, snr index, trial index); per-trial results come back in task order
 and are reduced in a fixed order, so outputs are byte-identical across
-repeat runs and across worker counts.
+repeat runs and across worker counts. The workers are ``threads`` forked
+processes, so trials run off the parent's interpreter lock; they inherit the
+sweep's inputs, which the parent builds once before the fork. ``threads = 1``
+runs every trial in process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
+import multiprocessing
 import numbers
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -74,6 +81,11 @@ class ExperimentConfig:
             raise ConfigError(f"max_failure_rate={self.max_failure_rate!r} outside [0, 1]")
         if not self.snr_grid_db:
             raise ConfigError("snr grid must be nonempty")
+        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        if not all(np.isfinite(self.snr_grid_db)):
+            raise ConfigError(f"snr_grid_db entries must be finite: {self.snr_grid_db}")
+        if self.outputs is not None and not isinstance(self.outputs, (str, os.PathLike)):
+            raise ConfigError(f"outputs={self.outputs!r} must be null or a directory path")
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:
             raise ConfigError(f"unknown methods: {sorted(bad)}")
@@ -86,7 +98,6 @@ class ExperimentConfig:
         if l5 == m5 and smoothing:
             raise ConfigError(f"l5={l5} leaves K5 = M5 + 1 - l5 = 1 window; "
                               f"{smoothing} need K5 >= 2")
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "methods", tuple(self.methods))
 
     @classmethod
@@ -228,6 +239,42 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
                         rate_i=rate_i, runtime=runtime, **diag)
 
 
+@dataclass(frozen=True)
+class _Sweep:
+    """What every trial of one sweep reads, built once before the workers fork."""
+    cfg: ExperimentConfig
+    paths: list
+    transforms: tuple
+    truth_omega: np.ndarray
+    tensor: np.ndarray
+    l5: int
+    n0: tuple                  # noise level per SNR point
+
+
+def _trial(sweep, method, si, t):
+    """Trial ``t`` of ``method`` at SNR point ``si``: its own noise draw from the
+    (seed, si, t) substream, then the estimate chain."""
+    cfg = sweep.cfg
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, t)))
+    noisy = channel.observe_and_estimate(sweep.tensor, cfg.scenario, rng,
+                                         mode=cfg.observation, n0=sweep.n0[si])
+    return _run_single_trial(method, noisy, sweep.transforms, cfg.scenario,
+                             sweep.paths, sweep.truth_omega, sweep.l5, rng,
+                             sweep.n0[si])
+
+
+_worker_sweep = None   # set by _init_worker in forked pool workers only
+
+
+def _init_worker(sweep):
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _worker_trial(task):
+    return _trial(_worker_sweep, *task)
+
+
 def _path_classes(n_paths):
     classes = {"los": [0], "all": list(range(n_paths))}
     if n_paths > 1:
@@ -297,7 +344,9 @@ def run_experiment(cfg):
     Per (method, SNR): ``cfg.trials`` independent trials with derived RNG
     streams. The analytic method builds the perturbation kit once per sweep,
     which takes the norms of its J-long sensitivities once; each SNR point
-    only scales them. A method whose failed-trial fraction exceeds
+    only scales them. With ``cfg.threads > 1`` the trials of every (SNR,
+    method) run on one pool of that many forked worker processes, built once
+    the sweep's inputs exist. A method whose failed-trial fraction exceeds
     ``cfg.max_failure_rate`` raises TrialFailureRateError after the sweep.
     """
     scenario = cfg.scenario
@@ -315,50 +364,42 @@ def run_experiment(cfg):
     # perfect-CSI rate terms do not depend on SNR: truth is its own estimate
     u_perf, _ = slac.rate_terms(paths, paths, scenario)
 
-    rows = []
-    trial_dump = []
-    worst = {}
-    for si, snr_db in enumerate(cfg.snr_grid_db):
-        n0 = channel.n0_for_snr_db(paths, transforms, scenario, snr_db)
-        per_method = [m for m in cfg.methods if m != "analytic"]
-        if per_method:
-            def _make_noisy(t):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(cfg.seed, spawn_key=(si, t)))
-                return channel.observe_and_estimate(
-                    tensor, scenario, rng, mode=cfg.observation, n0=n0), rng
+    n0 = tuple(channel.n0_for_snr_db(paths, transforms, scenario, snr_db)
+               for snr_db in cfg.snr_grid_db)
+    sweep = _Sweep(cfg, paths, transforms, truth_omega, tensor, l5, n0)
 
+    per_method = [m for m in cfg.methods if m != "analytic"]
+    tasks = [(method, si, t) for si in range(len(n0)) for method in per_method
+             for t in range(cfg.trials)]
+    workers = min(cfg.threads, len(tasks))
+    # fork, not spawn: workers inherit the sweep's arrays instead of unpickling them
+    with (ProcessPoolExecutor(max_workers=workers,
+                              mp_context=multiprocessing.get_context("fork"),
+                              initializer=_init_worker, initargs=(sweep,))
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        results = (pool.map(_worker_trial, tasks) if pool is not None
+                   else (_trial(sweep, *task) for task in tasks))
+        rows = []
+        trial_dump = []
+        worst = {}
+        for si, snr_db in enumerate(cfg.snr_grid_db):
             for method in per_method:
-                outputs = [None] * cfg.trials
-
-                def _work(t, method=method):
-                    noisy, rng = _make_noisy(t)
-                    return _run_single_trial(method, noisy, transforms, scenario,
-                                             paths, truth_omega, l5, rng, n0)
-
-                if cfg.threads > 1:
-                    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                        for t, out in enumerate(pool.map(_work, range(cfg.trials))):
-                            outputs[t] = out
-                else:
-                    for t in range(cfg.trials):
-                        outputs[t] = _work(t)
-
+                # results arrive in task order: the next cfg.trials are this pair's
+                outputs = list(itertools.islice(results, cfg.trials))
                 new_rows, failures = _rows_from_trials(
-                    method, snr_db, outputs, scenario, n0, cfg.trials)
+                    method, snr_db, outputs, scenario, n0[si], cfg.trials)
                 rows.extend(new_rows)
-                rate = failures / cfg.trials
-                worst[method] = max(worst.get(method, 0.0), rate)
+                worst[method] = max(worst.get(method, 0.0), failures / cfg.trials)
                 if cfg.dump_trials:
-                    for t, out in enumerate(outputs):
-                        trial_dump.append((method, snr_db, t, out))
+                    trial_dump.extend((method, snr_db, t, out)
+                                      for t, out in enumerate(outputs))
 
-        if kit is not None:
-            rows.extend(_analytic_rows(kit, snr_db, n0))
+            if kit is not None:
+                rows.extend(_analytic_rows(kit, snr_db, n0[si]))
 
-        rows.append(MetricRow("perfect_csi", snr_db, "all", "rate_bps_hz",
-                              slac.effective_rate(u_perf, np.zeros(scenario.m[4]),
-                                                  scenario, n0), 0, 0))
+            rows.append(MetricRow("perfect_csi", snr_db, "all", "rate_bps_hz",
+                                  slac.effective_rate(u_perf, np.zeros(scenario.m[4]),
+                                                      scenario, n0[si]), 0, 0))
 
     files = {}
     if cfg.outputs:
@@ -385,8 +426,6 @@ FIGURE_METRICS = {
 
 def write_figures(rows, outdir):
     """Write one CSV per figure analog; returns {figure: path}."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     files = {}
     for fig, metrics in FIGURE_METRICS.items():
@@ -403,8 +442,6 @@ def write_figures(rows, outdir):
 
 
 def _write_trial_dump(dump, outdir):
-    import os
-
     path = os.path.join(outdir, "trials.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from espritsim import channel, cli, esprit, harness
-from espritsim.kernels import InvalidInputError
+from espritsim.kernels import InvalidInputError, NumericFailureError
 
 
 def desk_config(tmp_path=None, **overrides):
@@ -345,6 +347,77 @@ class TestRunExperiment:
         assert head == "method,snr_db,path_class,metric,value,trials,failures"
 
 
+def trials_without_runtime(path):
+    """trials.csv as rows of fields, without the wall-clock runtime_s column."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("runtime_s")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+class TestProcessPool:
+    """threads > 1 runs the trials in forked workers, which inherit any fault
+    a test installs before the sweep."""
+
+    def test_trials_dump_identical_across_worker_counts(self, tmp_path):
+        dumps = []
+        for threads in (1, 2):
+            cfg = harness.ExperimentConfig.from_dict(desk_config(
+                outputs=str(tmp_path / f"w{threads}"), threads=threads, trials=3,
+                snr_grid_db=[10.0, 30.0], methods=["matrix_fast", "tensor"],
+                dump_trials=True))
+            dumps.append(trials_without_runtime(harness.run_experiment(cfg)[1]["trials"]))
+        assert len(dumps[0]) == 1 + 2 * 2 * 3
+        assert dumps[0] == dumps[1]
+
+    def test_programming_error_reraises_in_parent(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken pipeline")
+
+        monkeypatch.setattr(esprit, "esprit_pipeline", broken)
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(trials=3, methods=["matrix_fast"], threads=2))
+        with pytest.raises(RuntimeError, match="broken pipeline") as info:
+            harness.run_experiment(cfg)
+        assert info.type is RuntimeError
+        assert multiprocessing.active_children() == []
+
+    def test_classified_failure_counted_as_in_process(self, monkeypatch, tmp_path):
+        real = esprit.esprit_pipeline
+
+        def failing(*args, rng, **kwargs):
+            # keyed on the trial's own RNG stream, so the same trials fail in
+            # every process
+            if rng.bit_generator.state["state"]["state"] % 2:
+                raise NumericFailureError("injected")
+            return real(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(esprit, "esprit_pipeline", failing)
+        counts, dumps = [], []
+        for threads in (1, 2):
+            cfg = harness.ExperimentConfig.from_dict(desk_config(
+                outputs=str(tmp_path / f"w{threads}"), threads=threads, trials=4,
+                snr_grid_db=[10.0, 30.0], methods=["matrix_fast"],
+                dump_trials=True, max_failure_rate=1.0))
+            rows, files = harness.run_experiment(cfg)
+            counts.append([(r.snr_db, r.trials, r.failures) for r in rows
+                           if r.method == "matrix_fast" and r.metric == "rmse_pos_m"])
+            dumps.append(trials_without_runtime(files["trials"]))
+        failed = [row for row in dumps[0][1:] if row[3] == "0"]
+        assert 0 < len(failed) < 8
+        assert all(row[-1] == "NumericFailureError: injected" for row in failed)
+        assert sum(f for _, _, f in counts[0]) == len(failed)
+        assert counts[0] == counts[1]
+        assert dumps[0] == dumps[1]
+
+    def test_no_worker_outlives_the_sweep(self):
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(trials=3, methods=["matrix_fast"], threads=2))
+        rows, _ = harness.run_experiment(cfg)
+        assert any(r.method == "matrix_fast" for r in rows)
+        assert multiprocessing.active_children() == []
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "espritsim.cli", *args],
@@ -399,9 +472,13 @@ class TestCli:
         ({"observation": "pilott"}, "observation 'pilott'"),
         ({"max_failure_rate": -1}, "outside [0, 1]"),
         ({"max_failure_rate": 1.5}, "outside [0, 1]"),
+        ({"outputs": 5}, "outputs=5 must be null or a directory path"),
+        ({"snr_grid_db": [float("nan")]}, "entries must be finite"),
+        ({"snr_grid_db": [10.0, float("inf")]}, "entries must be finite"),
     ], ids=["float-trials", "negative-seed", "float-seed", "float-l5", "zero-threads",
             "negative-threads", "bool-threads", "unknown-observation",
-            "negative-failure-cap", "failure-cap-above-one"])
+            "negative-failure-cap", "failure-cap-above-one", "int-outputs",
+            "nan-snr", "inf-snr"])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_bad_value_exit_code_2(self, tmp_path, capsys, command, overrides, message):
         # rejected at load time, before any trial runs
