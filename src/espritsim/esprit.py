@@ -20,7 +20,7 @@ import numpy as np
 
 from . import channel, fastsvd, shift
 from .kernels import (InvalidInputError, NumericFailureError, eig_general,
-                      lstsq_pinv, svd_solve, svd_thin)
+                      lstsq_pinv, svd_leading, svd_solve)
 
 
 class InvalidSmoothingError(ValueError):
@@ -86,7 +86,9 @@ def signal_subspace(tensor, n_paths, l5, method="dense"):
 
     The one subspace entry point of the matrix pipeline; it takes the
     tensor and the smoothing window. ``dense`` takes a LAPACK SVD of the
-    materialized smoothed stack (the oracle); ``fast`` runs Lanczos on the
+    materialized smoothed stack (the oracle): a Householder QR, the SVD of
+    its L5 x L5 R, and Q applied as reflectors to the ``n_paths`` leading
+    columns only (``kernels.svd_leading``); ``fast`` runs Lanczos on the
     implicit Hankel-block operator of the same stack, which is never built.
     Both share the model-order checks and the diagnostics: a backend that
     finds fewer than ``n_paths`` singular triplets (Lanczos breaking down on
@@ -101,9 +103,7 @@ def signal_subspace(tensor, n_paths, l5, method="dense"):
         raise InvalidInputError("more paths than the smoothed matrix can support")
     diagnostics = {}
     if method == "dense":
-        res = svd_thin(spatial_smooth(tensor, l5).values)
-        u_s = res.left[:, :n_paths]
-        s = res.singular_values
+        u_s, s = svd_leading(spatial_smooth(tensor, l5).values, n_paths)
     elif method == "fast":
         u_s, s, fast_diag = fastsvd.fast_signal_subspace(
             fastsvd.HankelBlockOperator.from_tensor(tensor, l5), n_paths,

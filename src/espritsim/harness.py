@@ -5,7 +5,10 @@ Determinism contract: every trial draws from its own RNG substream keyed by
 and are reduced in a fixed order, so outputs are byte-identical across
 repeat runs and across worker counts. The workers are ``threads`` forked
 processes, so trials run off the parent's interpreter lock; they inherit the
-sweep's inputs, which the parent builds once before the fork. ``threads = 1``
+sweep's inputs, which the parent builds once before the fork. The
+perturbation kit and the perfect-CSI rate terms, which only the parent reads,
+are built in the parent while the workers run trials; an exception raised in
+the parent cancels the queued trials before it propagates. ``threads = 1``
 runs every trial in process.
 """
 
@@ -89,6 +92,9 @@ class ExperimentConfig:
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:
             raise ConfigError(f"unknown methods: {sorted(bad)}")
+        repeated = sorted({m for m in self.methods if list(self.methods).count(m) > 1})
+        if repeated:
+            raise ConfigError(f"repeated methods: {repeated}")
         m5 = self.scenario.m[4]
         if self.l5 is not None and not 1 <= self.l5 <= m5:
             raise ConfigError(f"l5={self.l5} outside [1, {m5}]")
@@ -275,6 +281,27 @@ def _worker_trial(task):
     return _trial(_worker_sweep, *task)
 
 
+@contextlib.contextmanager
+def _worker_pool(sweep, workers):
+    """``workers`` forked processes that inherit ``sweep``, or None for one.
+
+    An exception raised in the parent inside the block cancels the queued
+    trials before it propagates, instead of waiting for them to run.
+    """
+    if workers < 2:
+        yield None
+        return
+    # fork, not spawn: workers inherit the sweep's arrays instead of unpickling them
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(sweep,)) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _path_classes(n_paths):
     classes = {"los": [0], "all": list(range(n_paths))}
     if n_paths > 1:
@@ -346,8 +373,9 @@ def run_experiment(cfg):
     which takes the norms of its J-long sensitivities once; each SNR point
     only scales them. With ``cfg.threads > 1`` the trials of every (SNR,
     method) run on one pool of that many forked worker processes, built once
-    the sweep's inputs exist. A method whose failed-trial fraction exceeds
-    ``cfg.max_failure_rate`` raises TrialFailureRateError after the sweep.
+    the trials' inputs exist; the kit is built while they run. A method whose
+    failed-trial fraction exceeds ``cfg.max_failure_rate`` raises
+    TrialFailureRateError after the sweep.
     """
     scenario = cfg.scenario
     paths = channel.params_from_geometry(scenario)
@@ -357,13 +385,6 @@ def run_experiment(cfg):
     tensor = channel.synth_beamspace_tensor(paths, transforms, scenario)
     l5 = cfg.l5 if cfg.l5 else esprit.default_l5(scenario.m[4])
 
-    kit = None
-    if "analytic" in cfg.methods:
-        kit = perturbation.build_kit(paths, transforms, scenario, l5)
-
-    # perfect-CSI rate terms do not depend on SNR: truth is its own estimate
-    u_perf, _ = slac.rate_terms(paths, paths, scenario)
-
     n0 = tuple(channel.n0_for_snr_db(paths, transforms, scenario, snr_db)
                for snr_db in cfg.snr_grid_db)
     sweep = _Sweep(cfg, paths, transforms, truth_omega, tensor, l5, n0)
@@ -371,14 +392,15 @@ def run_experiment(cfg):
     per_method = [m for m in cfg.methods if m != "analytic"]
     tasks = [(method, si, t) for si in range(len(n0)) for method in per_method
              for t in range(cfg.trials)]
-    workers = min(cfg.threads, len(tasks))
-    # fork, not spawn: workers inherit the sweep's arrays instead of unpickling them
-    with (ProcessPoolExecutor(max_workers=workers,
-                              mp_context=multiprocessing.get_context("fork"),
-                              initializer=_init_worker, initargs=(sweep,))
-          if workers > 1 else contextlib.nullcontext()) as pool:
+    with _worker_pool(sweep, min(cfg.threads, len(tasks))) as pool:
         results = (pool.map(_worker_trial, tasks) if pool is not None
                    else (_trial(sweep, *task) for task in tasks))
+        # only the parent reads the kit and the perfect-CSI rate terms (which
+        # do not depend on SNR: truth is its own estimate), so they are built
+        # while the workers run
+        kit = (perturbation.build_kit(paths, transforms, scenario, l5)
+               if "analytic" in cfg.methods else None)
+        u_perf, _ = slac.rate_terms(paths, paths, scenario)
         rows = []
         trial_dump = []
         worst = {}

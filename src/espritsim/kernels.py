@@ -100,15 +100,57 @@ def qr_r(a):
 def _qr_r_overwrite(at):
     """``qr_r(at.T)`` for an unchecked C-contiguous complex128 ``at``; destroys ``at``.
 
-    ``at.T`` is F-contiguous, so geqrf factors it in place with no copy and
-    ``at`` holds the reflectors afterwards. The caller owns ``at`` and has
-    already checked it to be nonempty and finite.
+    The caller owns ``at`` and has already checked it to be nonempty and
+    finite.
+    """
+    return _geqrf_overwrite(at)[1]
+
+
+def _geqrf_overwrite(at):
+    """Householder QR of ``at.T`` in place: ((reflectors, tau), R).
+
+    ``at.T`` is F-contiguous, so geqrf factors it with no copy and
+    ``at.T`` is returned as the reflectors. ``at`` must be C-contiguous
+    complex128, nonempty and finite; it is destroyed.
     """
     try:
-        _, r = scipy.linalg.qr(at.T, mode="raw", overwrite_a=True, check_finite=False)
+        return scipy.linalg.qr(at.T, mode="raw", overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"QR factorization failed: {exc}") from exc
-    return r
+
+
+def svd_leading(a, k):
+    """The k leading left singular vectors of ``a`` and all its singular values.
+
+    Returns (left, singular_values): ``left`` is (m, k) with orthonormal
+    columns, ``singular_values`` the min(m, n) of ``svd_thin`` (bit-equal on
+    tall input) in descending order. Tall input (m > n) is factored
+    ``a = Q R`` with Q kept as Householder reflectors (the geqrf of
+    ``qr_r``); only the k leading columns of R's left factor are multiplied
+    by Q (LAPACK unmqr), so the (m, n) Q is never formed. Wide or square
+    input takes ``svd_thin``'s path.
+    """
+    a = _as_matrix(a)
+    m, n = a.shape
+    if not 1 <= k <= min(m, n):
+        raise InvalidInputError(f"k={k} outside [1, {min(m, n)}] for shape {a.shape}")
+    if m <= n:
+        res = _svd(a)
+        return res.left[:, :k], res.singular_values
+    (reflectors, tau), r = _geqrf_overwrite(a.T.copy())
+    try:
+        u, s, _ = np.linalg.svd(r)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"SVD did not converge: {exc}") from exc
+    left = np.zeros((m, k), dtype=np.complex128, order="F")
+    left[:n] = u[:, :k]
+    # the minimum workspace (k) selects the unblocked loop: for a few columns
+    # the blocked form's n x n triangular factor costs more than the product
+    left, _, info = scipy.linalg.lapack.zunmqr("L", "N", reflectors, tau, left, k,
+                                               overwrite_c=True)
+    if info != 0:
+        raise NumericFailureError(f"unmqr failed with info={info}")
+    return left, s
 
 
 def eig_general(a):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,25 @@ class TestSignalSubspace:
             assert diag["lanczos_steps"] < 2 * n_paths + 16
         else:
             assert diag["lanczos_steps"] == steps
+
+    @pytest.mark.parametrize("snr_db, nlos_db", [
+        (-40.0, 0.0), (-10.0, 0.0), (0.0, 0.0), (30.0, 0.0), (40.0, 0.0),
+        (30.0, -40.0),      # NLOS gain 40 dB below the reference scene's
+    ])
+    def test_dense_matches_thin_svd_oracle(self, desk_setup, snr_db, nlos_db):
+        # the dense branch applies Q to L columns only; the thin SVD forms Q
+        scen, paths, transforms, tensor, _ = desk_setup
+        if nlos_db:
+            paths = [paths[0], replace(paths[1], gamma=paths[1].gamma * 10 ** (nlos_db / 20))]
+            tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
+        l5 = esprit.default_l5(scen.m[4])
+        n0 = channel.n0_for_snr_db(paths, transforms, scen, snr_db)
+        noisy = channel.observe_and_estimate(tensor, scen, np.random.default_rng(9), n0=n0)
+        u, diag = esprit.signal_subspace(noisy, 2, l5, method="dense")
+        ref = kernels.svd_thin(esprit.spatial_smooth(noisy, l5).values)
+        assert projector_gap(u, ref.left[:, :2]) <= 1e-12
+        s = ref.singular_values
+        assert diag["subspace_gap"] == pytest.approx(s[1] / s[2], rel=1e-12, abs=0)
 
 
 class TestGammaN:

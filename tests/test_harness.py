@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from espritsim import channel, cli, esprit, harness
+from espritsim import channel, cli, esprit, harness, perturbation
 from espritsim.kernels import InvalidInputError, NumericFailureError
 
 
@@ -410,6 +410,31 @@ class TestProcessPool:
         assert counts[0] == counts[1]
         assert dumps[0] == dumps[1]
 
+    def test_parent_failure_cancels_queued_trials(self, monkeypatch):
+        # the parent builds the kit while the workers run trials: its failure
+        # must drop the queued trials, not wait for them
+        ran = multiprocessing.Value("i", 0)     # shared with the forked workers
+        real = esprit.esprit_pipeline
+
+        def counting(*args, **kwargs):
+            with ran.get_lock():
+                ran.value += 1
+            return real(*args, **kwargs)
+
+        def ill_posed(*args, **kwargs):
+            raise perturbation.IllPosedScenarioError("injected kit failure")
+
+        monkeypatch.setattr(esprit, "esprit_pipeline", counting)
+        monkeypatch.setattr(perturbation, "build_kit", ill_posed)
+        queued = 100
+        cfg = harness.ExperimentConfig.from_dict(desk_config(
+            trials=queued, methods=["matrix_fast", "analytic"], threads=2))
+        with pytest.raises(perturbation.IllPosedScenarioError, match="injected") as info:
+            harness.run_experiment(cfg)
+        assert info.type is perturbation.IllPosedScenarioError
+        assert ran.value < queued // 4
+        assert multiprocessing.active_children() == []
+
     def test_no_worker_outlives_the_sweep(self):
         cfg = harness.ExperimentConfig.from_dict(
             desk_config(trials=3, methods=["matrix_fast"], threads=2))
@@ -475,10 +500,12 @@ class TestCli:
         ({"outputs": 5}, "outputs=5 must be null or a directory path"),
         ({"snr_grid_db": [float("nan")]}, "entries must be finite"),
         ({"snr_grid_db": [10.0, float("inf")]}, "entries must be finite"),
+        ({"methods": ["matrix_fast", "matrix_fast", "analytic"]},
+         "repeated methods: ['matrix_fast']"),
     ], ids=["float-trials", "negative-seed", "float-seed", "float-l5", "zero-threads",
             "negative-threads", "bool-threads", "unknown-observation",
             "negative-failure-cap", "failure-cap-above-one", "int-outputs",
-            "nan-snr", "inf-snr"])
+            "nan-snr", "inf-snr", "repeated-method"])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_bad_value_exit_code_2(self, tmp_path, capsys, command, overrides, message):
         # rejected at load time, before any trial runs

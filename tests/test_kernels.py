@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from espritsim import kernels
+from tests.conftest import projector_gap
 
 
 def random_complex(rng, *shape):
@@ -142,7 +143,8 @@ class TestLstsqPinv:
     kernels.svd_thin, kernels.eig_general,
     lambda a: kernels.lstsq_pinv(a, np.ones(3)),
     lambda a: kernels.lstsq_pinv(np.eye(3), a),
-], ids=["svd_thin", "eig_general", "lstsq_pinv-lhs", "lstsq_pinv-rhs"])
+    lambda a: kernels.svd_leading(a, 1),
+], ids=["svd_thin", "eig_general", "lstsq_pinv-lhs", "lstsq_pinv-rhs", "svd_leading"])
 def test_rejects_inf_in_imaginary_part_only(call):
     a = np.eye(3, dtype=complex)
     a[1, 2] = complex(0.0, np.inf)
@@ -202,3 +204,59 @@ class TestQrR:
         with pytest.raises(kernels.NumericFailureError, match="geqrf failed"):
             kernels.qr_r(np.eye(3))
 
+
+
+def graded(rng, m, n, rank):
+    """Rank-``rank`` m x n matrix with well-separated singular values."""
+    return (random_complex(rng, m, rank) * np.geomspace(1.0, 1e-3, rank)) @ \
+        random_complex(rng, rank, n)
+
+
+class TestSvdLeading:
+    @pytest.mark.parametrize("m, n, rank, k", [
+        (8192, 33, 33, 2), (40, 6, 6, 3), (8192, 33, 33, 33),   # tall
+        (6, 6, 6, 2), (4, 9, 4, 4),                             # square, wide
+        (200, 5, 2, 2), (5, 5, 3, 1), (3, 40, 1, 1),            # rank-deficient
+    ])
+    def test_matches_svd_thin(self, rng, m, n, rank, k):
+        a = graded(rng, m, n, rank)
+        left, s = kernels.svd_leading(a, k)
+        ref = kernels.svd_thin(a)
+        assert left.shape == (m, k)
+        assert np.array_equal(s, ref.singular_values)
+        assert projector_gap(left, ref.left[:, :k]) <= 1e-12
+        assert np.linalg.norm(left.conj().T @ left - np.eye(k)) <= 1e-12
+
+    def test_input_left_unchanged(self, rng):
+        a = random_complex(rng, 300, 5)
+        a_before = a.copy()
+        kernels.svd_leading(a, 2)
+        assert np.array_equal(a, a_before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, rng, bad):
+        a = random_complex(rng, 40, 6)
+        a[7, 3] = bad
+        with pytest.raises(kernels.InvalidInputError, match="non-finite"):
+            kernels.svd_leading(a, 2)
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_rejects_k_outside_min_dimension(self, rng, k):
+        with pytest.raises(kernels.InvalidInputError, match=f"k={k}"):
+            kernels.svd_leading(random_complex(rng, 40, 6), k)
+
+    def test_lapack_failure_is_numeric_failure(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("geqrf failed")
+
+        monkeypatch.setattr(kernels.scipy.linalg, "qr", broken)
+        with pytest.raises(kernels.NumericFailureError, match="geqrf failed"):
+            kernels.svd_leading(np.eye(5, 3), 2)
+
+    def test_unmqr_error_code_is_numeric_failure(self, monkeypatch):
+        def broken(side, trans, a, tau, c, lwork, overwrite_c=False):
+            return c, np.zeros(1), -5
+
+        monkeypatch.setattr(kernels.scipy.linalg.lapack, "zunmqr", broken)
+        with pytest.raises(kernels.NumericFailureError, match="info=-5"):
+            kernels.svd_leading(np.eye(5, 3), 2)
