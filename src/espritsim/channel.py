@@ -142,6 +142,11 @@ class Scenario:
         over = [i + 1 for i in range(4) if self.n[i] > self.m[i]]
         if over:
             raise InvalidInputError(f"more beams than elements in dimensions {over}")
+        for name in ("e_s", "nlos_power_scale"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name}={getattr(self, name)} must be finite and > 0")
+        if self.n_c < self.n_p:
+            raise InvalidInputError(f"n_c={self.n_c} < n_p={self.n_p}: more pilots than symbols")
         if self.n_p < self.n[0] * self.n[1]:
             raise UnderdeterminedPilotError(
                 f"N_P={self.n_p} < N1*N2={self.n[0] * self.n[1]} transmit beams")

@@ -77,7 +77,7 @@ def main(argv=None):
 
     if args.command == "figures":
         metrics = harness.FIGURE_METRICS[args.which]
-        print("method,snr_db,path_class,metric,value,trials,failures")
+        print(",".join(harness.METRIC_COLUMNS))
         for row in rows:
             if row.metric in metrics:
                 print(",".join(row.as_csv_row()))

@@ -10,12 +10,18 @@ perturbation kit and the perfect-CSI rate terms, which only the parent reads,
 are built in the parent while the workers run trials; an exception raised in
 the parent cancels the queued trials before it propagates. ``threads = 1``
 runs every trial in process.
+
+Each trial yields one record; ``TRIAL_DIAGNOSTICS`` names the estimate
+diagnostics it keeps, which are also the diagnostic columns of trials.csv.
+Monte-Carlo and analytic rows share one RMSE-row builder, and every metric
+CSV has the header ``METRIC_COLUMNS``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import multiprocessing
@@ -23,7 +29,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -71,6 +77,10 @@ class ExperimentConfig:
         ints = (self.trials, self.seed, self.threads, 1 if self.l5 is None else self.l5)
         if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in ints):
             raise ConfigError("trials, seed, threads and l5 must be integers")
+        if not isinstance(self.dump_trials, bool):
+            raise ConfigError(f"dump_trials={self.dump_trials!r} must be true or false")
+        if self.scenario.weights not in slac.WEIGHT_KINDS:
+            raise ConfigError(f"unknown weight kind {self.scenario.weights!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
@@ -140,6 +150,9 @@ class MetricRow:
                 str(self.failures)]
 
 
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricRow))   # the metric CSV header
+
+
 def match_paths(estimated, truth):
     """Minimum-cost assignment of estimated to true paths.
 
@@ -164,6 +177,21 @@ def match_paths(estimated, truth):
     return perm
 
 
+# (name, kind) of each estimate diagnostic that trials.csv carries, in column
+# order; see _dump_cell for how a kind is written.
+TRIAL_DIAGNOSTICS = (
+    ("lanczos_steps", int),         # matrix_fast only
+    ("lanczos_stop", str),          # converged | breakdown | cap
+    ("rotation_residual", float),   # matrix pipelines only
+    ("subspace_gap", float),        # matrix pipelines, when reported
+    ("cp_fit", float),              # tensor only
+    ("cp_iterations", int),         # tensor only: the winning restart
+    ("pairing_separation", float),  # matrix pipelines: inf for one path
+    ("beta_redraws", int),          # matrix pipelines only
+    ("gain_matrix_condition", float),
+)
+
+
 @dataclass
 class _TrialOutput:
     ok: bool
@@ -171,16 +199,10 @@ class _TrialOutput:
     sq_tau: np.ndarray | None = None       # (L,)
     sq_gain: np.ndarray | None = None      # (L,)
     sq_pos: float | None = None
-    rate_u: np.ndarray | None = None       # (M5,)
-    rate_i: np.ndarray | None = None       # (M5,)
+    rate_terms: tuple | None = None        # (U, I), each (M5,)
     runtime: float = 0.0
     error: str = ""
-    lanczos_steps: int | None = None       # matrix_fast only
-    lanczos_stop: str = ""                 # converged | breakdown | cap
-    rotation_residual: float | None = None  # matrix pipelines only
-    subspace_gap: float | None = None       # matrix pipelines, when reported
-    cp_fit: float | None = None             # tensor only
-    cp_iterations: int | None = None        # tensor only: the winning restart
+    diagnostics: dict = field(default_factory=dict)   # TRIAL_DIAGNOSTICS names
 
 
 def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
@@ -189,6 +211,7 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
         raise InvalidInputError(f"not a per-trial method: {method}")
     n_paths = len(truth_paths)
     t0 = time.perf_counter()
+    est, error = None, ""
     try:
         if method == "tensor":
             est = tensor_esprit.tensor_esprit_pipeline(
@@ -200,25 +223,23 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
     except (esprit.PairingFailureError, tensor_esprit.DecompositionFailureError,
             channel.OutOfDomainError, np.linalg.LinAlgError,
             NumericFailureError, InvalidInputError) as exc:
-        return _TrialOutput(ok=False, error=f"{type(exc).__name__}: {exc}",
-                            runtime=time.perf_counter() - t0)
-    runtime = est.diagnostics.get("runtime_s", time.perf_counter() - t0)
-    diag = {"lanczos_steps": est.diagnostics.get("lanczos_steps"),
-            "lanczos_stop": est.diagnostics.get("lanczos_stop", ""),
-            "rotation_residual": est.diagnostics.get("rotation_residual"),
-            "subspace_gap": est.diagnostics.get("subspace_gap"),
-            "cp_fit": est.diagnostics.get("cp_fit"),
-            "cp_iterations": est.diagnostics.get("cp_iterations")}
+        error = f"{type(exc).__name__}: {exc}"
+    reported = est.diagnostics if est is not None else {}
+    out = _TrialOutput(ok=False, error=error,
+                       runtime=reported.get("runtime_s", time.perf_counter() - t0),
+                       diagnostics={name: reported.get(name)
+                                    for name, _ in TRIAL_DIAGNOSTICS})
+    if est is None:
+        return out
     values = [est.omega, est.gains] + [np.append(p.angles(), [p.tau, p.gamma])
                                        for p in est.params]
     if not all(np.all(np.isfinite(v)) for v in values):
-        return _TrialOutput(ok=False, error="non-finite estimate", runtime=runtime,
-                            **diag)
+        out.error = "non-finite estimate"
+        return out
 
     perm = match_paths(est.freqs, [channel.AngularFreqs(om) for om in truth_omega])
     params = [est.params[p] for p in perm]
     gains = est.gains[perm]
-
     sq_angle = np.empty((n_paths, 4))
     sq_tau = np.empty(n_paths)
     sq_gain = np.empty(n_paths)
@@ -229,20 +250,19 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
 
     try:
         loc = slac.localize_scenario(params, scenario)
-        sq_pos = float(np.sum((loc.p_hat - scenario.p_r) ** 2))
     except slac.DegenerateLocalizationError as exc:
-        return _TrialOutput(ok=False, error=f"localize: {exc}", runtime=runtime,
-                            **diag)
-
-    rate_u, rate_i = slac.rate_terms(params, truth_paths, scenario)
-    if not (np.all(np.isfinite(sq_angle)) and np.all(np.isfinite(sq_tau))
-            and np.all(np.isfinite(sq_gain)) and np.isfinite(sq_pos)
-            and np.all(np.isfinite(rate_u)) and np.all(np.isfinite(rate_i))):
-        return _TrialOutput(ok=False, error="non-finite metrics", runtime=runtime,
-                            **diag)
-    return _TrialOutput(ok=True, sq_angle=sq_angle, sq_tau=sq_tau,
-                        sq_gain=sq_gain, sq_pos=sq_pos, rate_u=rate_u,
-                        rate_i=rate_i, runtime=runtime, **diag)
+        out.error = f"localize: {exc}"
+        return out
+    sq_pos = float(np.sum((loc.p_hat - scenario.p_r) ** 2))
+    rate_terms = slac.rate_terms(params, truth_paths, scenario)
+    if not all(np.all(np.isfinite(v)) for v in (sq_angle, sq_tau, sq_gain, sq_pos,
+                                                 *rate_terms)):
+        out.error = "non-finite metrics"
+        return out
+    out.ok = True
+    out.sq_angle, out.sq_tau, out.sq_gain = sq_angle, sq_tau, sq_gain
+    out.sq_pos, out.rate_terms = sq_pos, rate_terms
+    return out
 
 
 @dataclass(frozen=True)
@@ -309,60 +329,48 @@ def _path_classes(n_paths):
     return classes
 
 
+def _rmse_rows(row, sq_angle, sq_tau, sq_gain, sq_pos):
+    """Per-path-class RMSE rows from squared errors over (draws, paths):
+    ``sq_angle`` is (D, L, 4), ``sq_tau`` and ``sq_gain`` (D, L), ``sq_pos``
+    (D,). ``row(path_class, metric, value)`` builds one MetricRow."""
+    rows = []
+    for cls, idx in _path_classes(sq_tau.shape[1]).items():
+        for k, key in enumerate(ANGLE_KEYS):
+            rows.append(row(cls, key, float(np.sqrt(sq_angle[:, idx, k].mean()))))
+        rows.append(row(cls, "rmse_tau_m", float(np.sqrt(sq_tau[:, idx].mean())
+                                                 * channel.SPEED_OF_LIGHT)))
+        rows.append(row(cls, "rmse_gamma", float(np.sqrt(sq_gain[:, idx].mean()))))
+    rows.append(row("all", "rmse_pos_m", float(np.sqrt(np.mean(sq_pos)))))
+    return rows
+
+
 def _rows_from_trials(method, snr_db, outputs, scenario, n0, n_attempted):
     good = [t for t in outputs if t.ok]
     failures = n_attempted - len(good)
-    rows = []
     if not good:
-        return rows, failures
-    n_paths = good[0].sq_angle.shape[0]
-    classes = _path_classes(n_paths)
-    sq_angle = np.stack([t.sq_angle for t in good])   # (T, L, 4)
-    sq_tau = np.stack([t.sq_tau for t in good])
-    sq_gain = np.stack([t.sq_gain for t in good])
-    for cls, idx in classes.items():
-        for k, key in enumerate(ANGLE_KEYS):
-            rows.append(MetricRow(method, snr_db, cls, key,
-                                  float(np.sqrt(sq_angle[:, idx, k].mean())),
-                                  len(good), failures))
-        rows.append(MetricRow(method, snr_db, cls, "rmse_tau_m",
-                              float(np.sqrt(sq_tau[:, idx].mean())
-                                    * channel.SPEED_OF_LIGHT), len(good), failures))
-        rows.append(MetricRow(method, snr_db, cls, "rmse_gamma",
-                              float(np.sqrt(sq_gain[:, idx].mean())),
-                              len(good), failures))
-    rows.append(MetricRow(method, snr_db, "all", "rmse_pos_m",
-                          float(np.sqrt(np.mean([t.sq_pos for t in good]))),
-                          len(good), failures))
-    mean_i2 = np.mean(np.abs(np.stack([t.rate_i for t in good])) ** 2, axis=0)
-    rates = [slac.effective_rate(t.rate_u, mean_i2, scenario, n0) for t in good]
-    rows.append(MetricRow(method, snr_db, "all", "rate_bps_hz",
-                          float(np.mean(rates)), len(good), failures))
-    rows.append(MetricRow(method, snr_db, "all", "runtime_s",
-                          float(np.median([t.runtime for t in good])),
-                          len(good), failures))
+        return [], failures
+    row = functools.partial(MetricRow, method, snr_db, trials=len(good),
+                            failures=failures)
+    rows = _rmse_rows(row, np.stack([t.sq_angle for t in good]),
+                      np.stack([t.sq_tau for t in good]),
+                      np.stack([t.sq_gain for t in good]),
+                      np.array([t.sq_pos for t in good]))
+    rate, _ = slac.batch_rate([t.rate_terms for t in good], scenario, n0)
+    rows.append(row("all", "rate_bps_hz", rate))
+    rows.append(row("all", "runtime_s", float(np.median([t.runtime for t in good]))))
     return rows, failures
 
 
 def _analytic_rows(kit, snr_db, n0):
+    """The analytic RMSE rows: one draw of the closed-form mean squares."""
     per_path = perturbation.analytic_param_rmse(kit, n0)
     pos = perturbation.analytic_pos_rmse(kit, n0)
-    n_paths = len(per_path)
-    rows = []
-    for cls, idx in _path_classes(n_paths).items():
-        for key in ANGLE_KEYS:
-            val = np.sqrt(np.mean([per_path[i][key] ** 2 for i in idx]))
-            rows.append(MetricRow("analytic", snr_db, cls, key, float(val),
-                                  0, 0))
-        tau = np.sqrt(np.mean([per_path[i]["rmse_tau"] ** 2 for i in idx]))
-        rows.append(MetricRow("analytic", snr_db, cls, "rmse_tau_m",
-                              float(tau * channel.SPEED_OF_LIGHT), 0, 0))
-        gam = np.sqrt(np.mean([per_path[i]["rmse_gamma"] ** 2 for i in idx]))
-        rows.append(MetricRow("analytic", snr_db, cls, "rmse_gamma",
-                              float(gam), 0, 0))
-    rows.append(MetricRow("analytic", snr_db, "all", "rmse_pos_m", float(pos),
-                          0, 0))
-    return rows
+    return _rmse_rows(functools.partial(MetricRow, "analytic", snr_db, trials=0,
+                                        failures=0),
+                      np.array([[[p[key] ** 2 for key in ANGLE_KEYS] for p in per_path]]),
+                      np.array([[p["rmse_tau"] ** 2 for p in per_path]]),
+                      np.array([[p["rmse_gamma"] ** 2 for p in per_path]]),
+                      np.array([pos ** 2]))
 
 
 def run_experiment(cfg):
@@ -452,35 +460,30 @@ def write_figures(rows, outdir):
     files = {}
     for fig, metrics in FIGURE_METRICS.items():
         path = os.path.join(outdir, FIGURE_FILES[fig])
-        sel = [r for r in rows if r.metric in metrics]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["method", "snr_db", "path_class", "metric",
-                             "value", "trials", "failures"])
-            for row in sel:
-                writer.writerow(row.as_csv_row())
+            writer.writerow(METRIC_COLUMNS)
+            writer.writerows(r.as_csv_row() for r in rows if r.metric in metrics)
         files[fig] = path
     return files
+
+
+def _dump_cell(kind, value):
+    """A diagnostic's trials.csv cell: empty when not reported, a float's repr."""
+    return "" if value is None else repr(float(value)) if kind is float else value
 
 
 def _write_trial_dump(dump, outdir):
     path = os.path.join(outdir, "trials.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "snr_db", "trial", "ok", "sq_pos",
-                         "runtime_s", "lanczos_steps", "lanczos_stop",
-                         "rotation_residual", "subspace_gap", "cp_fit",
-                         "cp_iterations", "error"])
+        writer.writerow(["method", "snr_db", "trial", "ok", "sq_pos", "runtime_s",
+                         *(name for name, _ in TRIAL_DIAGNOSTICS), "error"])
         for method, snr_db, t, out in dump:
             writer.writerow([method, repr(float(snr_db)), t, int(out.ok),
                              repr(float(out.sq_pos)) if out.ok else "",
                              repr(float(out.runtime)),
-                             "" if out.lanczos_steps is None else out.lanczos_steps,
-                             out.lanczos_stop]
-                            + ["" if v is None else repr(float(v))
-                               for v in (out.rotation_residual, out.subspace_gap,
-                                         out.cp_fit)]
-                            + ["" if out.cp_iterations is None else out.cp_iterations,
-                               out.error])
+                             *(_dump_cell(kind, out.diagnostics.get(name))
+                               for name, kind in TRIAL_DIAGNOSTICS),
+                             out.error])
     return path
-

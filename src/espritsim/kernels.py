@@ -86,23 +86,10 @@ def _svd(a):
     return SvdResult(left=u, singular_values=s, right=vh.conj().T)
 
 
-def qr_r(a):
-    """R factor of ``a = Q R``, min(m, n) x n upper trapezoidal; Q is never formed.
-
-    Only Householder reflectors are computed (LAPACK geqrf through scipy's
-    ``mode="raw"``), and just the leading min(m, n) rows of the factored
-    operand are read back. ``a`` is left unchanged: the factorization runs in
-    a fresh copy.
-    """
-    return _qr_r_overwrite(_as_matrix(a).T.copy())
-
-
 def _qr_r_overwrite(at):
-    """``qr_r(at.T)`` for an unchecked C-contiguous complex128 ``at``; destroys ``at``.
-
-    The caller owns ``at`` and has already checked it to be nonempty and
-    finite.
-    """
+    """R factor of ``at.T = Q R``, min(m, n) x n upper trapezoidal, by LAPACK geqrf
+    in place on ``at`` (Q is never formed); the caller owns ``at`` and has
+    checked it to be C-contiguous complex128, nonempty and finite."""
     return _geqrf_overwrite(at)[1]
 
 
@@ -126,9 +113,9 @@ def svd_leading(a, k):
     columns, ``singular_values`` the min(m, n) of ``svd_thin`` (bit-equal on
     tall input) in descending order. Tall input (m > n) is factored
     ``a = Q R`` with Q kept as Householder reflectors (the geqrf of
-    ``qr_r``); only the k leading columns of R's left factor are multiplied
-    by Q (LAPACK unmqr), so the (m, n) Q is never formed. Wide or square
-    input takes ``svd_thin``'s path.
+    ``_qr_r_overwrite``); only the k leading columns of R's left factor are
+    multiplied by Q (LAPACK unmqr), so the (m, n) Q is never formed. Wide or
+    square input takes ``svd_thin``'s path.
     """
     a = _as_matrix(a)
     m, n = a.shape

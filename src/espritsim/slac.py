@@ -45,14 +45,17 @@ class LocalizationResult:
     condition: float
 
 
+WEIGHT_KINDS = ("uniform", "gain")      # the localization weight policies
+
+
 def path_weights(params, kind="uniform"):
     """Localization weights iota_l: uniform, or proportional to |gamma|^2."""
-    if kind == "uniform":
-        return np.ones(len(params))
+    if kind not in WEIGHT_KINDS:
+        raise InvalidInputError(f"unknown weight kind {kind!r}, not in {WEIGHT_KINDS}")
     if kind == "gain":
         return np.array([abs(p.gamma) ** 2 if p.gamma is not None else 1.0
                          for p in params])
-    raise InvalidInputError(f"unknown weight kind {kind!r}")
+    return np.ones(len(params))
 
 
 def localization_geometry(params, p_t, weights=None, tx_axis_sign=1.0,
@@ -163,16 +166,18 @@ def effective_rate(u_terms, mean_i2, scenario, n0):
     return float(overhead * np.sum(np.log2(1.0 + sinr)))
 
 
-def rate(estimates, true_params, scenario, n0):
-    """Effective achievable rate averaged over a batch of estimates.
-
-    ``estimates`` is one parameter list or a batch of them; the interference
-    power E|I|^2 is estimated per subcarrier across the batch. Perfect CSI
-    (estimates == truth) gives I = 0 and a deterministic rate.
-    """
-    if estimates and isinstance(estimates[0], channel.PathParams):
-        estimates = [estimates]
-    terms = [rate_terms(est, true_params, scenario) for est in estimates]
+def batch_rate(terms, scenario, n0):
+    """(mean rate, {"per_trial": rates, "mean_i2": E|I|^2}) over a batch of
+    (U, I) rate terms, with E|I|^2 estimated per subcarrier across the batch."""
     mean_i2 = np.mean([np.abs(i) ** 2 for _, i in terms], axis=0)
     rates = [effective_rate(u, mean_i2, scenario, n0) for u, _ in terms]
     return float(np.mean(rates)), {"per_trial": rates, "mean_i2": mean_i2}
+
+
+def rate(estimates, true_params, scenario, n0):
+    """``batch_rate`` of the rate terms of a batch of estimates (or of one
+    parameter list); perfect CSI (estimates == truth) gives I = 0."""
+    if estimates and isinstance(estimates[0], channel.PathParams):
+        estimates = [estimates]
+    return batch_rate([rate_terms(est, true_params, scenario) for est in estimates],
+                      scenario, n0)

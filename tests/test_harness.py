@@ -2,14 +2,18 @@ import csv
 import dataclasses
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from espritsim import channel, cli, esprit, harness, perturbation
 from espritsim.kernels import InvalidInputError, NumericFailureError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def desk_config(tmp_path=None, **overrides):
@@ -244,12 +248,31 @@ class TestRunExperiment:
             dump = list(csv.DictReader(fh))
         assert {r["method"] for r in dump} == {"matrix_dense", "matrix_fast", "tensor"}
         for r in dump:
+            # every method solves for the gains
+            assert float(r["gain_matrix_condition"]) >= 1.0
             if r["method"] == "tensor":
                 assert r["rotation_residual"] == r["subspace_gap"] == ""
+                assert r["pairing_separation"] == r["beta_redraws"] == ""
             else:
                 # noisy data: a real residual, and a gap sigma_2 / sigma_3 > 1
                 assert 0.0 < float(r["rotation_residual"]) < 1.0
                 assert float(r["subspace_gap"]) > 1.0
+                assert 0.0 < float(r["pairing_separation"]) < np.inf
+                assert int(r["beta_redraws"]) >= 0
+
+    def test_dump_writes_single_path_separation_as_inf(self, tmp_path):
+        # one path: nothing to pair, and the separation is reported as inf.
+        # The diagnostics are kept whether or not the trial is scored.
+        doc = desk_config(outputs=str(tmp_path / "d"), dump_trials=True, trials=2,
+                          methods=["matrix_dense", "matrix_fast"], max_failure_rate=1.0)
+        doc["scenario"]["scatterers"] = []
+        _, files = harness.run_experiment(harness.ExperimentConfig.from_dict(doc))
+        with open(files["trials"]) as fh:
+            dump = list(csv.DictReader(fh))
+        assert len(dump) == 4
+        for r in dump:
+            assert r["pairing_separation"] == "inf"
+            assert r["beta_redraws"] == "0"
 
     def test_dump_carries_cp_fit_and_iterations(self, tmp_path):
         cfg = harness.ExperimentConfig.from_dict(
@@ -473,6 +496,10 @@ class TestCli:
     @pytest.mark.parametrize("scenario, message", [
         ({"m": [4, 8, 8, 8, 64], "n": [6, 4, 4, 4]}, "more beams than elements"),
         ({"beam_kind": "custom"}, "beam kind 'custom'"),
+        ({"weights": "bogus"}, "unknown weight kind 'bogus'"),
+        ({"nlos_power_scale": -1}, "nlos_power_scale=-1.0 must be finite and > 0"),
+        ({"e_s": 0}, "e_s=0.0 must be finite and > 0"),
+        ({"n_c": 16}, "n_c=16 < n_p=32"),
     ])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_unbuildable_scenario_exit_code_2(self, tmp_path, capsys, command,
@@ -502,10 +529,11 @@ class TestCli:
         ({"snr_grid_db": [10.0, float("inf")]}, "entries must be finite"),
         ({"methods": ["matrix_fast", "matrix_fast", "analytic"]},
          "repeated methods: ['matrix_fast']"),
+        ({"dump_trials": "no"}, "dump_trials='no' must be true or false"),
     ], ids=["float-trials", "negative-seed", "float-seed", "float-l5", "zero-threads",
             "negative-threads", "bool-threads", "unknown-observation",
             "negative-failure-cap", "failure-cap-above-one", "int-outputs",
-            "nan-snr", "inf-snr", "repeated-method"])
+            "nan-snr", "inf-snr", "repeated-method", "string-dump-trials"])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_bad_value_exit_code_2(self, tmp_path, capsys, command, overrides, message):
         # rejected at load time, before any trial runs
@@ -528,6 +556,20 @@ class TestCli:
         res = self.run_cli("figures", "--which", "5", "--config", str(path))
         assert res.returncode == 0
         assert "rate_bps_hz" in res.stdout
+
+    def test_trials_header_matches_readme(self, tmp_path):
+        # the README's column list is the one copy of the header outside the code
+        text = (ROOT / "README.md").read_text()
+        paragraph = text.split("Columns of trials.csv:", 1)[1].split("\n\n", 1)[0]
+        documented = re.findall(r"`([^`]+)`", paragraph)
+        path = desk_config(tmp_path, trials=1, methods=["matrix_fast"])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--dump-trials"]) == 0
+        with open(out / "trials.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert len(set(documented)) == len(documented)
+        assert set(header) == set(documented)
 
     def test_failure_breach_exit_code_3(self, tmp_path, monkeypatch):
         def boom(cfg):
