@@ -17,6 +17,7 @@ Conventions (fixed once here, consumed everywhere):
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ SPEED_OF_LIGHT = 299792458.0
 
 DFT_BEAM_SPACING = np.pi / 4  # matches an 8-element DFT grid
 DIRECTIONAL_BEAM_SPACING = np.pi / 8
+CLAMP_MARGIN = 1e-9  # clamp_freqs keeps |w2|, |w4| <= pi (1 - CLAMP_MARGIN)
 
 # the steering-grid kinds a scenario can point from its path prior
 _SCENARIO_BEAM_KINDS = ("dft", "directional")
@@ -166,10 +168,12 @@ class Scenario:
             raise InvalidInputError(f"unknown scenario keys: {unknown}")
         return cls(
             p_t=d["p_t"], p_r=d["p_r"], scatterers=d.get("scatterers", []),
-            m=d["m"], n=d["n"], delta_f=float(d["delta_f_hz"]),
-            f_c=float(d["carrier_hz"]), n_p=int(d["n_p"]),
-            n_c=int(d.get("n_c", 600)), e_s=float(d.get("e_s", 1.0)),
-            n0=float(d.get("n0", 0.0)), seed=int(d.get("seed", 0)),
+            m=[_integer(f"m[{i}]", v) for i, v in enumerate(d["m"])],
+            n=[_integer(f"n[{i}]", v) for i, v in enumerate(d["n"])],
+            delta_f=float(d["delta_f_hz"]), f_c=float(d["carrier_hz"]),
+            n_p=_integer("n_p", d["n_p"]), n_c=_integer("n_c", d.get("n_c", 600)),
+            e_s=float(d.get("e_s", 1.0)), n0=float(d.get("n0", 0.0)),
+            seed=_integer("seed", d.get("seed", 0)),
             beam_kind_tx=_beam_kind(d, "tx"), beam_kind_rx=_beam_kind(d, "rx"),
             nlos_power_scale=float(d.get("nlos_power_scale", 0.1)),
             weights=d.get("weights", "uniform"),
@@ -179,6 +183,14 @@ class Scenario:
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _integer(key, value):
+    """``value`` of scenario entry ``key``; refused unless it is an integer (a
+    bool is not), so a fractional count is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"scenario {key}={value!r} must be an integer")
+    return value
 
 
 def _beam_kind(d, side):
@@ -251,19 +263,19 @@ def direction_from_angles(az, el, axis_sign=1.0):
     return local
 
 
-def params_from_geometry(scenario, rng=None):
+def params_from_geometry(scenario):
     """Per-path geometric parameters for a scenario; path 0 is the LOS path.
 
     Gain magnitudes follow |gamma|^2 = varsigma * (lambda / (4 pi d))^2 with
     varsigma = 1 for the LOS path and ``scenario.nlos_power_scale`` otherwise;
-    phases are drawn uniformly (deterministic in ``scenario.seed``).
+    phases are drawn uniformly from the ``SeedSequence(scenario.seed,
+    spawn_key=(0xA1,))`` stream, so they are deterministic in the seed.
     """
     p_t, p_r = scenario.p_t, scenario.p_r
     if np.allclose(p_t, p_r):
         raise DegenerateGeometryError("transmitter and receiver coincide")
     tx_sign, rx_sign = array_axis_signs(scenario)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(0xA1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(0xA1,)))
     lam = scenario.wavelength
 
     paths = []
@@ -323,7 +335,7 @@ def from_angular(w, delta_f):
                       tau=float(tau), gamma=None)
 
 
-def clamp_freqs(omega, margin=1e-9):
+def clamp_freqs(omega):
     """Pull a 5-vector of frequencies into the invertible domain.
 
     Returns (clamped vector, True if anything moved). Heavy noise can push
@@ -331,7 +343,7 @@ def clamp_freqs(omega, margin=1e-9):
     rather than fail the trial.
     """
     om = np.array(omega, dtype=float)
-    lim = np.pi * (1 - margin)
+    lim = np.pi * (1 - CLAMP_MARGIN)
     clamped = False
     for i in (1, 3):
         if abs(om[i]) > lim:
@@ -345,15 +357,12 @@ def clamp_freqs(omega, margin=1e-9):
     return om, clamped
 
 
-def beam_focus(scenario, paths=None):
+def beam_focus(scenario, paths):
     """Per-dimension midpoint of the true path frequencies (prior knowledge).
 
     Beam grids are pointed from the scenario geometry, mirroring a system that
     selects beams from prior user/scatterer location information.
     """
-    if paths is None:
-        # gains are irrelevant for the focus; use a throwaway stream
-        paths = params_from_geometry(scenario)
     w = np.stack([to_angular(p, scenario.delta_f).omega for p in paths])
     return 0.5 * (w[:, :4].min(axis=0) + w[:, :4].max(axis=0))
 
@@ -367,9 +376,9 @@ def dft_grid(m_n, n_n, focus):
     return chosen
 
 
-def directional_grid(n_n, focus, spacing=DIRECTIONAL_BEAM_SPACING):
-    """n_n beams with the given spacing, centered on ``focus``."""
-    offsets = spacing * (np.arange(n_n) - (n_n - 1) / 2.0)
+def directional_grid(n_n, focus):
+    """n_n beams ``DIRECTIONAL_BEAM_SPACING`` apart, centered on ``focus``."""
+    offsets = DIRECTIONAL_BEAM_SPACING * (np.arange(n_n) - (n_n - 1) / 2.0)
     return focus + offsets
 
 
@@ -406,8 +415,8 @@ def make_beam_transform(kind, m_n, n_n, grid=None, focus=0.0):
                          grid=np.asarray(grid, dtype=float))
 
 
-def scenario_transforms(scenario, paths=None):
-    """The four spatial beam transforms pointed by the scenario's prior."""
+def scenario_transforms(scenario, paths):
+    """The four spatial beam transforms pointed at ``paths`` (the scenario's prior)."""
     focus = beam_focus(scenario, paths)
     kinds = [scenario.beam_kind_tx] * 2 + [scenario.beam_kind_rx] * 2
     return tuple(make_beam_transform(kinds[i], scenario.m[i], scenario.n[i],

@@ -22,6 +22,9 @@ from . import channel, fastsvd, shift
 from .kernels import (InvalidInputError, NumericFailureError, eig_general,
                       lstsq_pinv, svd_leading, svd_solve)
 
+PAIR_SEP_TOL = 1e-6     # auto_pair's least relative eigenvalue separation
+MAX_REDRAWS = 8         # beta redraws before auto_pair gives up
+
 
 class InvalidSmoothingError(ValueError):
     """Smoothing window outside 1 <= L5 <= M5."""
@@ -121,18 +124,18 @@ def signal_subspace(tensor, n_paths, l5, method="dense"):
     return u_s, diagnostics
 
 
-def gamma_n(u_s, pair, rtol=1e-12):
+def gamma_n(u_s, pair):
     """Rotation factor (J1 U_s)^+ (J2 U_s), similar to Phi_n, and its residual.
 
     Both come from the small pair ``pair.compressed(u_s)``, equal to
     [J1 U_s | J2 U_s] up to an isometry: the solve keeps its singular values
-    (so the ``rtol * s_1`` truncation) and the residual
+    (so the ``kernels.PINV_RTOL * s_1`` truncation) and the residual
     ||J1 U_s Gamma_n - J2 U_s||_F / ||J2 U_s||_F keeps its norms, while the
     (B K5)-row selector products are never formed. ``u_s`` must be finite;
     ``rotation_factors`` checks it once for all dimensions.
     """
     lhs, rhs = pair.compressed(u_s)
-    gam = lstsq_pinv(lhs, rhs, rtol=rtol)
+    gam = lstsq_pinv(lhs, rhs)
     residual = np.linalg.norm(lhs @ gam - rhs) / max(np.linalg.norm(rhs), 1e-300)
     return gam, float(residual)
 
@@ -149,13 +152,14 @@ def rotation_factors(u_s, pairs):
     return [g for g, _ in results], [r for _, r in results]
 
 
-def auto_pair(gammas, rng, beta=None, sep_tol=1e-6, max_redraws=8):
+def auto_pair(gammas, rng):
     """Joint eigenbasis of a random beta-combination; recovers paired frequencies.
 
     Returns (E, omega, diagnostics) where omega is (L, n_dims) with row l
     consistent across every dimension and diagnostics carries the achieved
-    eigenvalue separation. Redraws beta when the combined eigenvalues
-    cluster closer than ``sep_tol`` times their magnitude scale.
+    eigenvalue separation. Redraws beta, up to ``MAX_REDRAWS`` times, when the
+    combined eigenvalues cluster closer than ``PAIR_SEP_TOL`` times their
+    magnitude scale.
     """
     n_dims = len(gammas)
     n_paths = gammas[0].shape[0]
@@ -166,8 +170,8 @@ def auto_pair(gammas, rng, beta=None, sep_tol=1e-6, max_redraws=8):
 
     attempts = 0
     seps = []
-    while attempts <= max_redraws:
-        b = beta if (beta is not None and attempts == 0) else rng.uniform(0.0, 1.0, n_dims)
+    while attempts <= MAX_REDRAWS:
+        b = rng.uniform(0.0, 1.0, n_dims)
         k = sum(bi * g for bi, g in zip(b, gammas))
         res = eig_general(k)
         lam = res.eigenvalues
@@ -175,7 +179,7 @@ def auto_pair(gammas, rng, beta=None, sep_tol=1e-6, max_redraws=8):
         np.fill_diagonal(diff, np.inf)
         sep = diff.min() / max(np.abs(lam).max(), 1e-300)
         seps.append(float(sep))
-        if sep >= sep_tol:
+        if sep >= PAIR_SEP_TOL:
             e = res.eigenvectors
             phases = np.empty((n_paths, n_dims))
             for n, g in enumerate(gammas):
@@ -185,17 +189,17 @@ def auto_pair(gammas, rng, beta=None, sep_tol=1e-6, max_redraws=8):
                                "beta_redraws": attempts}
         attempts += 1
     raise PairingFailureError(
-        f"eigenvalues stayed within {max(seps):.3e} of collision after {max_redraws} redraws",
+        f"eigenvalues stayed within {max(seps):.3e} of collision after {MAX_REDRAWS} redraws",
         diagnostics={"separations": seps})
 
 
-def estimate_gains(omega, transforms, h_vec, m5, rtol=1e-12):
+def estimate_gains(omega, transforms, h_vec, m5):
     """Least-squares gains against the Khatri-Rao factor matrix KR(A_1..A_5).
 
     The solve runs on the small core of ``channel.khatri_rao_core``, which
-    keeps the singular values (so the rtol * s_1 truncation and the
-    condition); the (B M5 x L) matrix is never formed. h is projected onto
-    the Q_n one mode at a time.
+    keeps the singular values (so the ``kernels.PINV_RTOL * s_1`` truncation
+    and the condition); the (B M5 x L) matrix is never formed. h is projected
+    onto the Q_n one mode at a time.
     """
     mats = channel.steering_factors(omega, transforms, m5)
     qs, core = channel.khatri_rao_core(mats)
@@ -205,12 +209,12 @@ def estimate_gains(omega, transforms, h_vec, m5, rtol=1e-12):
                            -1, axis)
     s = core.singular_values
     cond = float(s[0] / max(s[-1], 1e-300))
-    gains = svd_solve(core, proj.reshape(-1), rtol=rtol)
+    gains = svd_solve(core, proj.reshape(-1))
     return gains, {"gain_matrix_condition": cond}
 
 
 def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
-                    method="dense", rng=None, beta=None):
+                    method="dense", *, rng):
     """Run the full matrix-based beamspace ESPRIT chain on a noisy tensor.
 
     Parameters
@@ -220,8 +224,8 @@ def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
     n_paths : assumed model order L
     l5 : smoothing window (columns)
     method : 'dense' or 'fast' signal subspace
+    rng : Generator that draws the pairing's beta combinations
     """
-    rng = np.random.default_rng() if rng is None else rng
     noisy = np.asarray(noisy, dtype=np.complex128)
     t_start = time.perf_counter()
 
@@ -231,7 +235,7 @@ def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
     gammas, residuals = rotation_factors(u_s, pairs)
     diagnostics["rotation_residual"] = max(residuals)
 
-    _, omega, pair_diag = auto_pair(gammas, rng=rng, beta=beta)
+    _, omega, pair_diag = auto_pair(gammas, rng=rng)
     diagnostics.update(pair_diag)
     return _estimate_tail(omega, transforms, noisy, delta_f, diagnostics,
                           t_start)

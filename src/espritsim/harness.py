@@ -70,7 +70,6 @@ class ExperimentConfig:
     seed: int = 0
     threads: int = 1
     dump_trials: bool = False
-    observation: str = "direct"
     max_failure_rate: float = 0.05
 
     def __post_init__(self):
@@ -87,8 +86,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.observation not in ("direct", "pilot"):
-            raise ConfigError(f"observation {self.observation!r} not in ('direct', 'pilot')")
         if not (isinstance(self.max_failure_rate, numbers.Real)
                 and 0 <= self.max_failure_rate <= 1):
             raise ConfigError(f"max_failure_rate={self.max_failure_rate!r} outside [0, 1]")
@@ -105,6 +102,12 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if list(self.methods).count(m) > 1})
         if repeated:
             raise ConfigError(f"repeated methods: {repeated}")
+        # a noisy estimate of the LOS path alone never meets localize's
+        # direct-path test, so every such trial would fail
+        per_trial = sorted(set(self.methods) - {"analytic"})
+        if self.scenario.num_paths == 1 and per_trial:
+            raise ConfigError(f"the scenario has a single path (no scatterers), which "
+                              f"{per_trial} cannot localize; add a scatterer")
         m5 = self.scenario.m[4]
         if self.l5 is not None and not 1 <= self.l5 <= m5:
             raise ConfigError(f"l5={self.l5} outside [1, {m5}]")
@@ -283,7 +286,7 @@ def _trial(sweep, method, si, t):
     cfg = sweep.cfg
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, t)))
     noisy = channel.observe_and_estimate(sweep.tensor, cfg.scenario, rng,
-                                         mode=cfg.observation, n0=sweep.n0[si])
+                                         n0=sweep.n0[si])
     return _run_single_trial(method, noisy, sweep.transforms, cfg.scenario,
                              sweep.paths, sweep.truth_omega, sweep.l5, rng,
                              sweep.n0[si])

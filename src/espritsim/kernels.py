@@ -152,33 +152,36 @@ def eig_general(a):
     return EigResult(eigenvalues=w, eigenvectors=v)
 
 
-def pinv(a, rtol=1e-12):
-    """Moore-Penrose pseudoinverse with singular values below ``rtol * s_max`` truncated.
+PINV_RTOL = 1e-12   # every pseudo-inverse drops singular values <= PINV_RTOL * s_max
+
+
+def pinv(a):
+    """Moore-Penrose pseudoinverse with singular values below ``PINV_RTOL * s_max`` truncated.
 
     An all-zero matrix maps to the all-zero transpose-shaped matrix.
     """
-    return svd_pinv(_svd(_as_matrix(a)), rtol)
+    return svd_pinv(_svd(_as_matrix(a)))
 
 
-def svd_pinv(res, rtol=1e-12):
+def svd_pinv(res):
     """``pinv`` of the operand whose thin SVD is ``res``."""
-    inv_s = _truncated_inverse(res.singular_values, rtol)
+    inv_s = _truncated_inverse(res.singular_values)
     if inv_s is None:
         return np.zeros((res.right.shape[0], res.left.shape[0]), dtype=np.complex128)
     return (res.right * inv_s) @ res.left.conj().T
 
 
-def lstsq_pinv(a, b, rtol=1e-12):
+def lstsq_pinv(a, b):
     """Minimum-norm least-squares solve ``pinv(a) @ b`` without forming the pseudoinverse."""
-    return svd_solve(_svd(_as_matrix(a, "lhs")), b, rtol)
+    return svd_solve(_svd(_as_matrix(a, "lhs")), b)
 
 
-def svd_solve(res, b, rtol=1e-12):
+def svd_solve(res, b):
     """``lstsq_pinv`` of the lhs whose thin SVD is ``res``."""
     b = np.asarray(b, dtype=np.complex128)
     if not np.all(np.isfinite(b)):
         raise InvalidInputError("rhs contains non-finite entries")
-    inv_s = _truncated_inverse(res.singular_values, rtol)
+    inv_s = _truncated_inverse(res.singular_values)
     if inv_s is None:
         shape = (res.right.shape[0],) + b.shape[1:]
         return np.zeros(shape, dtype=np.complex128)
@@ -188,11 +191,11 @@ def svd_solve(res, b, rtol=1e-12):
     return res.right @ (inv_s[:, None] * proj)
 
 
-def _truncated_inverse(s, rtol):
-    """1 / s on the singular values above ``rtol * s_max``, 0 below; None if s_max is 0."""
+def _truncated_inverse(s):
+    """1 / s on the singular values above ``PINV_RTOL * s_max``, 0 below; None if s_max is 0."""
     if s.size == 0 or s[0] == 0.0:
         return None
-    keep = s > rtol * s[0]
+    keep = s > PINV_RTOL * s[0]
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     return inv_s

@@ -30,6 +30,8 @@ from . import channel, shift, slac
 from .channel import SPEED_OF_LIGHT
 from .kernels import InvalidInputError, pinv, svd_pinv
 
+ANGLE_TOL = 1e-9    # _kappa refuses a path whose |cos az| or |sin el| is below this
+
 
 class IllPosedScenarioError(ValueError):
     """The noiseless factorization loses rank; sensitivities are undefined."""
@@ -127,7 +129,7 @@ def _upsilon(factors, transforms, l5, omega, phi, gains):
     return upsilon
 
 
-def _kappa(paths, upsilon, delta_f, angle_tol=1e-9):
+def _kappa(paths, upsilon, delta_f):
     """Channel-parameter sensitivities kappa (L, 5, J) from upsilon."""
     kappa = np.empty_like(upsilon)
     for l, p in enumerate(paths):
@@ -135,10 +137,10 @@ def _kappa(paths, upsilon, delta_f, angle_tol=1e-9):
         st_el, ct_el = np.sin(p.theta_el), np.cos(p.theta_el)
         cp_az, sp_az = np.cos(p.phi_az), np.sin(p.phi_az)
         ct_az, st_az = np.cos(p.theta_az), np.sin(p.theta_az)
-        if abs(cp_az) < angle_tol or abs(ct_az) < angle_tol:
+        if abs(cp_az) < ANGLE_TOL or abs(ct_az) < ANGLE_TOL:
             raise SingularParameterizationError(
                 f"cos(az) ~ 0 on path {l}: azimuth sensitivity diverges", path=l)
-        if abs(sp_el) < angle_tol or abs(st_el) < angle_tol:
+        if abs(sp_el) < ANGLE_TOL or abs(st_el) < ANGLE_TOL:
             raise SingularParameterizationError(
                 f"sin(el) ~ 0 on path {l}", path=l)
         k_l = np.zeros((5, 5))

@@ -19,15 +19,18 @@ import numpy as np
 from .kernels import InvalidInputError, _qr_r_overwrite
 
 
+DEFLATE_RTOL = 1e-12    # restore_projector's generator deflation tolerance
+
+
 class InsufficientBeamsError(ValueError):
     """Fewer than three beams leave no room for the rank-(N-2) projector."""
 
 
-def restore_projector(t, f, deflate_rtol=1e-12):
+def restore_projector(t, f):
     """Projector Q annihilating t_{:,M} and F^H t_{:,1} (columns of T^H).
 
     Orthonormalizes the two generators by modified Gram-Schmidt, dropping a
-    generator whose deflated norm falls below ``deflate_rtol`` relative to the
+    generator whose deflated norm falls below ``DEFLATE_RTOL`` relative to the
     pair's scale, so a collinear pair yields a rank-(N-1) projector.
     """
     t = np.asarray(t, dtype=np.complex128)
@@ -44,7 +47,7 @@ def restore_projector(t, f, deflate_rtol=1e-12):
         for p in basis:
             v -= (p.conj() @ v) * p
         nrm = np.linalg.norm(v)
-        if nrm > deflate_rtol * scale:
+        if nrm > DEFLATE_RTOL * scale:
             basis.append(v / nrm)
     q = np.eye(n, dtype=np.complex128)
     for p in basis:

@@ -46,6 +46,7 @@ class LocalizationResult:
 
 
 WEIGHT_KINDS = ("uniform", "gain")      # the localization weight policies
+DIRECT_MU_RTOL = 1e-9                   # a path is direct when ||mu|| <= this * c tau
 
 
 def path_weights(params, kind="uniform"):
@@ -59,7 +60,7 @@ def path_weights(params, kind="uniform"):
 
 
 def localization_geometry(params, p_t, weights=None, tx_axis_sign=1.0,
-                          rx_axis_sign=1.0, mu_rtol=1e-9):
+                          rx_axis_sign=1.0):
     """Per-path (f_T, f_R, mu, delta, C_l) at the given channel parameters."""
     p_t = np.asarray(p_t, dtype=float)
     if weights is None:
@@ -72,7 +73,7 @@ def localization_geometry(params, p_t, weights=None, tx_axis_sign=1.0,
         ct = SPEED_OF_LIGHT * p.tau
         mu = ct * (f_t + f_r)
         delta = p_t - ct * f_r
-        direct = np.linalg.norm(mu) <= mu_rtol * max(ct, 1e-300)
+        direct = np.linalg.norm(mu) <= DIRECT_MU_RTOL * max(ct, 1e-300)
         if direct:
             c_mat = w * np.eye(3)
         else:
@@ -82,8 +83,7 @@ def localization_geometry(params, p_t, weights=None, tx_axis_sign=1.0,
     return out
 
 
-def localize(params, p_t, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
-             mu_rtol=1e-9):
+def localize(params, p_t, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0):
     """Weighted least-squares position fix from per-path (angles, delay).
 
     Exact on exact inputs for any nondegenerate geometry; invariant to a
@@ -92,8 +92,7 @@ def localize(params, p_t, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
     """
     if not params:
         raise InvalidInputError("need at least one path")
-    geos = localization_geometry(params, p_t, weights, tx_axis_sign,
-                                 rx_axis_sign, mu_rtol)
+    geos = localization_geometry(params, p_t, weights, tx_axis_sign, rx_axis_sign)
     c_sum = sum(g.c_mat for g in geos)
     rhs = sum(g.c_mat @ g.delta for g in geos)
     evals = np.linalg.eigvalsh(c_sum)
@@ -105,12 +104,12 @@ def localize(params, p_t, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0,
                               condition=condition)
 
 
-def localize_scenario(params, scenario, weights=None, mu_rtol=1e-9):
+def localize_scenario(params, scenario, weights=None):
     """``localize`` with the scenario's array frame signs and weight policy."""
     tx_sign, rx_sign = channel.array_axis_signs(scenario)
     if weights is None:
         weights = path_weights(params, scenario.weights)
-    return localize(params, scenario.p_t, weights, tx_sign, rx_sign, mu_rtol)
+    return localize(params, scenario.p_t, weights, tx_sign, rx_sign)
 
 
 def _path_factors(params, scenario):

@@ -19,6 +19,10 @@ import numpy as np
 from . import channel, esprit, shift
 from .kernels import InvalidInputError, eig_general, lstsq_pinv
 
+CP_RESTARTS = 3     # cp_als starts: one from the HOSVD, the rest random
+CP_MAX_ITER = 500   # ALS sweeps per start at most
+CP_TOL = 1e-10      # a start stops once a sweep lowers the fit by less
+
 
 class DecompositionFailureError(RuntimeError):
     def __init__(self, message, fits=None):
@@ -114,8 +118,8 @@ def _init_factors(tensor, rank, how, rng):
     return factors
 
 
-def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, rng=None):
-    """Best-of-``restarts`` alternating least squares CP decomposition.
+def cp_als(tensor, rank, rng):
+    """Best-of-``CP_RESTARTS`` alternating least squares CP decomposition.
 
     Restart 0 initializes from the leading left singular vectors of each mode
     unfolding, the rest randomly. After every sweep a line search
@@ -134,7 +138,6 @@ def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, rng=None):
     if rank < 1:
         raise InvalidInputError("rank must be >= 1")
     tensor = np.asarray(tensor, dtype=np.complex128)
-    rng = np.random.default_rng() if rng is None else rng
     if tensor.ndim < 2:
         raise InvalidInputError("CP decomposition needs a tensor of order >= 2")
     if not np.all(np.isfinite(tensor)):
@@ -148,13 +151,13 @@ def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, rng=None):
     best = None
     fits = []
     restart_iterations = []
-    for restart in range(max(restarts, 1)):
+    for restart in range(CP_RESTARTS):
         factors = _init_factors(tensor, rank, "svd" if restart == 0 else "random", rng)
         grams = [f.conj().T @ f for f in factors]
         prev_factors = None
         residual = np.inf
         history = []
-        for iteration in range(max_iter):
+        for iteration in range(CP_MAX_ITER):
             old_factors = list(factors)
             for mode, mttkrp in _short_mode_mttkrps(head @ factors[last].conj(),
                                                     factors, 0, last):
@@ -179,7 +182,7 @@ def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, rng=None):
             change = residual - new_residual
             prev_factors = old_factors
             residual = new_residual
-            if 0 <= change < tol:
+            if 0 <= change < CP_TOL:
                 break
 
         fits.append(residual)
@@ -196,16 +199,15 @@ def cp_als(tensor, rank, max_iter=500, tol=1e-10, restarts=3, rng=None):
                    restart_iterations=restart_iterations, restart_fits=fits)
 
 
-def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng=None):
+def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng):
     """CP factors -> per-dimension restored-shift eigenvalues -> parameters.
 
     Dimension 5 is untransformed, so it uses the plain overlap selectors;
     dimensions 1..4 use the modified selectors of their beam transforms.
     """
-    rng = np.random.default_rng() if rng is None else rng
     noisy = np.asarray(noisy, dtype=np.complex128)
     t_start = time.perf_counter()
-    model = cp_als(noisy, n_paths, rng=rng)   # 3 restarts
+    model = cp_als(noisy, n_paths, rng=rng)
 
     omega = np.empty((n_paths, 5))
     for n in range(5):

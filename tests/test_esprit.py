@@ -302,8 +302,10 @@ class TestAutoPair:
 
     def test_persistent_collision_raises(self, rng):
         g = np.diag(np.exp(1j * np.array([0.4, 0.4])))  # truly identical
-        with pytest.raises(esprit.PairingFailureError):
-            esprit.auto_pair([g] * 5, rng=rng, max_redraws=3)
+        with pytest.raises(esprit.PairingFailureError) as exc:
+            esprit.auto_pair([g] * 5, rng=rng)
+        # the first draw and every redraw
+        assert len(exc.value.diagnostics["separations"]) == esprit.MAX_REDRAWS + 1
 
 
 class TestEstimateGains:
@@ -409,12 +411,11 @@ class TestPipeline:
     def test_scaling_invariance(self, desk_setup, rng):
         scen, paths, transforms, tensor, truth = desk_setup
         l5 = esprit.default_l5(scen.m[4])
-        beta = np.full(5, 0.37)
         est1 = esprit.esprit_pipeline(tensor, transforms, 2, l5, scen.delta_f,
-                                      rng=np.random.default_rng(1), beta=beta)
+                                      rng=np.random.default_rng(1))
         est2 = esprit.esprit_pipeline(5.0 * tensor, transforms, 2, l5,
                                       scen.delta_f,
-                                      rng=np.random.default_rng(1), beta=beta)
+                                      rng=np.random.default_rng(1))
         assert np.allclose(est1.omega, est2.omega, atol=1e-10)
         assert np.allclose(est2.gains, 5.0 * est1.gains, rtol=1e-9)
 
@@ -454,11 +455,10 @@ class TestMethodAgreement:
         q, _ = np.linalg.qr(rng.standard_normal((2, 2))
                             + 1j * rng.standard_normal((2, 2)))
         pairs = shift.selectors_for_transforms(transforms, scen.m[4] + 1 - l5)
-        beta = np.full(5, 0.41)
         _, om1, _ = esprit.auto_pair([esprit.gamma_n(u_s, p)[0] for p in pairs],
-                                     rng=np.random.default_rng(1), beta=beta)
+                                     rng=np.random.default_rng(1))
         _, om2, _ = esprit.auto_pair([esprit.gamma_n(u_s @ q, p)[0] for p in pairs],
-                                     rng=np.random.default_rng(1), beta=beta)
+                                     rng=np.random.default_rng(1))
         a, _ = match_rows(om1, truth)
         b, _ = match_rows(om2, truth)
         assert np.abs(channel.wrap_angle(a - b)).max() < 1e-10

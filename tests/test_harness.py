@@ -262,12 +262,25 @@ class TestRunExperiment:
 
     def test_dump_writes_single_path_separation_as_inf(self, tmp_path):
         # one path: nothing to pair, and the separation is reported as inf.
-        # The diagnostics are kept whether or not the trial is scored.
-        doc = desk_config(outputs=str(tmp_path / "d"), dump_trials=True, trials=2,
-                          methods=["matrix_dense", "matrix_fast"], max_failure_rate=1.0)
+        # The diagnostics are kept whether or not the trial is scored. A config
+        # refuses one path for these methods, so the trials are run directly.
+        doc = desk_config()
         doc["scenario"]["scatterers"] = []
-        _, files = harness.run_experiment(harness.ExperimentConfig.from_dict(doc))
-        with open(files["trials"]) as fh:
+        scen = channel.Scenario.from_dict(doc["scenario"])
+        paths = channel.params_from_geometry(scen)
+        transforms = channel.scenario_transforms(scen, paths)
+        tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
+        truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+        n0 = channel.n0_for_snr_db(paths, transforms, scen, 30.0)
+        trials = []
+        for method in ("matrix_dense", "matrix_fast"):
+            for t in range(2):
+                rng = np.random.default_rng(t)
+                noisy = channel.observe_and_estimate(tensor, scen, rng, n0=n0)
+                trials.append((method, 30.0, t, harness._run_single_trial(
+                    method, noisy, transforms, scen, paths, truth,
+                    esprit.default_l5(scen.m[4]), rng, n0)))
+        with open(harness._write_trial_dump(trials, tmp_path)) as fh:
             dump = list(csv.DictReader(fh))
         assert len(dump) == 4
         for r in dump:
@@ -500,6 +513,12 @@ class TestCli:
         ({"nlos_power_scale": -1}, "nlos_power_scale=-1.0 must be finite and > 0"),
         ({"e_s": 0}, "e_s=0.0 must be finite and > 0"),
         ({"n_c": 16}, "n_c=16 < n_p=32"),
+        ({"n_p": 32.7}, "scenario n_p=32.7 must be an integer"),
+        ({"n_c": 600.9}, "scenario n_c=600.9 must be an integer"),
+        ({"seed": 7.5}, "scenario seed=7.5 must be an integer"),
+        ({"seed": True}, "scenario seed=True must be an integer"),
+        ({"m": [8, 8.5, 8, 8, 64]}, "scenario m[1]=8.5 must be an integer"),
+        ({"scatterers": []}, "single path"),
     ])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_unbuildable_scenario_exit_code_2(self, tmp_path, capsys, command,
@@ -521,7 +540,7 @@ class TestCli:
         ({"threads": 0}, "threads must be >= 1"),
         ({"threads": -2}, "threads must be >= 1"),
         ({"threads": True}, "must be integers"),
-        ({"observation": "pilott"}, "observation 'pilott'"),
+        ({"observation": "direct"}, "unknown config keys: ['observation']"),
         ({"max_failure_rate": -1}, "outside [0, 1]"),
         ({"max_failure_rate": 1.5}, "outside [0, 1]"),
         ({"outputs": 5}, "outputs=5 must be null or a directory path"),
@@ -541,6 +560,15 @@ class TestCli:
         args = [str(path)] if command == "validate-config" else ["--config", str(path)]
         assert cli.main([command, *args]) == 2
         assert message in capsys.readouterr().err
+
+    def test_single_path_analytic_only_is_valid(self, tmp_path, capsys):
+        # only the per-trial methods need a path to localize from
+        doc = desk_config(methods=["analytic"])
+        doc["scenario"]["scatterers"] = []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate-config", str(path)]) == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_zero_threads_flag_exit_code_2(self, tmp_path, capsys):
         path = desk_config(tmp_path)

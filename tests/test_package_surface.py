@@ -2,11 +2,14 @@
 
 ``perfbench/tracer.py`` wraps functions by dotted name and classifies trial
 boundaries and set-up work by those names; a renamed or privatized function
-would silently drop out of its metrics, so each name must resolve here.
+would silently drop out of its metrics, so each name must resolve here. The
+calls ``perfbench/workloads.py`` makes must also still bind to their
+functions' signatures.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -49,6 +52,32 @@ def test_tracer_name_resolves_to_public_attribute(dotted):
         assert not attr.startswith("_"), dotted
         obj = getattr(obj, attr)
     assert callable(obj), dotted
+
+
+# (function, positional argument count, keyword names) of each call that
+# perfbench/workloads.py makes, in the form it makes it
+BENCHMARK_CALLS = (
+    ("esprit.esprit_pipeline", 5, ("method", "rng")),
+    ("channel.observe_and_estimate", 3, ("n0",)),
+    ("channel.params_from_geometry", 1, ()),
+    ("channel.scenario_transforms", 2, ()),
+    ("perturbation.build_kit", 4, ()),
+    ("slac.localize_scenario", 2, ()),
+    ("slac.rate", 4, ()),
+    ("harness.match_paths", 2, ()),
+    ("fastsvd.fast_signal_subspace", 2, ()),
+    ("esprit.spatial_smooth", 2, ()),
+    ("kernels.svd_thin", 1, ()),
+)
+
+
+@pytest.mark.parametrize("dotted, n_args, keywords", BENCHMARK_CALLS,
+                         ids=[dotted for dotted, _, _ in BENCHMARK_CALLS])
+def test_benchmark_call_binds(dotted, n_args, keywords):
+    module, name = dotted.split(".")
+    fn = getattr(importlib.import_module(f"espritsim.{module}"), name)
+    # raises TypeError on a missing, surplus or renamed argument
+    inspect.signature(fn).bind(*range(n_args), **dict.fromkeys(keywords))
 
 
 @pytest.mark.parametrize("name", espritsim.__all__)

@@ -52,9 +52,19 @@ class TestCpAls:
         tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
         noisy = tensor + 0.05 * np.linalg.norm(tensor) / np.sqrt(tensor.size) * (
             rng.standard_normal(tensor.shape) + 1j * rng.standard_normal(tensor.shape))
-        model = tensor_esprit.cp_als(noisy, 2, rng=rng, restarts=1, max_iter=60)
+        model = tensor_esprit.cp_als(noisy, 2, rng=rng)
         hist = np.array(model.fit_history)
         assert np.all(np.diff(hist) <= 1e-12)
+
+    def test_restart_count_and_iteration_cap(self, desk_setup):
+        scen, paths, transforms, tensor, _ = desk_setup
+        rng = np.random.default_rng(2)
+        noisy = channel.observe_and_estimate(
+            tensor, scen, rng, n0=channel.n0_for_snr_db(paths, transforms, scen, 0.0))
+        model = tensor_esprit.cp_als(noisy, 2, rng=rng)
+        assert len(model.restart_iterations) == tensor_esprit.CP_RESTARTS
+        assert len(model.restart_fits) == tensor_esprit.CP_RESTARTS
+        assert all(1 <= n <= tensor_esprit.CP_MAX_ITER for n in model.restart_iterations)
 
     def test_reconstruct(self, rng):
         vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
