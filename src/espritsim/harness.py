@@ -381,10 +381,11 @@ def run_experiment(cfg):
 
     Per (method, SNR): ``cfg.trials`` independent trials with derived RNG
     streams. The analytic method builds the perturbation kit once per sweep,
-    which takes the norms of its J-long sensitivities once; each SNR point
-    only scales them. With ``cfg.threads > 1`` the trials of every (SNR,
-    method) run on one pool of that many forked worker processes, built once
-    the trials' inputs exist; the kit is built while they run. A method whose
+    which holds the norms of its sensitivities (taken from their Tucker
+    pieces, with no J-long row written); each SNR point only scales them.
+    With ``cfg.threads > 1`` the trials of every (SNR, method) run on one
+    pool of that many forked worker processes, built once the trials' inputs
+    exist; the kit is built while they run. A method whose
     failed-trial fraction exceeds ``cfg.max_failure_rate`` raises
     TrialFailureRateError after the sweep.
     """

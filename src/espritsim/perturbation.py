@@ -11,8 +11,13 @@ Everything is linearized in the vectorized observation error dh:
 With dh circular Gaussian of per-entry variance N0 / (N_P E_s) every RMSE
 is sqrt(N0 / (2 N_P E_s)) ||.||, with the norms taken once per kit. Every
 matrix the kit inverts is a Khatri-Rao product of small per-mode factors: it
-is pseudo-inverted through ``channel.khatri_rao_core``, and each J-long row
-is a Tucker tensor on that core, written by one (B x r5)(r5 x M5) product.
+is pseudo-inverted through the QR cores of those factors (each factor's QR
+taken once per kit), and each xi and B^+ row is a Tucker tensor on that core.
+The kit keeps the rows in that form. kappa, Pi and Psi are fixed linear
+combinations of the rows {conj(B^+_l), upsilon_{l,n}}, so their norms are
+quadratic forms in the rows' Gram, which the cores and the factors'
+cross-Grams give without expanding any row (Bader & Kolda, SIAM J. Sci.
+Comput. 2007). The J-long rows themselves are written on first read only.
 
 Sign note: the elevation and delay maps enter the angular frequencies with a
 negative derivative (w2 = pi cos el, w5 = -2 pi df tau), so kappa_2, kappa_4
@@ -23,14 +28,15 @@ absorb it through the chain rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import channel, shift, slac
+from . import channel, slac
 from .channel import SPEED_OF_LIGHT
-from .kernels import InvalidInputError, pinv, svd_pinv
+from .kernels import InvalidInputError, pinv, svd_pinv, svd_thin
 
-ANGLE_TOL = 1e-9    # _kappa refuses a path whose |cos az| or |sin el| is below this
+ANGLE_TOL = 1e-9    # _kappa_maps refuses a path whose |cos az| or |sin el| is below this
 
 
 class IllPosedScenarioError(ValueError):
@@ -47,10 +53,13 @@ class SingularParameterizationError(ValueError):
 
 @dataclass(frozen=True)
 class PerturbationKit:
-    """Sensitivity vectors for one (paths, transforms, L5) configuration.
+    """Sensitivities of one (paths, transforms, L5) configuration.
 
-    Built complete by ``build_kit``; ``psi`` and ``psi_norm`` are None only
-    for a kit built with ``with_position=False``.
+    Built complete by ``build_kit``, which stores every sensitivity row in
+    Tucker form and the norms the analytic RMSEs scale. The J-long arrays
+    ``xi``, ``upsilon``, ``kappa``, ``b_pinv``, ``pi`` and ``psi`` are written
+    from those pieces on first read and cached. ``psi`` and ``psi_norm`` are
+    None only for a kit built with ``with_position=False``.
     """
 
     paths: list
@@ -59,24 +68,73 @@ class PerturbationKit:
     omega: np.ndarray            # (L, 5)
     phi: np.ndarray              # (L, 5) unit-circle rotations e^{j omega}
     gains: np.ndarray            # (L,)
-    upsilon: np.ndarray          # (L, 5, J)
-    kappa: np.ndarray            # (L, 5, J)
+    xi_tucker: list              # [l][n] -> (core, 5 factors) of xi_{l,n}
+    b_pinv_tucker: tuple         # (cores (L, r_1..r_5), 5 factors) of B^+
     upsilon_gain: np.ndarray     # (5, L, L) Upsilon_n
-    b_pinv: np.ndarray           # (L, J)
-    pi: np.ndarray               # (L, 2, 2J)
     kappa_norm: np.ndarray       # (L, 5) ||kappa[l, n]||
     pi_norm: np.ndarray          # (L,) ||pi[l]||_F
-    psi: np.ndarray | None = None        # (3, J)
     psi_norm: float | None = None        # ||psi||_F
 
     @property
     def j_total(self):
-        return self.upsilon.shape[-1]
+        return int(np.prod([f.shape[0] for f in self.b_pinv_tucker[1]]))
 
-    @property
+    @cached_property
     def xi(self):
-        """(L, 5, J) xi_{l,n} = upsilon_{l,n} conj(gamma_l) / phi_{l,n}, derived on each read."""
-        return self.upsilon * (np.conj(self.gains)[:, None] / self.phi)[:, :, None]
+        """(L, 5, J) xi_{l,n}, each written by ``_tucker_into``."""
+        xi = np.empty(self.phi.shape + (self.j_total,), dtype=np.complex128)
+        for l, row in enumerate(self.xi_tucker):
+            for n, (core, factors) in enumerate(row):
+                _tucker_into(core, factors, xi[l, n])
+        return xi
+
+    @cached_property
+    def upsilon(self):
+        """(L, 5, J) upsilon_{l,n} = xi_{l,n} phi_{l,n} / conj(gamma_l)."""
+        return self.xi * (self.phi / np.conj(self.gains)[:, None])[:, :, None]
+
+    @cached_property
+    def kappa(self):
+        """(L, 5, J) channel-parameter sensitivities kappa_l = K_l upsilon_l."""
+        kappa = np.empty_like(self.upsilon)
+        for l, k_l in enumerate(_kappa_maps(self.paths, self.scenario.delta_f)):
+            np.matmul(k_l, self.upsilon[l].view(np.float64), out=kappa[l].view(np.float64))
+        return kappa
+
+    @cached_property
+    def b_pinv(self):
+        """(L, J) B^+."""
+        cores, factors = self.b_pinv_tucker
+        b_pinv = np.empty((cores.shape[0], self.j_total), dtype=np.complex128)
+        _tucker_into(cores, factors, b_pinv)
+        return b_pinv
+
+    @cached_property
+    def pi(self):
+        """(L, 2, 2J) real gain sensitivities.
+
+        Pi_l = [[Re b, -Im b], [Im b, Re b]] - sum_n [Re c; Im c] [Im v*, Re v*] with
+        b = B^+[l], c = Upsilon_n[l], v = upsilon[:, n].
+        """
+        b_pinv, upsilon = self.b_pinv, self.upsilon
+        n_paths, _, j_total = upsilon.shape
+        # w is the sum for every l, (re, im) interleaved
+        coeff = np.stack([self.upsilon_gain.real, self.upsilon_gain.imag], 2).transpose(1, 2, 3, 0)
+        w = coeff.reshape(2 * n_paths, -1) @ upsilon.view(np.float64).reshape(5 * n_paths, -1)
+        w = w.reshape(n_paths, 2, j_total, 2)
+        pi = np.empty((n_paths, 2, 2 * j_total))
+        np.add(b_pinv.real, w[:, 0, :, 1], out=pi[:, 0, :j_total])
+        np.subtract(-b_pinv.imag, w[:, 0, :, 0], out=pi[:, 0, j_total:])
+        np.add(b_pinv.imag, w[:, 1, :, 1], out=pi[:, 1, :j_total])
+        np.subtract(b_pinv.real, w[:, 1, :, 0], out=pi[:, 1, j_total:])
+        return pi
+
+    @cached_property
+    def psi(self):
+        """(3, J) position sensitivity Psi, None without position."""
+        if self.psi_norm is None:
+            return None
+        return _psi(self.paths, self.kappa, self.scenario)
 
 
 def _tucker_into(core, factors, out):
@@ -92,8 +150,34 @@ def _tucker_into(core, factors, out):
     np.matmul(x.reshape(-1, f5.shape[1]), f5.T, out=out.reshape(-1, f5.shape[0]))
 
 
-def _upsilon(factors, transforms, l5, omega, phi, gains):
-    """Frequency-error sensitivities upsilon for every (path, dim), (L, 5, J).
+def _gram(rows):
+    """Hermitian Gram G[a, b] = <row_a, row_b> of Tucker rows (core, factors).
+
+    Every row is padded to common per-mode ranks with zero core slices and
+    zero factor columns, which leaves it unchanged. Then, for all pairs at
+    once, the cores are contracted mode by mode with the factor cross-Grams
+    F_{a,m}^H F_{b,m}; no row is expanded.
+    """
+    n_rows = len(rows)
+    ranks = [max(factors[m].shape[1] for _, factors in rows) for m in range(5)]
+    cores = np.zeros((n_rows, *ranks), dtype=np.complex128)
+    padded = [np.zeros((rows[0][1][m].shape[0], n_rows, r), dtype=np.complex128)
+              for m, r in enumerate(ranks)]
+    for a, (core, factors) in enumerate(rows):
+        cores[(a,) + tuple(map(slice, core.shape))] = core
+        for f, factor in zip(padded, factors):
+            f[:, a, :factor.shape[1]] = factor
+    z = np.broadcast_to(cores, (n_rows,) + cores.shape)       # z[a, b] = core_b
+    for m, (f, r) in enumerate(zip(padded, ranks)):
+        flat = f.reshape(f.shape[0], -1)
+        cross = (flat.conj().T @ flat).reshape(n_rows, r, n_rows, r).transpose(0, 2, 1, 3)
+        z = cross[:, :, None] @ z.reshape(n_rows, n_rows, int(np.prod(ranks[:m])), r, -1)
+    return np.einsum("ai,abi->ab", cores.reshape(n_rows, -1).conj(),
+                     z.reshape(n_rows, n_rows, -1))
+
+
+def _xi_tucker(factors, spatial_qrs, transforms, l5, omega, phi):
+    """Frequency-error rows xi for every (path, dim) in Tucker form, [l][n] -> (core, factors).
 
     From the noiseless H = P Diag(gamma) G^T: lambda_l = (J2 - Phi J1)^H u_l^*,
     with u_l^T row l of (J1 P)^+, lives on the smoothed stack and chi_l on the
@@ -102,36 +186,48 @@ def _upsilon(factors, transforms, l5, omega, phi, gains):
     As J1 P = KR(C_m) (selector on factor n), lambda_l is a Tucker tensor with
     core conj(row l of KR(R_m)^+), factors Q_m, and (J2^H - conj(phi) J1^H) Q_n
     in mode n; the convolution with chi_l acts on its mode-5 factor alone.
+    The frequency selectors keep the leading and the trailing K5 - 1 rows.
     """
     m5 = factors[4].shape[0]
     k5 = m5 + 1 - l5
     n_paths = omega.shape[0]
-    p_factors = factors[:4] + [channel.steering_matrix(k5, omega[:, 4])]
+    p5 = channel.steering_matrix(k5, omega[:, 4])
     chi = pinv(channel.steering_matrix(l5, omega[:, 4]).T).conj()   # column l = chi_l
-    selectors = [(t.l1, t.l2) for t in transforms] + [shift.element_selectors(k5)]
+    qrs = spatial_qrs + [np.linalg.qr(p5)]
 
-    j_total = int(np.prod([t.n for t in transforms])) * m5
-    upsilon = np.empty((n_paths, 5, j_total), dtype=np.complex128)
+    def window(f, l):
+        """The convolution of each column of f with chi_l."""
+        return np.stack([np.convolve(c, chi[:, l]) for c in f.T], axis=1)
+    q5_windows = [window(qrs[4][0], l) for l in range(n_paths)]   # shared by dims 1..4
 
-    for n, (s1, s2) in enumerate(selectors):
-        qs, core = channel.khatri_rao_core(
-            [s1 @ f if m == n else f for m, f in enumerate(p_factors)])
+    rows = [[None] * 5 for _ in range(n_paths)]
+    for n in range(5):
+        if n < 4:
+            s1, s2 = transforms[n].l1, transforms[n].l2
+            q, r = np.linalg.qr(s1 @ factors[n])
+            j1q, j2q = s1.conj().T @ q, s2.conj().T @ q
+        else:
+            q, r = np.linalg.qr(p5[:-1])
+            j1q, j2q = np.zeros((2, k5, q.shape[1]), dtype=np.complex128)
+            j1q[:-1], j2q[1:] = q, q
+        mode_qrs = [(q, r) if m == n else qr for m, qr in enumerate(qrs)]
+        core = svd_thin(channel.khatri_rao([r_m for _, r_m in mode_qrs]))
         s = core.singular_values
         if s.size < n_paths or s[-1] <= 1e-12 * s[0]:
             raise IllPosedScenarioError(f"J1 P rank deficient in dimension {n + 1}")
-        lam_cores = svd_pinv(core).conj().reshape((n_paths,) + tuple(q.shape[1] for q in qs))
-        j2q, j1q = s2.conj().T @ qs[n], s1.conj().T @ qs[n]
+        lam_cores = svd_pinv(core).conj().reshape(
+            (n_paths,) + tuple(r_m.shape[0] for _, r_m in mode_qrs))
         for l in range(n_paths):
-            lam = [j2q - np.conj(phi[l, n]) * j1q if m == n else q for m, q in enumerate(qs)]
-            lam[4] = np.stack([np.convolve(c, chi[:, l]) for c in lam[4].T], axis=1)
-            _tucker_into(lam_cores[l], lam, upsilon[l, n])      # xi_{l,n}
-            upsilon[l, n] *= phi[l, n] / np.conj(gains[l])
-    return upsilon
+            lam = [q_m for q_m, _ in mode_qrs]
+            lam[n] = j2q - np.conj(phi[l, n]) * j1q
+            lam[4] = window(lam[4], l) if n == 4 else q5_windows[l]
+            rows[l][n] = (lam_cores[l], lam)
+    return rows
 
 
-def _kappa(paths, upsilon, delta_f):
-    """Channel-parameter sensitivities kappa (L, 5, J) from upsilon."""
-    kappa = np.empty_like(upsilon)
+def _kappa_maps(paths, delta_f):
+    """Per-path real 5 x 5 maps K_l with kappa_l = K_l upsilon_l, (L, 5, 5)."""
+    maps = np.zeros((len(paths), 5, 5))
     for l, p in enumerate(paths):
         sp_el, cp_el = np.sin(p.phi_el), np.cos(p.phi_el)
         st_el, ct_el = np.sin(p.theta_el), np.cos(p.theta_el)
@@ -143,28 +239,27 @@ def _kappa(paths, upsilon, delta_f):
         if abs(sp_el) < ANGLE_TOL or abs(st_el) < ANGLE_TOL:
             raise SingularParameterizationError(
                 f"sin(el) ~ 0 on path {l}", path=l)
-        k_l = np.zeros((5, 5))
+        k_l = maps[l]
         k_l[0, :2] = 1 / (np.pi * cp_az * sp_el), sp_az * cp_el / (np.pi * cp_az * sp_el ** 2)
         k_l[1, 1] = -1 / (np.pi * sp_el)
         k_l[2, 2:4] = 1 / (np.pi * ct_az * st_el), st_az * ct_el / (np.pi * ct_az * st_el ** 2)
         k_l[3, 3] = -1 / (np.pi * st_el)
         k_l[4, 4] = -1 / (2 * np.pi * delta_f)
-        np.matmul(k_l, upsilon[l].view(np.float64), out=kappa[l].view(np.float64))
-    return kappa
+    return maps
 
 
-def _gain_sensitivities(factors, transforms, omega, gains, upsilon):
-    """The gain pair (B^+, Upsilon_n) and its real stacking Pi.
+def _gain_sensitivities(factors, spatial_qrs, transforms, omega, gains):
+    """The gain pair: B^+ in Tucker form, (cores, factors), and Upsilon_n.
 
     B^+ comes from the QR core of B = KR(B_1..B_4, A_5), so Upsilon_n =
     KR(R)^+ KR(Q_m^H B-breve_m) Diag(gamma) is L x L work.
     """
-    n_paths, _, j_total = upsilon.shape
-    qs, core = channel.khatri_rao_core(factors)
-    core_pinv = svd_pinv(core)                       # KR(R)^+, (L, prod r_m)
-    b_pinv = np.empty((n_paths, j_total), dtype=np.complex128)
-    _tucker_into(core_pinv.reshape((n_paths,) + tuple(q.shape[1] for q in qs)),
-                 [q.conj() for q in qs], b_pinv)
+    n_paths = omega.shape[0]
+    qrs = spatial_qrs + [np.linalg.qr(factors[4])]
+    qs = [q for q, _ in qrs]
+    core_pinv = svd_pinv(svd_thin(channel.khatri_rao([r for _, r in qrs])))   # KR(R)^+
+    b_pinv_tucker = (core_pinv.reshape((n_paths,) + tuple(q.shape[1] for q in qs)),
+                     [q.conj() for q in qs])
     upsilon_gain = np.empty((5, n_paths, n_paths), dtype=np.complex128)
     for n in range(5):
         m_n = factors[4].shape[0] if n == 4 else transforms[n].m
@@ -174,22 +269,18 @@ def _gain_sensitivities(factors, transforms, omega, gains, upsilon):
         b_breve = channel.khatri_rao([q.conj().T @ (deriv if m == n else f)
                                       for m, (q, f) in enumerate(zip(qs, factors))])
         upsilon_gain[n] = (core_pinv @ b_breve) * gains[None, :]
-
-    # Pi_l = [[Re b, -Im b], [Im b, Re b]] - sum_n [Re c; Im c] [Im v*, Re v*] with b = B^+[l],
-    # c = Upsilon_n[l], v = upsilon[:, n]; w is the sum for every l, (re, im) interleaved
-    coeff = np.stack([upsilon_gain.real, upsilon_gain.imag], 2).transpose(1, 2, 3, 0)
-    w = coeff.reshape(2 * n_paths, -1) @ upsilon.view(np.float64).reshape(5 * n_paths, -1)
-    w = w.reshape(n_paths, 2, j_total, 2)
-    pi = np.empty((n_paths, 2, 2 * j_total))
-    np.add(b_pinv.real, w[:, 0, :, 1], out=pi[:, 0, :j_total])
-    np.subtract(-b_pinv.imag, w[:, 0, :, 0], out=pi[:, 0, j_total:])
-    np.add(b_pinv.imag, w[:, 1, :, 1], out=pi[:, 1, :j_total])
-    np.subtract(b_pinv.real, w[:, 1, :, 0], out=pi[:, 1, j_total:])
-    return b_pinv, upsilon_gain, pi
+    return b_pinv_tucker, upsilon_gain
 
 
 PARAM_KEYS = ("rmse_phi_az", "rmse_phi_el", "rmse_theta_az", "rmse_theta_el",
               "rmse_tau")
+
+
+def _noise_root(kit, n0):
+    """sqrt(N0 / (2 N_P E_s)) with the kit's scenario's N_P and E_s."""
+    if not (np.isfinite(n0) and n0 >= 0):
+        raise InvalidInputError(f"noise level n0 must be finite and >= 0, got {n0!r}")
+    return np.sqrt(n0 / (2 * kit.scenario.n_p * kit.scenario.e_s))
 
 
 def analytic_param_rmse(kit, n0):
@@ -198,7 +289,7 @@ def analytic_param_rmse(kit, n0):
     Each is sqrt(N0 / (2 N_P E_s)) times the stored ||kappa||; the gain uses
     ||Pi||_F. N_P and E_s are the kit's scenario's.
     """
-    root = np.sqrt(n0 / (2 * kit.scenario.n_p * kit.scenario.e_s))
+    root = _noise_root(kit, n0)
     return [{**{key: float(root * v) for key, v in zip(PARAM_KEYS, k_norms)},
              "rmse_gamma": float(root * p_norm)}
             for k_norms, p_norm in zip(kit.kappa_norm, kit.pi_norm)]
@@ -213,8 +304,8 @@ def _rotation_jacobian(az, el):
     ])
 
 
-def _psi(paths, kappa, scenario, weights=None):
-    """Position sensitivity Psi (3 x J): dp = Im(Psi dh).
+def _position_map(paths, scenario, weights=None):
+    """The real (3, L, 5) map M with Psi = conj(M kappa).
 
     Uses the estimator's localization geometry in the scenario's frame signs,
     with its weight policy unless ``weights`` is given. A direct path (mu = 0)
@@ -236,8 +327,7 @@ def _psi(paths, kappa, scenario, weights=None):
 
     mirror_t = np.diag([tx_axis_sign, 1.0, 1.0])
     mirror_r = np.diag([rx_axis_sign, 1.0, 1.0])
-    # d-breve and e-breve are real, so Psi = conj(M kappa) with M the 3 x 5L
-    # stack of both: one real product on kappa's float view
+    # d-breve and e-breve are real, so M stacks both for every path
     m = np.zeros((3, n_paths, 5))
     for l, (p, g, w) in enumerate(zip(paths, geos, weights)):
         omega_t = mirror_t @ _rotation_jacobian(p.phi_az, p.phi_el)
@@ -255,40 +345,88 @@ def _psi(paths, kappa, scenario, weights=None):
         e_breve = SPEED_OF_LIGHT * c_inv @ c_breve @ np.column_stack(
             [p.tau * omega_t, p.tau * omega_r, g.f_t + g.f_r])
         m[:, l] += e_breve
-    psi = (m.reshape(3, -1) @ kappa.view(np.float64).reshape(5 * n_paths, -1)).view(np.complex128)
+    return m
+
+
+def _psi(paths, kappa, scenario, weights=None):
+    """Position sensitivity Psi (3 x J): dp = Im(Psi dh).
+
+    One real product of ``_position_map`` on kappa's float view.
+    """
+    m = _position_map(paths, scenario, weights)
+    flat = kappa.view(np.float64).reshape(5 * len(paths), -1)
+    psi = (m.reshape(3, -1) @ flat).view(np.complex128)
     np.conjugate(psi, out=psi)
     return psi
 
 
 def analytic_pos_rmse(kit, n0):
     """Closed-form position RMSE sqrt(N0 / (2 N_P E_s)) ||Psi||_F in meters, stored norm."""
+    root = _noise_root(kit, n0)
     if kit.psi_norm is None:
         raise InvalidInputError("kit was built with with_position=False: no Psi")
-    return float(np.sqrt(n0 / (2 * kit.scenario.n_p * kit.scenario.e_s)) * kit.psi_norm)
+    return float(root * kit.psi_norm)
+
+
+def _norms(gram, kappa_maps, upsilon_gain, position_map):
+    """||kappa_{l,i}||, ||Pi_l||_F and ||Psi||_F (None without ``position_map``).
+
+    ``gram`` is the Gram of the rows conj(B^+_l), then upsilon_{l,n} in
+    C-order. Each sensitivity is a fixed combination c of these rows, so its
+    squared norm is c^H G c: kappa_l = K_l upsilon_l, Psi = conj(M kappa), and
+    the two rows of Pi_l are the real stackings of
+    z0 = conj(b_l) - i sum_{n,l'} Re(Upsilon_n[l, l']) upsilon_{l',n} and
+    z1 = i conj(b_l) - i sum_{n,l'} Im(Upsilon_n[l, l']) upsilon_{l',n}.
+    """
+    n_paths = len(kappa_maps)
+    eye = np.eye(n_paths)
+
+    def sq_norms(b_coeffs, upsilon_coeffs):
+        c = np.concatenate([b_coeffs, upsilon_coeffs.reshape(b_coeffs.shape[:-1] + (-1,))],
+                           axis=-1)
+        return np.einsum("...a,ab,...b->...", c.conj(), gram, c).real
+
+    kappa_norm = np.sqrt(sq_norms(np.zeros((n_paths, 5, n_paths)),
+                                  np.einsum("lm,lin->limn", eye, kappa_maps)))
+    gain_parts = np.stack([upsilon_gain.real, upsilon_gain.imag], 2)     # (5, L, 2, L')
+    pi_sq = sq_norms(np.stack([eye, 1j * eye], axis=1), -1j * gain_parts.transpose(1, 2, 3, 0))
+    if position_map is None:
+        return kappa_norm, np.sqrt(pi_sq.sum(axis=1)), None
+    psi_sq = sq_norms(np.zeros((3, n_paths)),
+                      np.einsum("rli,lin->rln", position_map, kappa_maps))
+    return kappa_norm, np.sqrt(pi_sq.sum(axis=1)), np.sqrt(psi_sq.sum())
 
 
 def build_kit(paths, transforms, scenario, l5, with_position=True):
     """The complete perturbation kit of one configuration.
 
-    upsilon, then kappa, the gain pair and Pi, and (unless
-    ``with_position=False``) Psi, with the norms every analytic RMSE scales.
+    upsilon's and B^+'s rows in Tucker form, the gain coupling Upsilon_n, and
+    the norms of kappa, Pi and (unless ``with_position=False``) Psi, which
+    every analytic RMSE scales. No J-long row is written.
     """
-    gains = np.array([p.gamma for p in paths], dtype=np.complex128)
-    if np.any(gains == 0):
-        raise InvalidInputError("perturbation needs nonzero path gains")
+    gains = np.array([p.gamma for p in paths], dtype=np.complex128)   # a None reads nan
+    if not np.all(np.isfinite(gains)) or np.any(gains == 0):
+        raise InvalidInputError("perturbation needs finite nonzero path gains")
     omega = np.stack([channel.to_angular(p, scenario.delta_f).omega for p in paths])
     phi = np.exp(1j * omega)
     factors = channel.beamspace_factors(paths, transforms, scenario)
+    spatial_qrs = [np.linalg.qr(f) for f in factors[:4]]
 
-    upsilon = _upsilon(factors, transforms, l5, omega, phi, gains)
-    kappa = _kappa(paths, upsilon, scenario.delta_f)
-    b_pinv, upsilon_gain, pi = _gain_sensitivities(factors, transforms, omega, gains,
-                                                   upsilon)
-    psi = _psi(paths, kappa, scenario) if with_position else None
+    xi_tucker = _xi_tucker(factors, spatial_qrs, transforms, l5, omega, phi)
+    kappa_maps = _kappa_maps(paths, scenario.delta_f)
+    b_pinv_tucker, upsilon_gain = _gain_sensitivities(factors, spatial_qrs, transforms,
+                                                      omega, gains)
+    position_map = _position_map(paths, scenario) if with_position else None
+    # the Gram of the rows conj(B^+_l), then upsilon_{l,n} = xi_{l,n} phi_{l,n} / conj(gamma_l)
+    b_cores, b_factors = b_pinv_tucker
+    rows = ([(c.conj(), [f.conj() for f in b_factors]) for c in b_cores]
+            + [piece for row in xi_tucker for piece in row])
+    scale = np.concatenate([np.ones(len(paths)),
+                            (phi / np.conj(gains)[:, None]).reshape(-1)])
+    gram = _gram(rows) * np.outer(scale.conj(), scale)
+    kappa_norm, pi_norm, psi_norm = _norms(gram, kappa_maps, upsilon_gain, position_map)
     return PerturbationKit(
         paths=list(paths), scenario=scenario, k5=scenario.m[4] + 1 - l5, omega=omega,
-        phi=phi, gains=gains, upsilon=upsilon, kappa=kappa, upsilon_gain=upsilon_gain,
-        b_pinv=b_pinv, pi=pi,
-        kappa_norm=np.array([[np.linalg.norm(row) for row in k] for k in kappa]),
-        pi_norm=np.array([np.linalg.norm(p) for p in pi]),
-        psi=psi, psi_norm=None if psi is None else np.linalg.norm(psi))
+        phi=phi, gains=gains, xi_tucker=xi_tucker, b_pinv_tucker=b_pinv_tucker,
+        upsilon_gain=upsilon_gain, kappa_norm=kappa_norm, pi_norm=pi_norm,
+        psi_norm=psi_norm)

@@ -211,12 +211,6 @@ def lifted_selectors(n, beam_dims, k5, l1=None, l2=None):
     )
 
 
-def element_selectors(m_n):
-    """Plain maximum-overlap selectors [I, 0] and [0, I] for element space."""
-    eye = np.eye(m_n, dtype=np.complex128)
-    return eye[:-1, :], eye[1:, :]
-
-
 def selectors_for_transforms(transforms, k5):
     """Selector pairs for all five dimensions given the four beam transforms."""
     beam_dims = tuple(t.n for t in transforms)

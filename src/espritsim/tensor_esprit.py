@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channel, esprit, shift
+from . import channel, esprit
 from .kernels import InvalidInputError, eig_general, lstsq_pinv
 
 CP_RESTARTS = 3     # cp_als starts: one from the HOSVD, the rest random
@@ -202,8 +202,9 @@ def cp_als(tensor, rank, rng):
 def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng):
     """CP factors -> per-dimension restored-shift eigenvalues -> parameters.
 
-    Dimension 5 is untransformed, so it uses the plain overlap selectors;
-    dimensions 1..4 use the modified selectors of their beam transforms.
+    Dimension 5 is untransformed, so its selectors keep the leading and the
+    trailing M5 - 1 rows; dimensions 1..4 use the modified selectors of their
+    beam transforms.
     """
     noisy = np.asarray(noisy, dtype=np.complex128)
     t_start = time.perf_counter()
@@ -213,10 +214,9 @@ def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng):
     for n in range(5):
         u_n = model.factors[n]
         if n < 4:
-            l1, l2 = transforms[n].l1, transforms[n].l2
+            gam = lstsq_pinv(transforms[n].l1 @ u_n, transforms[n].l2 @ u_n)
         else:
-            l1, l2 = shift.element_selectors(noisy.shape[4])
-        gam = lstsq_pinv(l1 @ u_n, l2 @ u_n)
+            gam = lstsq_pinv(u_n[:-1], u_n[1:])
         if n_paths == 1:
             omega[0, n] = np.angle(gam[0, 0])
             continue

@@ -467,13 +467,22 @@ SIX_PATH_SCATTERERS = [[10, 2.5, 0], [6, 7, 1], [14, 1, 2], [8, 4.5, 0.5], [12, 
 
 
 def assert_kit_matches(kit, ref, arrays=KIT_ARRAYS, rtol=1e-12):
-    """Each array within ``rtol`` of the reference, relative per last-axis row."""
+    """Each array within ``rtol`` of the reference, relative per last-axis row,
+    and each stored norm within ``rtol`` of the norm of the reference's array."""
     for name in arrays:
         got, want = getattr(kit, name), ref[name]
         assert got.shape == want.shape and got.dtype == want.dtype, name
         got, want = got.reshape(-1, want.shape[-1]), want.reshape(-1, want.shape[-1])
         err = np.linalg.norm(got - want, axis=1)
         assert np.all(err <= rtol * np.linalg.norm(want, axis=1)), (name, err.max())
+    norms = [(kit.kappa_norm, np.linalg.norm(ref["kappa"], axis=-1)),
+             (kit.pi_norm, np.linalg.norm(ref["pi"], axis=(1, 2)))]
+    if "psi" in ref:
+        norms.append((kit.psi_norm, np.linalg.norm(ref["psi"])))
+    else:
+        assert kit.psi is None and kit.psi_norm is None
+    for got, want in norms:
+        assert np.all(np.abs(got - want) <= rtol * want), (got, want)
 
 
 class TestAgainstMaterializedReference:
@@ -535,15 +544,62 @@ class TestAgainstMaterializedReference:
 
 class TestAnalyticNorms:
     def test_rows_equal_per_call_norms(self, desk_kit):
-        # the stored norms give exactly the per-call norms of the kept arrays
+        # the stored norms come from the rows' Gram, so they give the per-call
+        # norms of the derived arrays to round-off
         scen, paths, transforms, l5, kit, _ = desk_kit
         root = np.sqrt(1e-9 / (2 * scen.n_p * scen.e_s))
         for l, row in enumerate(perturbation.analytic_param_rmse(kit, 1e-9)):
             for i, key in enumerate(perturbation.PARAM_KEYS):
-                assert row[key] == float(root * np.linalg.norm(kit.kappa[l, i]))
-            assert row["rmse_gamma"] == float(root * np.linalg.norm(kit.pi[l]))
-        assert perturbation.analytic_pos_rmse(kit, 1e-9) == float(
-            root * np.linalg.norm(kit.psi))
+                assert row[key] == pytest.approx(
+                    root * np.linalg.norm(kit.kappa[l, i]), rel=1e-12)
+            assert row["rmse_gamma"] == pytest.approx(
+                root * np.linalg.norm(kit.pi[l]), rel=1e-12)
+        assert perturbation.analytic_pos_rmse(kit, 1e-9) == pytest.approx(
+            root * np.linalg.norm(kit.psi), rel=1e-12)
+
+    def test_no_j_long_array_until_read(self, desk_scenario):
+        scen = desk_scenario
+        paths = channel.params_from_geometry(scen)
+        transforms = channel.scenario_transforms(scen, paths)
+        kit = perturbation.build_kit(paths, transforms, scen, esprit.default_l5(scen.m[4]))
+        j_total = int(np.prod(scen.n)) * scen.m[4]
+        assert kit.j_total == j_total
+        assert largest_array(vars(kit)) < j_total      # j_total read no row
+        perturbation.analytic_param_rmse(kit, 1e-9)
+        perturbation.analytic_pos_rmse(kit, 1e-9)
+        assert largest_array(vars(kit)) < j_total
+        assert kit.upsilon.shape == (len(paths), 5, j_total)
+        assert vars(kit)["upsilon"] is kit.upsilon      # cached on first read
+
+
+def largest_array(obj):
+    """Entries of the largest numpy array reachable through containers and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return max((largest_array(v) for v in obj), default=0)
+    return 0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("gamma", [None, np.nan, np.inf, complex(1.0, np.nan), 0.0])
+    def test_gain_must_be_finite_and_nonzero(self, desk_kit, gamma):
+        scen, paths, transforms, l5, _, _ = desk_kit
+        bad = [dataclasses.replace(paths[0], gamma=gamma)] + paths[1:]
+        with pytest.raises(InvalidInputError, match="path gain"):
+            perturbation.build_kit(bad, transforms, scen, l5)
+
+    @pytest.mark.parametrize("n0", [-1e-9, np.nan, np.inf])
+    @pytest.mark.parametrize("rmse", [perturbation.analytic_param_rmse,
+                                      perturbation.analytic_pos_rmse])
+    def test_noise_level_must_be_finite_and_nonnegative(self, desk_kit, rmse, n0):
+        kit = desk_kit[4]
+        with pytest.raises(InvalidInputError, match="n0"):
+            rmse(kit, n0)
 
 
 class TestRankCheck:

@@ -77,8 +77,6 @@ class TestLiftedSelectors:
         x = np.arange(3.0)
         assert np.allclose(pair.first.apply(x), [0, 1])   # drops last tap
         assert np.allclose(pair.second.apply(x), [1, 2])  # drops first tap
-        l1, l2 = shift.element_selectors(4)
-        assert np.array_equal(l1, np.eye(4)[:-1]) and np.array_equal(l2, np.eye(4)[1:])
 
     def test_dense_vs_implicit(self, rng):
         l1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
