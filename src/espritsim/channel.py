@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shift
-from .kernels import InvalidInputError, svd_thin
+from .kernels import EstimationError, InvalidInputError, svd_thin
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -42,7 +42,7 @@ class DegenerateGeometryError(ValueError):
     """Scenario geometry does not admit the angular parameterization."""
 
 
-class OutOfDomainError(ValueError):
+class OutOfDomainError(EstimationError, ValueError):
     """Angular frequencies outside the invertible domain of the parameter map."""
 
 
@@ -163,14 +163,19 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
+        """A scenario from its config entries, refusing at load what set-up
+        cannot build: the geometry and beam grids are built once here."""
         unknown = sorted(set(d) - _SCENARIO_KEYS)
         if unknown:
             raise InvalidInputError(f"unknown scenario keys: {unknown}")
-        return cls(
-            p_t=d["p_t"], p_r=d["p_r"], scatterers=d.get("scatterers", []),
+        scenario = cls(
+            p_t=_position("p_t", d["p_t"]), p_r=_position("p_r", d["p_r"]),
+            scatterers=[_position(f"scatterers[{i}]", s)
+                        for i, s in enumerate(d.get("scatterers", []))],
             m=[_integer(f"m[{i}]", v) for i, v in enumerate(d["m"])],
             n=[_integer(f"n[{i}]", v) for i, v in enumerate(d["n"])],
-            delta_f=float(d["delta_f_hz"]), f_c=float(d["carrier_hz"]),
+            delta_f=_positive("delta_f_hz", d["delta_f_hz"]),
+            f_c=_positive("carrier_hz", d["carrier_hz"]),
             n_p=_integer("n_p", d["n_p"]), n_c=_integer("n_c", d.get("n_c", 600)),
             e_s=float(d.get("e_s", 1.0)), n0=float(d.get("n0", 0.0)),
             seed=_integer("seed", d.get("seed", 0)),
@@ -178,6 +183,8 @@ class Scenario:
             nlos_power_scale=float(d.get("nlos_power_scale", 0.1)),
             weights=d.get("weights", "uniform"),
         )
+        scenario_transforms(scenario, params_from_geometry(scenario))
+        return scenario
 
     @classmethod
     def from_json(cls, path):
@@ -191,6 +198,22 @@ def _integer(key, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"scenario {key}={value!r} must be an integer")
     return value
+
+
+def _positive(key, value):
+    """``value`` of scenario entry ``key`` as a float; refused unless finite and > 0."""
+    value = float(value)
+    if not 0 < value < np.inf:
+        raise InvalidInputError(f"scenario {key}={value!r} must be finite and > 0")
+    return value
+
+
+def _position(key, value):
+    """``value`` of scenario entry ``key`` as a position; refused unless a finite 3-vector."""
+    p = np.asarray(value, dtype=float)
+    if p.shape != (3,) or not np.isfinite(p).all():
+        raise InvalidInputError(f"scenario {key}={value!r} must be a finite 3-vector")
+    return p
 
 
 def _beam_kind(d, side):

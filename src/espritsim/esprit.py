@@ -19,18 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channel, fastsvd, shift
-from .kernels import (InvalidInputError, NumericFailureError, eig_general,
-                      lstsq_pinv, svd_leading, svd_solve)
+from .kernels import (EstimationError, InvalidInputError, NumericFailureError,
+                      eig_general, lstsq_pinv, svd_leading, svd_solve)
 
 PAIR_SEP_TOL = 1e-6     # auto_pair's least relative eigenvalue separation
 MAX_REDRAWS = 8         # beta redraws before auto_pair gives up
 
 
-class InvalidSmoothingError(ValueError):
-    """Smoothing window outside 1 <= L5 <= M5."""
-
-
-class PairingFailureError(RuntimeError):
+class PairingFailureError(EstimationError, RuntimeError):
     """Eigenvalues of the beta-combination stayed clustered across redraws."""
 
     def __init__(self, message, diagnostics=None):
@@ -76,7 +72,7 @@ def spatial_smooth(tensor, l5):
     tensor = np.asarray(tensor)
     m5 = tensor.shape[-1]
     if not 1 <= l5 <= m5:
-        raise InvalidSmoothingError(f"L5={l5} outside [1, {m5}]")
+        raise InvalidInputError(f"L5={l5} outside [1, {m5}]")
     k5 = m5 + 1 - l5
     windows = np.lib.stride_tricks.sliding_window_view(tensor, k5, axis=-1)
     # windows: (..., L5, K5) -> rows (..., K5) fastest, columns L5

@@ -229,7 +229,7 @@ def lanczos_bidiag(op, steps, n_wanted):
         n_v = ell + 2
 
     if n_u == 0:
-        raise NumericFailureError("Lanczos broke down at the first step", iterations=0)
+        raise NumericFailureError("Lanczos broke down at the first step")
     return Bidiagonal(a=alphas[:n_u], b=betas[:n_v - 1],
                       u_frame=u_frame[:n_u].T, v_frame=v_frame[:n_v].T, stop=stop)
 

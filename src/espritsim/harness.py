@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import channel, esprit, perturbation, slac, tensor_esprit
-from .kernels import InvalidInputError, NumericFailureError
+from .kernels import EstimationError, InvalidInputError
 
 ALL_METHODS = ("matrix_dense", "matrix_fast", "tensor", "analytic")
 
@@ -117,6 +117,10 @@ class ExperimentConfig:
         if l5 == m5 and smoothing:
             raise ConfigError(f"l5={l5} leaves K5 = M5 + 1 - l5 = 1 window; "
                               f"{smoothing} need K5 >= 2")
+        # the smoothed stack has l5 columns, so it holds at most l5 paths
+        if l5 < self.scenario.num_paths and smoothing:
+            raise ConfigError(f"l5={l5} is below the {self.scenario.num_paths} paths; "
+                              f"{smoothing} need l5 >= the path count")
         object.__setattr__(self, "methods", tuple(self.methods))
 
     @classmethod
@@ -223,9 +227,9 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
             est = esprit.esprit_pipeline(
                 noisy, transforms, n_paths, l5, scenario.delta_f,
                 method="dense" if method == "matrix_dense" else "fast", rng=rng)
-    except (esprit.PairingFailureError, tensor_esprit.DecompositionFailureError,
-            channel.OutOfDomainError, np.linalg.LinAlgError,
-            NumericFailureError, InvalidInputError) as exc:
+    # every failure a module classifies is an EstimationError; numpy's own
+    # LAPACK calls outside kernels (auto_pair's solve) raise LinAlgError
+    except (EstimationError, np.linalg.LinAlgError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     reported = est.diagnostics if est is not None else {}
     out = _TrialOutput(ok=False, error=error,

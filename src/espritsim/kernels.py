@@ -15,16 +15,16 @@ import numpy as np
 import scipy.linalg
 
 
-class InvalidInputError(ValueError):
+class EstimationError(Exception):
+    """Base of every estimation failure a trial counts; each subclass keeps a builtin base."""
+
+
+class InvalidInputError(EstimationError, ValueError):
     """Raised when an operand is empty, non-finite, or mis-shaped."""
 
 
-class NumericFailureError(RuntimeError):
+class NumericFailureError(EstimationError, RuntimeError):
     """Raised when an iterative factorization fails to converge."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,6 @@ class IllPosedScenarioError(ValueError):
 class SingularParameterizationError(ValueError):
     """cos(az) or sin(el) vanishes for some path; the angle map is singular."""
 
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path
-
 
 @dataclass(frozen=True)
 class PerturbationKit:
@@ -235,10 +231,10 @@ def _kappa_maps(paths, delta_f):
         ct_az, st_az = np.cos(p.theta_az), np.sin(p.theta_az)
         if abs(cp_az) < ANGLE_TOL or abs(ct_az) < ANGLE_TOL:
             raise SingularParameterizationError(
-                f"cos(az) ~ 0 on path {l}: azimuth sensitivity diverges", path=l)
+                f"cos(az) ~ 0 on path {l}: azimuth sensitivity diverges")
         if abs(sp_el) < ANGLE_TOL or abs(st_el) < ANGLE_TOL:
             raise SingularParameterizationError(
-                f"sin(el) ~ 0 on path {l}", path=l)
+                f"sin(el) ~ 0 on path {l}")
         k_l = maps[l]
         k_l[0, :2] = 1 / (np.pi * cp_az * sp_el), sp_az * cp_el / (np.pi * cp_az * sp_el ** 2)
         k_l[1, 1] = -1 / (np.pi * sp_el)
@@ -402,11 +398,16 @@ def build_kit(paths, transforms, scenario, l5, with_position=True):
 
     upsilon's and B^+'s rows in Tucker form, the gain coupling Upsilon_n, and
     the norms of kappa, Pi and (unless ``with_position=False``) Psi, which
-    every analytic RMSE scales. No J-long row is written.
+    every analytic RMSE scales. No J-long row is written. An ``l5`` below
+    the path count, which no smoothing estimator can run, raises
+    ``IllPosedScenarioError``.
     """
     gains = np.array([p.gamma for p in paths], dtype=np.complex128)   # a None reads nan
     if not np.all(np.isfinite(gains)) or np.any(gains == 0):
         raise InvalidInputError("perturbation needs finite nonzero path gains")
+    if l5 < len(paths):
+        raise IllPosedScenarioError(f"l5={l5} smoothing columns cannot hold "
+                                    f"{len(paths)} paths")
     omega = np.stack([channel.to_angular(p, scenario.delta_f).omega for p in paths])
     phi = np.exp(1j * omega)
     factors = channel.beamspace_factors(paths, transforms, scenario)

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import channel
 from .channel import SPEED_OF_LIGHT, direction_from_angles
-from .kernels import InvalidInputError
+from .kernels import EstimationError, InvalidInputError
 
 
-class DegenerateLocalizationError(ValueError):
+class DegenerateLocalizationError(EstimationError, ValueError):
     """The weighted constraint matrix is singular (unlocatable geometry)."""
 
 

@@ -17,17 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, esprit
-from .kernels import InvalidInputError, eig_general, lstsq_pinv
+from .kernels import EstimationError, InvalidInputError, eig_general, lstsq_pinv
 
 CP_RESTARTS = 3     # cp_als starts: one from the HOSVD, the rest random
 CP_MAX_ITER = 500   # ALS sweeps per start at most
 CP_TOL = 1e-10      # a start stops once a sweep lowers the fit by less
 
 
-class DecompositionFailureError(RuntimeError):
-    def __init__(self, message, fits=None):
-        super().__init__(message)
-        self.fits = fits or []
+class DecompositionFailureError(EstimationError, RuntimeError):
+    """Every CP-ALS restart diverged."""
 
 
 @dataclass
@@ -191,7 +189,7 @@ def cp_als(tensor, rank, rng):
             best = (residual, factors, history)
 
     if best is None:
-        raise DecompositionFailureError("all CP restarts diverged", fits=fits)
+        raise DecompositionFailureError("all CP restarts diverged")
     residual, factors, history = best
     weights, normed = _normalize(factors)
     return CpModel(weights=weights, factors=normed, fit=residual,

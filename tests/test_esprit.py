@@ -44,7 +44,7 @@ class TestSpatialSmooth:
 
     def test_bad_window_rejected(self, rng):
         t = rng.standard_normal((1, 1, 1, 1, 4)) + 0j
-        with pytest.raises(esprit.InvalidSmoothingError):
+        with pytest.raises(kernels.InvalidInputError, match="outside"):
             esprit.spatial_smooth(t, 5)
 
 

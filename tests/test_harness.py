@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from espritsim import channel, cli, esprit, harness, perturbation
-from espritsim.kernels import InvalidInputError, NumericFailureError
+from espritsim.kernels import EstimationError, InvalidInputError, NumericFailureError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,15 +77,36 @@ class TestMatchPaths:
             harness.match_paths([good], [bad])
 
 
+def estimation_error_names():
+    """Names of every class of the failure taxonomy (subclasses of EstimationError)."""
+    names, todo = set(), [EstimationError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            names.add(sub.__name__)
+            todo.append(sub)
+    return names
+
+
 class TestTrialFailureContainment:
-    """Estimator failures become counted failed trials, never a crash."""
+    """Faults run through one trial of each per-trial method on the desk scene.
+
+    Every call returns; a failed trial names a class of the failure taxonomy
+    at the head of its error, and the trials of a scoring fault score.
+    """
+
+    METHODS = ("matrix_dense", "matrix_fast", "tensor")
 
     @staticmethod
-    def run_trial(desk_setup, method, tensor):
-        scen, paths, transforms, _, truth = desk_setup
-        return harness._run_single_trial(
+    def run_trial(desk_setup, method, tensor, paths=None, l5=None, seed=1):
+        scen, true_paths, transforms, _, _ = desk_setup
+        paths = true_paths if paths is None else paths
+        truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+        out = harness._run_single_trial(
             method, tensor, transforms, scen, paths, truth,
-            esprit.default_l5(scen.m[4]), np.random.default_rng(1), 1e-3)
+            l5 or esprit.default_l5(scen.m[4]), np.random.default_rng(seed), 1e-3)
+        if not out.ok:
+            assert out.error.split(": ", 1)[0] in estimation_error_names(), out.error
+        return out
 
     @pytest.mark.parametrize("method, error", [
         ("matrix_fast", "NumericFailureError"),     # Lanczos: zero operator
@@ -97,13 +118,43 @@ class TestTrialFailureContainment:
         assert not out.ok
         assert out.error.startswith(error + ": ")
 
-    @pytest.mark.parametrize("method", ["matrix_fast", "matrix_dense", "tensor"])
-    def test_nan_tap(self, desk_setup, method):
+    @pytest.mark.parametrize("tap", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_tap(self, desk_setup, method, tap):
         tensor = desk_setup[3].copy()
-        tensor[1, 2, 3, 0, 5] = np.nan
+        tensor[1, 2, 3, 0, 5] = tap
         out = self.run_trial(desk_setup, method, tensor)
         assert not out.ok
         assert out.error.startswith("InvalidInputError: ")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_coincident_paths(self, desk_setup, method):
+        # the LOS path twice, with two gains: a noiseless tensor of rank 1
+        scen, paths, transforms, _, _ = desk_setup
+        twins = [paths[0], dataclasses.replace(paths[0], gamma=0.5j * paths[0].gamma)]
+        tensor = channel.synth_beamspace_tensor(twins, transforms, scen)
+        out = self.run_trial(desk_setup, method, tensor, paths=twins)
+        if method == "matrix_fast":     # Lanczos breaks down after one step
+            assert out.error.startswith("NumericFailureError: subspace of rank 1")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_window_below_path_count(self, desk_setup, method):
+        # config loading refuses it; a direct call still fails classified
+        out = self.run_trial(desk_setup, method, desk_setup[3], l5=1)
+        if method != "tensor":          # the tensor pipeline does not smooth
+            assert out.error.startswith("InvalidInputError: more paths than")
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("snr_db, l5", [(-20.0, None), (20.0, 63)],
+                             ids=["minus-20db", "l5-m5-minus-1"])
+    def test_trials_score(self, desk_setup, method, snr_db, l5):
+        scen, paths, transforms, tensor, _ = desk_setup
+        n0 = channel.n0_for_snr_db(paths, transforms, scen, snr_db)
+        for seed in range(2):
+            noisy = channel.observe_and_estimate(tensor, scen,
+                                                 np.random.default_rng(seed), n0=n0)
+            out = self.run_trial(desk_setup, method, noisy, l5=l5, seed=seed)
+            assert out.ok, out.error
 
 
 class TestConfig:
@@ -128,11 +179,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("l5", [1, 64])
     def test_accepts_l5_at_the_ends(self, l5):
-        # l5 = M5 leaves one window: only the tensor method, which does not
-        # smooth, may run there
-        methods = ["tensor"] if l5 == 64 else ["matrix_dense", "analytic"]
-        cfg = harness.ExperimentConfig.from_dict(desk_config(l5=l5, methods=methods))
+        # l5 = M5 leaves one window and l5 = 1 holds one path: only the
+        # tensor method, which does not smooth, may run there
+        cfg = harness.ExperimentConfig.from_dict(desk_config(l5=l5, methods=["tensor"]))
         assert cfg.l5 == l5
+
+    @pytest.mark.parametrize("method", ["matrix_dense", "matrix_fast", "analytic"])
+    def test_rejects_l5_below_path_count(self, method):
+        # the desk scene has two paths; an l5-column smoothed stack holds l5
+        cfg = harness.ExperimentConfig.from_dict(desk_config(l5=2, methods=[method]))
+        assert cfg.l5 == 2
+        with pytest.raises(harness.ConfigError, match="l5=1 is below the 2 paths"):
+            harness.ExperimentConfig.from_dict(desk_config(l5=1, methods=["tensor", method]))
 
     @pytest.mark.parametrize("method", ["matrix_dense", "matrix_fast", "analytic"])
     def test_rejects_l5_at_m5_for_smoothing_methods(self, method):
@@ -519,6 +577,14 @@ class TestCli:
         ({"seed": True}, "scenario seed=True must be an integer"),
         ({"m": [8, 8.5, 8, 8, 64]}, "scenario m[1]=8.5 must be an integer"),
         ({"scatterers": []}, "single path"),
+        ({"delta_f_hz": 0}, "scenario delta_f_hz=0.0 must be finite and > 0"),
+        ({"carrier_hz": 0}, "scenario carrier_hz=0.0 must be finite and > 0"),
+        ({"p_t": [20, 5]}, "scenario p_t=[20, 5] must be a finite 3-vector"),
+        ({"scatterers": [[10, 2.5]]}, "scenario scatterers[0]=[10, 2.5] must be a finite 3-vector"),
+        ({"scatterers": [[20, 2.5, 0]]}, "path endpoint in an array's broadside plane"),
+        ({"scatterers": [[30, 2.5, 0]]}, "paths straddle both azimuth half-spaces"),
+        ({"p_r": [20, 5, 8]}, "transmitter and receiver coincide"),
+        ({"n": [2, 4, 4, 4]}, "restore_projector needs at least 3 beams"),
     ])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_unbuildable_scenario_exit_code_2(self, tmp_path, capsys, command,

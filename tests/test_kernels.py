@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 
-from espritsim import kernels
+from espritsim import channel, esprit, kernels, slac, tensor_esprit
 from tests.conftest import projector_gap
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("error, builtin", [
+    (kernels.InvalidInputError, ValueError),
+    (kernels.NumericFailureError, RuntimeError),
+    (esprit.PairingFailureError, RuntimeError),
+    (tensor_esprit.DecompositionFailureError, RuntimeError),
+    (channel.OutOfDomainError, ValueError),
+    (slac.DegenerateLocalizationError, ValueError),
+], ids=lambda v: v.__name__)
+def test_estimation_errors_keep_their_builtin_base(error, builtin):
+    # one base a trial catches; the builtin base keeps config loading's
+    # ValueError -> exit 2 and callers' own except clauses working
+    assert issubclass(error, kernels.EstimationError)
+    assert issubclass(error, builtin)
 
 
 class TestSvdThin:

@@ -4,7 +4,8 @@
 boundaries and set-up work by those names; a renamed or privatized function
 would silently drop out of its metrics, so each name must resolve here. The
 calls ``perfbench/workloads.py`` makes must also still bind to their
-functions' signatures.
+functions' signatures, and every failure class the tracer counts must belong
+to the failure taxonomy that a trial catches (``kernels.EstimationError``).
 """
 
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import espritsim
+from espritsim.kernels import EstimationError
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -52,6 +54,14 @@ def test_tracer_name_resolves_to_public_attribute(dotted):
         assert not attr.startswith("_"), dotted
         obj = getattr(obj, attr)
     assert callable(obj), dotted
+
+
+@pytest.mark.parametrize("module, cls", tracer.ERROR_KEYS,
+                         ids=[f"{module}.{cls}" for module, cls in tracer.ERROR_KEYS])
+def test_traced_error_is_an_estimation_error(module, cls):
+    # a class outside the taxonomy would abort a sweep instead of failing a trial
+    error = getattr(importlib.import_module(f"espritsim.{module}"), cls)
+    assert issubclass(error, EstimationError)
 
 
 # (function, positional argument count, keyword names) of each call that

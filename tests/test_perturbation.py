@@ -617,3 +617,10 @@ class TestRankCheck:
         transforms = channel.scenario_transforms(scen, paths)
         with pytest.raises(perturbation.IllPosedScenarioError, match="dimension 1"):
             perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
+
+    def test_window_below_path_count_raises(self, desk_kit):
+        # an L5-column smoothed stack holds at most L5 paths: no estimator
+        # the kit models can run, so it has no RMSE to predict
+        scen, paths, transforms, _, _, _ = desk_kit
+        with pytest.raises(perturbation.IllPosedScenarioError, match="l5=1"):
+            perturbation.build_kit(paths, transforms, scen, 1)
