@@ -35,7 +35,7 @@ CLAMP_MARGIN = 1e-9  # clamp_freqs keeps |w2|, |w4| <= pi (1 - CLAMP_MARGIN)
 _SCENARIO_BEAM_KINDS = ("dft", "directional")
 _SCENARIO_KEYS = frozenset({
     "p_t", "p_r", "scatterers", "m", "n", "delta_f_hz", "carrier_hz", "n_p",
-    "n_c", "e_s", "n0", "seed", "beam_kind", "nlos_power_scale", "weights"})
+    "n_c", "e_s", "seed", "beam_kind", "nlos_power_scale", "weights"})
 
 
 class DegenerateGeometryError(ValueError):
@@ -119,7 +119,6 @@ class Scenario:
     n_p: int
     n_c: int
     e_s: float
-    n0: float
     seed: int
     beam_kind_tx: str = "dft"
     beam_kind_rx: str = "dft"
@@ -173,11 +172,11 @@ class Scenario:
             scatterers=[_position(f"scatterers[{i}]", s)
                         for i, s in enumerate(d.get("scatterers", []))],
             m=[_integer(f"m[{i}]", v) for i, v in enumerate(d["m"])],
-            n=[_integer(f"n[{i}]", v) for i, v in enumerate(d["n"])],
+            n=[_beam_count(f"n[{i}]", v) for i, v in enumerate(d["n"])],
             delta_f=_positive("delta_f_hz", d["delta_f_hz"]),
             f_c=_positive("carrier_hz", d["carrier_hz"]),
             n_p=_integer("n_p", d["n_p"]), n_c=_integer("n_c", d.get("n_c", 600)),
-            e_s=float(d.get("e_s", 1.0)), n0=float(d.get("n0", 0.0)),
+            e_s=float(d.get("e_s", 1.0)),
             seed=_integer("seed", d.get("seed", 0)),
             beam_kind_tx=_beam_kind(d, "tx"), beam_kind_rx=_beam_kind(d, "rx"),
             nlos_power_scale=float(d.get("nlos_power_scale", 0.1)),
@@ -197,6 +196,16 @@ def _integer(key, value):
     bool is not), so a fractional count is never truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"scenario {key}={value!r} must be an integer")
+    return value
+
+
+def _beam_count(key, value):
+    """``_integer`` of scenario entry ``key``, refused below the
+    ``shift.MIN_BEAMS`` beams a restoring projector needs."""
+    value = _integer(key, value)
+    if value < shift.MIN_BEAMS:
+        raise InvalidInputError(f"scenario {key}={value} is below the "
+                                f"{shift.MIN_BEAMS} beams a dimension needs")
     return value
 
 
@@ -498,8 +507,8 @@ def khatri_rao_core(mats):
     return [q for q, _ in qrs], svd_thin(khatri_rao([r for _, r in qrs]))
 
 
-def observe_and_estimate(tensor, scenario, rng, mode="direct", n0=None):
-    """Noisy beamspace channel estimate from the pilot stage.
+def observe_and_estimate(tensor, scenario, rng, n0, mode="direct"):
+    """Noisy beamspace channel estimate from the pilot stage at noise level ``n0``.
 
     ``direct`` injects the estimation error with its known statistics
     (iid circular Gaussian, variance N0 / (N_P E_s) per entry); ``pilot``
@@ -507,7 +516,7 @@ def observe_and_estimate(tensor, scenario, rng, mode="direct", n0=None):
     with S^H. The two modes are statistically identical.
     """
     tensor = np.asarray(tensor, dtype=np.complex128)
-    n0 = scenario.n0 if n0 is None else float(n0)
+    n0 = float(n0)
     if n0 == 0.0:
         return tensor.copy()
     n1, n2, n3, n4, m5 = tensor.shape
@@ -548,23 +557,15 @@ def pilot_matrix(n_beams, n_p, e_s):
     return np.sqrt(e_s) * np.exp(-2j * np.pi * np.outer(rows, k) / n_p)
 
 
-def element_space_gram(paths, scenario):
-    """Receive-side Grams used by the closed-form SNR: (A_R^H A_R, taus, gains)."""
-    omegas = np.stack([to_angular(p, scenario.delta_f).omega for p in paths])
-    a3 = steering_matrix(scenario.m[2], omegas[:, 2])
-    a4 = steering_matrix(scenario.m[3], omegas[:, 3])
-    a_r = khatri_rao([a3, a4])
-    return a_r.conj().T @ a_r
-
-
-def link_metrics(paths, transforms, scenario, n0=None):
-    """SNR before combining, plus per-path received powers.
+def link_metrics(paths, transforms, scenario, n0):
+    """SNR before combining at noise level ``n0``, with the signal power and
+    the noise power per unit N0 it is the ratio of.
 
     SNR = E_s sum_m ||H_m F||_F^2 / sum_m E||Z_m||^2 with F = (T1 (x) T2)^*
     and Z_m the beamspace pilot noise (N3 N4 x N_P entries of variance N0).
     The subcarrier sum collapses to a geometric series in the delay spacings.
     """
-    n0 = scenario.n0 if n0 is None else float(n0)
+    n0 = float(n0)
     gains = np.array([p.gamma for p in paths], dtype=np.complex128)
     taus = np.array([p.tau for p in paths])
     omegas = np.stack([to_angular(p, scenario.delta_f).omega for p in paths])
@@ -576,7 +577,9 @@ def link_metrics(paths, transforms, scenario, n0=None):
                     transform_matrix(transforms[1])).conj()
     atf = a_t.T @ f_mat                              # L x N1 N2
     gram_t = atf @ atf.conj().T                      # L x L
-    gram_r = element_space_gram(paths, scenario)     # L x L
+    a_r = khatri_rao([steering_matrix(scenario.m[2], omegas[:, 2]),
+                      steering_matrix(scenario.m[3], omegas[:, 3])])
+    gram_r = a_r.conj().T @ a_r                      # L x L, element space
 
     m5 = scenario.m[4]
     dw = 2 * np.pi * scenario.delta_f * (taus[:, None] - taus[None, :])
@@ -589,15 +592,12 @@ def link_metrics(paths, transforms, scenario, n0=None):
 
     n3n4 = scenario.n[2] * scenario.n[3]
     noise = m5 * n3n4 * scenario.n_p * n0
-    per_path = scenario.e_s * m5 * (np.abs(gains) ** 2
-                                    * np.real(np.diag(gram_r)) * np.real(np.diag(gram_t)))
     snr = np.inf if noise == 0 else signal / noise
     return {
         "snr": snr,
         "snr_db": np.inf if noise == 0 else 10 * np.log10(snr),
         "signal_power": signal,
         "noise_per_n0": m5 * n3n4 * scenario.n_p,
-        "per_path_power": per_path,
     }
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import channel, fastsvd, shift
 from .kernels import (EstimationError, InvalidInputError, NumericFailureError,
-                      eig_general, lstsq_pinv, svd_leading, svd_solve)
+                      _svd_leading_overwrite, eig_general, lstsq_pinv, svd_solve)
 
 PAIR_SEP_TOL = 1e-6     # auto_pair's least relative eigenvalue separation
 MAX_REDRAWS = 8         # beta redraws before auto_pair gives up
@@ -39,9 +39,7 @@ class SmoothedMatrix:
     """Spatially smoothed stack, shape (N1 N2 N3 N4 K5, L5)."""
 
     values: np.ndarray
-    beam_dims: tuple
     k5: int
-    l5: int
 
 
 @dataclass
@@ -64,49 +62,38 @@ def default_l5(m5):
 
 
 def spatial_smooth(tensor, l5):
-    """Hankel smoothing over the frequency axis (K5 = M5 + 1 - L5 windows).
-
-    Column ell holds the subtensor of frequency taps ell .. ell + K5 - 1,
-    flattened with the frequency index fastest.
-    """
-    tensor = np.asarray(tensor)
-    m5 = tensor.shape[-1]
-    if not 1 <= l5 <= m5:
-        raise InvalidInputError(f"L5={l5} outside [1, {m5}]")
-    k5 = m5 + 1 - l5
-    windows = np.lib.stride_tricks.sliding_window_view(tensor, k5, axis=-1)
-    # windows: (..., L5, K5) -> rows (..., K5) fastest, columns L5
-    values = np.ascontiguousarray(np.swapaxes(windows, -1, -2)).reshape(-1, l5)
-    return SmoothedMatrix(values=values, beam_dims=tensor.shape[:4], k5=k5, l5=l5)
+    """Hankel smoothing over the frequency axis (K5 = M5 + 1 - L5 windows): column
+    ell holds the taps ell .. ell + K5 - 1 of every beam index, frequency fastest,
+    as ``to_dense`` of the tensor's ``fastsvd.HankelBlockOperator`` writes them."""
+    op = fastsvd.HankelBlockOperator.from_tensor(tensor, l5)
+    return SmoothedMatrix(values=op.to_dense(), k5=op.k5)
 
 
 def signal_subspace(tensor, n_paths, l5, method="dense"):
     """Orthonormal basis of the top-``n_paths`` left singular subspace.
 
-    The one subspace entry point of the matrix pipeline; it takes the
-    tensor and the smoothing window. ``dense`` takes a LAPACK SVD of the
-    materialized smoothed stack (the oracle): a Householder QR, the SVD of
-    its L5 x L5 R, and Q applied as reflectors to the ``n_paths`` leading
-    columns only (``kernels.svd_leading``); ``fast`` runs Lanczos on the
-    implicit Hankel-block operator of the same stack, which is never built.
-    Both share the model-order checks and the diagnostics: a backend that
-    finds fewer than ``n_paths`` singular triplets (Lanczos breaking down on
-    data of lower rank) raises ``NumericFailureError`` instead of dropping
-    paths. Returns (U_s, diagnostics) where diagnostics carries the spectral
-    gap sigma_L / sigma_{L+1} (a warning flag when absent) and, for ``fast``,
-    ``lanczos_steps`` and ``lanczos_stop`` (converged, breakdown or cap).
+    The one subspace entry point of the matrix pipeline. Both backends work
+    from the tensor's one ``fastsvd.HankelBlockOperator``, which checks the
+    window and the taps: ``dense`` (the oracle) factors the operator's
+    materialized stack in place, a Householder QR, the SVD of its L5 x L5 R
+    and Q applied as reflectors to the ``n_paths`` leading columns only
+    (``kernels.svd_leading``); ``fast`` runs Lanczos on the operator and
+    never builds the stack. A backend that finds fewer than ``n_paths``
+    singular triplets (Lanczos breaking down on data of lower rank) raises
+    ``NumericFailureError`` instead of dropping paths. Returns (U_s,
+    diagnostics): the spectral gap sigma_L / sigma_{L+1} (a warning flag
+    when absent) and, for ``fast``, ``lanczos_steps`` and ``lanczos_stop``.
     """
-    tensor = np.asarray(tensor)
-    k5 = tensor.shape[-1] + 1 - l5
-    if n_paths > min(int(np.prod(tensor.shape[:4])) * k5, l5):
-        raise InvalidInputError("more paths than the smoothed matrix can support")
+    op = fastsvd.HankelBlockOperator.from_tensor(tensor, l5)
+    if not 1 <= n_paths <= min(op.shape):
+        raise InvalidInputError(f"more paths than the smoothed matrix can support, or "
+                                f"none: {n_paths} outside [1, {min(op.shape)}]")
     diagnostics = {}
     if method == "dense":
-        u_s, s = svd_leading(spatial_smooth(tensor, l5).values, n_paths)
+        u_s, s = _svd_leading_overwrite(op.to_dense().T, n_paths)
     elif method == "fast":
-        u_s, s, fast_diag = fastsvd.fast_signal_subspace(
-            fastsvd.HankelBlockOperator.from_tensor(tensor, l5), n_paths,
-            return_details=True)
+        u_s, s, fast_diag = fastsvd.fast_signal_subspace(op, n_paths,
+                                                         return_details=True)
         diagnostics.update(fast_diag)
     else:
         raise InvalidInputError(f"unknown subspace method {method!r}")

@@ -43,8 +43,10 @@ class HankelBlockOperator:
     blocks_fft: np.ndarray
 
     @classmethod
-    def from_vector(cls, h, beam_dims, l5):
-        h = np.asarray(h, dtype=np.complex128).reshape(int(np.prod(beam_dims)), -1)
+    def from_tensor(cls, tensor, l5):
+        """The operator of an (N1, N2, N3, N4, M5) tensor, its beam indices the blocks."""
+        h = np.asarray(tensor, dtype=np.complex128)
+        h = h.reshape(-1, h.shape[-1])
         m5 = h.shape[1]
         if not 1 <= l5 <= m5:
             raise InvalidInputError(f"L5={l5} outside [1, {m5}]")
@@ -55,11 +57,6 @@ class HankelBlockOperator:
         nfft = _next_pow2(m5)
         return cls(blocks=h, k5=k5, l5=l5, nfft=nfft,
                    blocks_fft=np.fft.fft(h, nfft, axis=1))
-
-    @classmethod
-    def from_tensor(cls, tensor, l5):
-        tensor = np.asarray(tensor, dtype=np.complex128)
-        return cls.from_vector(tensor.reshape(-1), tensor.shape[:4], l5)
 
     @property
     def shape(self):
@@ -73,8 +70,17 @@ class HankelBlockOperator:
         return float(np.sqrt(np.sum(weight * np.abs(self.blocks) ** 2)))
 
     def to_dense(self):
-        windows = np.lib.stride_tricks.sliding_window_view(self.blocks, self.k5, axis=1)
-        return np.ascontiguousarray(np.swapaxes(windows, 1, 2)).reshape(-1, self.l5)
+        return smoothed_stack(self.blocks, self.l5)
+
+
+def smoothed_stack(blocks, l5):
+    """The B*K5 x L5 stack of the (B, M5) taps ``blocks``: row b*K5 + k, column
+    ell holds tap ell + k of block b. It is written once, as the transpose of
+    a new C-ordered (L5, B*K5) buffer: the layout geqrf factors in place."""
+    at = np.empty((l5, blocks.shape[0], blocks.shape[1] + 1 - l5), dtype=np.complex128)
+    windows = np.lib.stride_tricks.sliding_window_view(blocks, at.shape[2], axis=1)
+    at[...] = windows.swapaxes(0, 1)        # (B, L5, K5) -> (L5, B, K5)
+    return at.reshape(l5, -1).T
 
 
 def hankel_matvec(op, x, adjoint=False):

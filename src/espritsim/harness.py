@@ -131,7 +131,18 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown config keys: {unknown}")
             scenario = channel.Scenario.from_dict(d.pop("scenario"))
-            return cls(scenario=scenario, **d)
+            cfg = cls(scenario=scenario, **d)
+            if "analytic" in cfg.methods:
+                # loading builds the kit once, so that its own rank test refuses
+                # paths no estimator can tell apart before any trial runs
+                paths = channel.params_from_geometry(scenario)
+                try:
+                    perturbation.build_kit(paths, channel.scenario_transforms(scenario, paths),
+                                           scenario, cfg.l5 or esprit.default_l5(scenario.m[4]))
+                except perturbation.IllPosedScenarioError as exc:
+                    raise ConfigError(f"analytic: {exc}; two paths coincide, as a scatterer "
+                                      f"on the line of sight does") from exc
+            return cfg
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -213,7 +224,7 @@ class _TrialOutput:
 
 
 def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
-                      truth_omega, l5, rng, n0):
+                      truth_omega, l5, rng):
     if method not in ("matrix_dense", "matrix_fast", "tensor"):
         raise InvalidInputError(f"not a per-trial method: {method}")
     n_paths = len(truth_paths)
@@ -292,8 +303,7 @@ def _trial(sweep, method, si, t):
     noisy = channel.observe_and_estimate(sweep.tensor, cfg.scenario, rng,
                                          n0=sweep.n0[si])
     return _run_single_trial(method, noisy, sweep.transforms, cfg.scenario,
-                             sweep.paths, sweep.truth_omega, sweep.l5, rng,
-                             sweep.n0[si])
+                             sweep.paths, sweep.truth_omega, sweep.l5, rng)
 
 
 _worker_sweep = None   # set by _init_worker in forked pool workers only

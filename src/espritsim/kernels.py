@@ -107,24 +107,26 @@ def _geqrf_overwrite(at):
 
 
 def svd_leading(a, k):
-    """The k leading left singular vectors of ``a`` and all its singular values.
-
-    Returns (left, singular_values): ``left`` is (m, k) with orthonormal
-    columns, ``singular_values`` the min(m, n) of ``svd_thin`` (bit-equal on
-    tall input) in descending order. Tall input (m > n) is factored
-    ``a = Q R`` with Q kept as Householder reflectors (the geqrf of
-    ``_qr_r_overwrite``); only the k leading columns of R's left factor are
-    multiplied by Q (LAPACK unmqr), so the (m, n) Q is never formed. Wide or
-    square input takes ``svd_thin``'s path.
-    """
+    """(left, singular_values): the k leading left singular vectors of ``a``, (m, k)
+    orthonormal, and all min(m, n) singular values, descending and bit-equal to
+    ``svd_thin``'s on tall input. geqrf factors tall input in place on a
+    transposed copy, Q stays reflectors, and LAPACK unmqr applies it to the k
+    leading columns of R's left factor only. Wide or square input takes
+    ``svd_thin``'s path."""
     a = _as_matrix(a)
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise InvalidInputError(f"k={k} outside [1, {min(m, n)}] for shape {a.shape}")
+    return _svd_leading_overwrite(a.T.copy(), k)
+
+
+def _svd_leading_overwrite(at, k):
+    """``svd_leading(at.T, k)`` past its checks; may destroy ``at`` (C-contiguous complex128)."""
+    n, m = at.shape
     if m <= n:
-        res = _svd(a)
+        res = _svd(at.T)
         return res.left[:, :k], res.singular_values
-    (reflectors, tau), r = _geqrf_overwrite(a.T.copy())
+    (reflectors, tau), r = _geqrf_overwrite(at)
     try:
         u, s, _ = np.linalg.svd(r)
     except np.linalg.LinAlgError as exc:

@@ -315,11 +315,7 @@ def _position_map(paths, scenario, weights=None):
         weights = slac.path_weights(paths, scenario.weights)
     geos = slac.localization_geometry(paths, scenario.p_t, weights,
                                       tx_axis_sign, rx_axis_sign)
-    c_sum = sum(g.c_mat for g in geos)
-    evals = np.linalg.eigvalsh(c_sum)
-    if evals[0] <= 1e-12 * max(evals[-1], 1e-300):
-        raise slac.DegenerateLocalizationError("constraint matrix is singular")
-    c_inv = np.linalg.inv(c_sum)
+    c_inv = np.linalg.inv(slac.constraint_sum(geos)[0])
 
     mirror_t = np.diag([tx_axis_sign, 1.0, 1.0])
     mirror_r = np.diag([rx_axis_sign, 1.0, 1.0])

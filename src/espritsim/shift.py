@@ -20,6 +20,7 @@ from .kernels import InvalidInputError, _qr_r_overwrite
 
 
 DEFLATE_RTOL = 1e-12    # restore_projector's generator deflation tolerance
+MIN_BEAMS = 3           # restore_projector's least beam count
 
 
 class InsufficientBeamsError(ValueError):
@@ -36,8 +37,8 @@ def restore_projector(t, f):
     t = np.asarray(t, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
     n = t.shape[1]
-    if n < 3:
-        raise InsufficientBeamsError("restore_projector needs at least 3 beams")
+    if n < MIN_BEAMS:
+        raise InsufficientBeamsError(f"restore_projector needs at least {MIN_BEAMS} beams")
     g1 = t[-1, :].conj()
     g2 = f.conj().T @ t[0, :].conj()
     scale = max(np.linalg.norm(g1), np.linalg.norm(g2), 1e-300)

@@ -83,6 +83,17 @@ def localization_geometry(params, p_t, weights=None, tx_axis_sign=1.0,
     return out
 
 
+def constraint_sum(geos):
+    """The summed constraint matrix sum_l C_l of ``localization_geometry``'s
+    paths and its condition number; raises DegenerateLocalizationError when
+    its least eigenvalue is at most 1e-12 times the largest (singular)."""
+    c_sum = sum(g.c_mat for g in geos)
+    evals = np.linalg.eigvalsh(c_sum)
+    if evals[0] <= 1e-12 * max(evals[-1], 1e-300):
+        raise DegenerateLocalizationError("constraint matrix is singular")
+    return c_sum, float(evals[-1] / max(evals[0], 1e-300))
+
+
 def localize(params, p_t, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0):
     """Weighted least-squares position fix from per-path (angles, delay).
 
@@ -93,12 +104,8 @@ def localize(params, p_t, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0):
     if not params:
         raise InvalidInputError("need at least one path")
     geos = localization_geometry(params, p_t, weights, tx_axis_sign, rx_axis_sign)
-    c_sum = sum(g.c_mat for g in geos)
+    c_sum, condition = constraint_sum(geos)
     rhs = sum(g.c_mat @ g.delta for g in geos)
-    evals = np.linalg.eigvalsh(c_sum)
-    condition = float(evals[-1] / max(evals[0], 1e-300))
-    if evals[0] <= 1e-12 * max(evals[-1], 1e-300):
-        raise DegenerateLocalizationError("constraint matrix is singular")
     p_hat = np.linalg.solve(c_sum, rhs)
     return LocalizationResult(p_hat=p_hat, per_path=tuple(geos),
                               condition=condition)

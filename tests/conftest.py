@@ -15,7 +15,7 @@ def tiny_scenario():
     return channel.Scenario(
         p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
         m=(4, 4, 4, 4, 8), n=(3, 3, 3, 3), delta_f=8e6, f_c=30e9,
-        n_p=16, n_c=600, e_s=1.0, n0=0.0, seed=5)
+        n_p=16, n_c=600, e_s=1.0, seed=5)
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def desk_scenario():
     return channel.Scenario(
         p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
         m=(8, 8, 8, 8, 64), n=(4, 4, 4, 4), delta_f=1.875e6, f_c=30e9,
-        n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=7)
+        n_p=32, n_c=600, e_s=1.0, seed=7)
 
 
 @pytest.fixture

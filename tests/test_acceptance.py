@@ -30,7 +30,7 @@ def fullscale_scenario(m5, delta_f=120e3, beam="dft"):
     return channel.Scenario(
         p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
         m=(8, 8, 8, 8, m5), n=(4, 4, 4, 4), delta_f=delta_f, f_c=30e9,
-        n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=7,
+        n_p=32, n_c=600, e_s=1.0, seed=7,
         beam_kind_tx=beam, beam_kind_rx=beam)
 
 
@@ -38,7 +38,7 @@ def desk_config(**overrides):
     doc = {
         "scenario": {
             "carrier_hz": 30e9, "delta_f_hz": 1.875e6, "m": [8, 8, 8, 8, 64],
-            "n": [4, 4, 4, 4], "n_p": 32, "e_s": 1.0, "n0": 0.0,
+            "n": [4, 4, 4, 4], "n_p": 32, "e_s": 1.0,
             "p_t": [20, 5, 8], "p_r": [0, 5, 1.5],
             "scatterers": [[10, 2.5, 0]], "beam_kind": "dft", "seed": 7,
             "n_c": 600,
@@ -243,7 +243,7 @@ def test_criterion_5_fast_svd_equivalence_and_complexity(desk, rng):
         scatterers=[[10, 2.5, 0], [6, 7, 1], [14, 1, 2], [8, 4.5, 0.5],
                     [12, 6, 1.5]],
         m=(8, 8, 8, 8, 500), n=(4, 4, 4, 4), delta_f=120e3, f_c=30e9,
-        n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=13)
+        n_p=32, n_c=600, e_s=1.0, seed=13)
     paths6 = channel.params_from_geometry(scen6)
     transforms6 = channel.scenario_transforms(scen6, paths6)
     tensor6 = channel.synth_beamspace_tensor(paths6, transforms6, scen6)
@@ -282,7 +282,7 @@ def test_criterion_6_auto_pairing_stress():
     scen = channel.Scenario(
         p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
         m=(4, 4, 4, 4, 8), n=(3, 3, 3, 3), delta_f=8e6, f_c=30e9,
-        n_p=16, n_c=600, e_s=1.0, n0=0.0, seed=5)
+        n_p=16, n_c=600, e_s=1.0, seed=5)
     om = np.array([[0.5, -0.9, 0.6, -0.3, 1.0],
                    [0.5, 0.4, -1.0, 0.7, -0.4]])  # dim 1 collides exactly
     paths = synthetic_paths(om, [1.0, 0.8], scen.delta_f)

@@ -28,7 +28,7 @@ class TestGeometry:
         scen = channel.Scenario(
             p_t=[0, 0, 2], p_r=[10, 0, 2], scatterers=[], m=(4, 4, 4, 4, 8),
             n=(3, 3, 3, 3), delta_f=1e6, f_c=30e9, n_p=16, n_c=600,
-            e_s=1.0, n0=0.0, seed=1)
+            e_s=1.0, seed=1)
         p = channel.params_from_geometry(scen)[0]
         assert p.phi_el == pytest.approx(np.pi / 2)
         assert p.theta_el == pytest.approx(np.pi / 2)
@@ -58,7 +58,7 @@ class TestGeometry:
         scen = channel.Scenario(
             p_t=[0, 0, 0], p_r=[1e-9, 0, 10], scatterers=[], m=(4, 4, 4, 4, 8),
             n=(3, 3, 3, 3), delta_f=1e6, f_c=30e9, n_p=16, n_c=600,
-            e_s=1.0, n0=0.0, seed=1)
+            e_s=1.0, seed=1)
         with pytest.raises(channel.DegenerateGeometryError):
             channel.params_from_geometry(scen)
 
@@ -145,7 +145,7 @@ class TestSynthesis:
         scen = channel.Scenario(
             p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[], m=(4, 4, 4, 4, 8),
             n=(4, 4, 4, 4), delta_f=1e6, f_c=30e9, n_p=16, n_c=600,
-            e_s=1.0, n0=0.0, seed=2)
+            e_s=1.0, seed=2)
         gamma = 0.3 - 0.4j
         paths = synthetic_paths(np.zeros((1, 5)), [gamma], scen.delta_f)
         eye = [np.eye(4)] * 4
@@ -309,7 +309,7 @@ class TestScenarioIO:
     def test_json_round_trip(self, tmp_path):
         doc = {
             "carrier_hz": 30e9, "delta_f_hz": 120e3, "m": [8, 8, 8, 8, 500],
-            "n": [4, 4, 4, 4], "n_p": 32, "e_s": 1.0, "n0": 0.0,
+            "n": [4, 4, 4, 4], "n_p": 32, "e_s": 1.0,
             "p_t": [20, 5, 8], "p_r": [0, 5, 1.5],
             "scatterers": [[10, 2.5, 0]], "beam_kind": "dft", "seed": 9,
         }
@@ -325,4 +325,4 @@ class TestScenarioIO:
             channel.Scenario(
                 p_t=[1, 0, 0], p_r=[0, 0, 0], scatterers=[], m=(8, 8, 8, 8, 16),
                 n=(4, 4, 4, 4), delta_f=1e6, f_c=30e9, n_p=8, n_c=600,
-                e_s=1.0, n0=0.0, seed=0)
+                e_s=1.0, seed=0)

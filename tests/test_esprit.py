@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from espritsim import channel, esprit, kernels, shift
+from espritsim import channel, esprit, fastsvd, kernels, perturbation, shift
 from tests.conftest import match_rows, projector_gap, synthetic_paths
 
 
@@ -41,6 +41,21 @@ class TestSpatialSmooth:
         g_mat = channel.steering_matrix(l5, om[:, 4])
         recon = p_mat @ np.diag(gains) @ g_mat.T
         assert np.linalg.norm(sm.values - recon) < 1e-10 * np.linalg.norm(recon)
+
+    @pytest.mark.parametrize("l5", [1, 2, 33, 63, 64])
+    def test_values_are_the_operator_stack(self, desk_setup, l5):
+        # one builder: the same bits as the operator's stack and as the
+        # C-ordered window copy, laid out as the transpose of a C-ordered
+        # (L5, B*K5) buffer, which geqrf factors in place
+        tensor = desk_setup[3]
+        values = esprit.spatial_smooth(tensor, l5).values
+        dense = fastsvd.HankelBlockOperator.from_tensor(tensor, l5).to_dense()
+        windows = np.lib.stride_tricks.sliding_window_view(tensor, tensor.shape[-1] + 1 - l5,
+                                                           axis=-1)
+        want = np.ascontiguousarray(np.swapaxes(windows, -1, -2)).reshape(-1, l5)
+        bits = [np.ascontiguousarray(a).view(np.uint64) for a in (values, dense, want)]
+        assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
+        assert values.T.flags.c_contiguous and dense.T.flags.c_contiguous
 
     def test_bad_window_rejected(self, rng):
         t = rng.standard_normal((1, 1, 1, 1, 4)) + 0j
@@ -371,7 +386,7 @@ class TestStructuredGains:
         scen = channel.Scenario(
             p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
             m=(8, 8, 8, 8, m5), n=(4, 4, 4, 4), delta_f=delta_f, f_c=30e9,
-            n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=7)
+            n_p=32, n_c=600, e_s=1.0, seed=7)
         paths = channel.params_from_geometry(scen)
         transforms, noisy = noisy_case(scen, paths, 10.0, 3)
         truth = np.stack([channel.to_angular(p, delta_f).omega for p in paths])
@@ -428,6 +443,57 @@ class TestPipeline:
                                      esprit.default_l5(scen.m[4]),
                                      scen.delta_f, rng=rng)
         assert np.all(np.isfinite(est.omega))
+
+
+@st.composite
+def lattice_scenes(draw):
+    """A noiseless tiny scene of 1-3 paths on a 0.45 rad frequency lattice
+    (|w| <= 1.8 in the angle modes, so both angle maps stay regular) and a
+    window L5 in [L, M5 - 1]. The delays differ: paths of one delay give the
+    L5-column window factor, and so the smoothed stack, a rank below L. One
+    draw in four is wide: three beams per dimension (B = 81) and K5 = 2, so
+    the B*K5 x L5 stack has no more rows than columns."""
+    n_paths = draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 0:
+        beams, m5 = (3, 3, 3, 3), draw(st.integers(163, 170))
+        l5 = m5 - 1
+    else:
+        beams, m5 = draw(st.tuples(*[st.integers(3, 4)] * 4)), draw(st.integers(4, 12))
+        l5 = draw(st.integers(n_paths, m5 - 1))
+    spatial = st.integers(-4, 4).map(lambda k: 0.45 * k)
+    om = np.array([draw(st.tuples(*[spatial] * 4)) + (0.45 * k,)
+                   for k in draw(st.lists(st.integers(-6, 6), min_size=n_paths,
+                                          max_size=n_paths, unique=True))])
+    gains = [draw(st.sampled_from([1.0, 0.5 - 0.7j, -0.8j, 2.0 + 0.3j]))
+             for _ in range(n_paths)]
+    scen = channel.Scenario(
+        p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
+        m=(4, 4, 4, 4, m5), n=beams, delta_f=8e6, f_c=30e9,
+        n_p=16, n_c=600, e_s=1.0, seed=5)
+    return scen, synthetic_paths(om, gains, scen.delta_f), l5
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene=lattice_scenes())
+def test_noiseless_exactness_property(scene):
+    # criterion 1 over random tiny geometries: both backends recover omega
+    # and the gains to 1e-8 wherever the kit's rank test finds the paths
+    # identifiable
+    scen, paths, l5 = scene
+    transforms = channel.scenario_transforms(scen, paths)
+    try:
+        perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
+    except perturbation.IllPosedScenarioError:
+        assume(False)
+    tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
+    truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+    gains = np.array([p.gamma for p in paths])
+    for method in ("dense", "fast"):
+        est = esprit.esprit_pipeline(tensor, transforms, len(paths), l5, scen.delta_f,
+                                     method=method, rng=np.random.default_rng(1))
+        got, perm = match_rows(est.omega, truth)
+        assert np.abs(channel.wrap_angle(got - truth)).max() < 1e-8, method
+        assert np.abs(est.gains[perm] - gains).max() / np.abs(gains).max() < 1e-8, method
 
 
 class TestMethodAgreement:

@@ -14,12 +14,12 @@ from tests.conftest import projector_gap
 def random_operator(rng, beam_dims, m5, l5):
     h = rng.standard_normal((int(np.prod(beam_dims)), m5)) \
         + 1j * rng.standard_normal((int(np.prod(beam_dims)), m5))
-    return fastsvd.HankelBlockOperator.from_vector(h.reshape(-1), beam_dims, l5)
+    return fastsvd.HankelBlockOperator.from_tensor(h.reshape(*beam_dims, m5), l5)
 
 
 class TestHankelMatvec:
     def test_hand_2x2(self):
-        op = fastsvd.HankelBlockOperator.from_vector([1, 2, 3], (1, 1, 1, 1), 2)
+        op = fastsvd.HankelBlockOperator.from_tensor(np.reshape([1, 2, 3], (1, 1, 1, 1, 3)), 2)
         y = fastsvd.hankel_matvec(op, [1, 1])
         assert np.allclose(y, [3, 5])
 
@@ -73,7 +73,7 @@ class TestHankelMatvec:
         taps = np.ones(8, dtype=complex)
         taps[3] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):
-            fastsvd.HankelBlockOperator.from_vector(taps, (1, 1, 1, 1), 4)
+            fastsvd.HankelBlockOperator.from_tensor(taps.reshape(1, 1, 1, 1, 8), 4)
 
     def test_shape_mismatch(self, rng):
         op = random_operator(rng, (1, 1, 1, 1), 8, 3)
@@ -100,8 +100,7 @@ class TestLanczos:
     def test_rank_one_early_termination(self):
         blocks = np.outer([1.0], np.ones(6)).astype(complex)  # constant taps
         # rank-1 Hankel needs a constant generator: h[m] = c
-        op = fastsvd.HankelBlockOperator.from_vector(blocks.reshape(-1),
-                                                     (1, 1, 1, 1), 3)
+        op = fastsvd.HankelBlockOperator.from_tensor(blocks.reshape(1, 1, 1, 1, 6), 3)
         bd = fastsvd.lanczos_bidiag(op, 3, 3)
         assert bd.stop == "breakdown"
         assert len(bd.a) == 1
@@ -290,7 +289,7 @@ def test_planted_gapped_signal_matches_dense(seed):
     gains = r.uniform(1.0, 2.0, (b, n_paths)) * np.exp(2j * np.pi * r.random((b, n_paths)))
     taps = gains @ np.exp(1j * np.outer(omega, np.arange(m5)))
     taps = taps + 1e-3 * (r.standard_normal(taps.shape) + 1j * r.standard_normal(taps.shape))
-    op = fastsvd.HankelBlockOperator.from_vector(taps.reshape(-1), beam_dims, l5)
+    op = fastsvd.HankelBlockOperator.from_tensor(taps.reshape(*beam_dims, m5), l5)
     s = np.linalg.svd(op.to_dense(), compute_uv=False)
     assume(s[n_paths - 1] > 10 * s[n_paths])      # the planted gap survived
     assert_matches_dense(op, n_paths, tol=1e-10)

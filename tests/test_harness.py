@@ -20,7 +20,7 @@ def desk_config(tmp_path=None, **overrides):
     doc = {
         "scenario": {
             "carrier_hz": 30e9, "delta_f_hz": 1.875e6, "m": [8, 8, 8, 8, 64],
-            "n": [4, 4, 4, 4], "n_p": 32, "e_s": 1.0, "n0": 0.0,
+            "n": [4, 4, 4, 4], "n_p": 32, "e_s": 1.0,
             "p_t": [20, 5, 8], "p_r": [0, 5, 1.5],
             "scatterers": [[10, 2.5, 0]], "beam_kind": "dft", "seed": 11,
             "n_c": 600,
@@ -103,7 +103,7 @@ class TestTrialFailureContainment:
         truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
         out = harness._run_single_trial(
             method, tensor, transforms, scen, paths, truth,
-            l5 or esprit.default_l5(scen.m[4]), np.random.default_rng(seed), 1e-3)
+            l5 or esprit.default_l5(scen.m[4]), np.random.default_rng(seed))
         if not out.ok:
             assert out.error.split(": ", 1)[0] in estimation_error_names(), out.error
         return out
@@ -337,7 +337,7 @@ class TestRunExperiment:
                 noisy = channel.observe_and_estimate(tensor, scen, rng, n0=n0)
                 trials.append((method, 30.0, t, harness._run_single_trial(
                     method, noisy, transforms, scen, paths, truth,
-                    esprit.default_l5(scen.m[4]), rng, n0)))
+                    esprit.default_l5(scen.m[4]), rng)))
         with open(harness._write_trial_dump(trials, tmp_path)) as fh:
             dump = list(csv.DictReader(fh))
         assert len(dump) == 4
@@ -518,11 +518,12 @@ class TestProcessPool:
         def ill_posed(*args, **kwargs):
             raise perturbation.IllPosedScenarioError("injected kit failure")
 
-        monkeypatch.setattr(esprit, "esprit_pipeline", counting)
-        monkeypatch.setattr(perturbation, "build_kit", ill_posed)
         queued = 100
+        # loading builds the kit once too, so the failure is injected after it
         cfg = harness.ExperimentConfig.from_dict(desk_config(
             trials=queued, methods=["matrix_fast", "analytic"], threads=2))
+        monkeypatch.setattr(esprit, "esprit_pipeline", counting)
+        monkeypatch.setattr(perturbation, "build_kit", ill_posed)
         with pytest.raises(perturbation.IllPosedScenarioError, match="injected") as info:
             harness.run_experiment(cfg)
         assert info.type is perturbation.IllPosedScenarioError
@@ -584,7 +585,9 @@ class TestCli:
         ({"scatterers": [[20, 2.5, 0]]}, "path endpoint in an array's broadside plane"),
         ({"scatterers": [[30, 2.5, 0]]}, "paths straddle both azimuth half-spaces"),
         ({"p_r": [20, 5, 8]}, "transmitter and receiver coincide"),
-        ({"n": [2, 4, 4, 4]}, "restore_projector needs at least 3 beams"),
+        ({"n": [2, 4, 4, 4]}, "scenario n[0]=2 is below the 3 beams"),
+        ({"n0": 0.0}, "unknown scenario keys: ['n0']"),
+        ({"scatterers": [[10, 5, 4.75]]}, "two paths coincide"),
     ])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_unbuildable_scenario_exit_code_2(self, tmp_path, capsys, command,

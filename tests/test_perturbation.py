@@ -15,7 +15,7 @@ def desk_kit():
     scen = channel.Scenario(
         p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
         m=(8, 8, 8, 8, 64), n=(4, 4, 4, 4), delta_f=1.875e6, f_c=30e9,
-        n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=7)
+        n_p=32, n_c=600, e_s=1.0, seed=7)
     paths = channel.params_from_geometry(scen)
     transforms = channel.scenario_transforms(scen, paths)
     l5 = esprit.default_l5(scen.m[4])
@@ -281,7 +281,7 @@ class TestPsi:
             p_t=[20, 5, 8], p_r=[0, 5, 1.5],
             scatterers=[[10, 2.5, 0], [6, 7, 1]],
             m=(8, 8, 8, 8, 64), n=(4, 4, 4, 4), delta_f=1.875e6, f_c=30e9,
-            n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=7)
+            n_p=32, n_c=600, e_s=1.0, seed=7)
         paths = channel.params_from_geometry(scen)[1:]   # drop the LOS path
         transforms = channel.scenario_transforms(scen, paths)
         l5 = esprit.default_l5(scen.m[4])
@@ -502,7 +502,7 @@ class TestAgainstMaterializedReference:
         scen = channel.Scenario(
             p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[[10, 2.5, 0]],
             m=(4, 4, 4, 4, m5), n=beams, delta_f=8e6, f_c=30e9,
-            n_p=16, n_c=600, e_s=1.0, n0=0.0, seed=5)
+            n_p=16, n_c=600, e_s=1.0, seed=5)
         paths = synthetic_paths(om, gains, scen.delta_f)
         transforms = channel.scenario_transforms(scen, paths)
         try:
@@ -537,7 +537,7 @@ class TestAgainstMaterializedReference:
         scen = channel.Scenario(
             p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=scatterers or SIX_PATH_SCATTERERS,
             m=(8, 8, 8, 8, 500), n=(4, 4, 4, 4), delta_f=120e3, f_c=30e9,
-            n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=seed)
+            n_p=32, n_c=600, e_s=1.0, seed=seed)
         self.check_scene(scen)
 
 

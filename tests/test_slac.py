@@ -43,7 +43,7 @@ class TestLocalize:
             p_t=[20, 5, 8], p_r=[0, 5, 1.5],
             scatterers=[[10, 2.5, 0], [6, 7, 1], [14, 1, 2]],
             m=(8, 8, 8, 8, 16), n=(4, 4, 4, 4), delta_f=3e6, f_c=30e9,
-            n_p=32, n_c=600, e_s=1.0, n0=0.0, seed=3)
+            n_p=32, n_c=600, e_s=1.0, seed=3)
         paths = channel.params_from_geometry(scen)
         res = slac.localize_scenario(paths, scen)
         assert np.linalg.norm(res.p_hat - scen.p_r) < 1e-9
@@ -212,7 +212,7 @@ class TestRateTermsOracle:
             p_t=[20, 5, 8], p_r=[0, 5, 1.5], scatterers=[],
             m=tuple(int(v) for v in r.integers(2, 5, 4)) + (int(r.integers(2, 9)),),
             n=(2, 2, 2, 2), delta_f=8e6, f_c=30e9, n_p=16, n_c=600,
-            e_s=1.0, n0=0.0, seed=seed)
+            e_s=1.0, seed=seed)
         n_paths = int(r.integers(1, 4))
         truth = [channel.PathParams(
             phi_az=r.uniform(-1.4, 1.4), phi_el=r.uniform(0.2, np.pi - 0.2),
