@@ -132,16 +132,24 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config keys: {unknown}")
             scenario = channel.Scenario.from_dict(d.pop("scenario"))
             cfg = cls(scenario=scenario, **d)
-            if "analytic" in cfg.methods:
+            smoothing = sorted(set(cfg.methods) & {"matrix_dense", "matrix_fast", "analytic"})
+            if smoothing:
                 # loading builds the kit once, so that its own rank test refuses
-                # paths no estimator can tell apart before any trial runs
+                # paths no smoothing estimator can tell apart before any trial
+                # runs; only the analytic method needs the rest of the kit
                 paths = channel.params_from_geometry(scenario)
                 try:
                     perturbation.build_kit(paths, channel.scenario_transforms(scenario, paths),
-                                           scenario, cfg.l5 or esprit.default_l5(scenario.m[4]))
+                                           scenario, cfg.l5 or esprit.default_l5(scenario.m[4]),
+                                           with_position="analytic" in cfg.methods)
                 except perturbation.IllPosedScenarioError as exc:
-                    raise ConfigError(f"analytic: {exc}; two paths coincide, as a scatterer "
-                                      f"on the line of sight does") from exc
+                    raise ConfigError(f"{smoothing}: {exc}; no smoothed stack separates these "
+                                      f"paths (two paths coincide where a scatterer lies on "
+                                      f"the line of sight)") from exc
+                except perturbation.SingularParameterizationError:
+                    # a singular angle map stops the analytic RMSEs, not the estimators
+                    if "analytic" in cfg.methods:
+                        raise
             return cfg
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc

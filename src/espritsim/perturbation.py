@@ -15,8 +15,9 @@ is pseudo-inverted through the QR cores of those factors (each factor's QR
 taken once per kit), and each xi and B^+ row is a Tucker tensor on that core.
 The kit keeps the rows in that form. kappa, Pi and Psi are fixed linear
 combinations of the rows {conj(B^+_l), upsilon_{l,n}}, so their norms are
-quadratic forms in the rows' Gram, which the cores and the factors'
-cross-Grams give without expanding any row (Bader & Kolda, SIAM J. Sci.
+quadratic forms in the rows' Gram. The Gram takes two GEMMs over all rows
+at once: of the rows expanded over the four short spatial modes, and of
+their long mode-5 factors, never expanded (Bader & Kolda, SIAM J. Sci.
 Comput. 2007). The J-long rows themselves are written on first read only.
 
 Sign note: the elevation and delay maps enter the angular frequencies with a
@@ -28,13 +29,13 @@ absorb it through the chain rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import channel, slac
 from .channel import SPEED_OF_LIGHT
-from .kernels import InvalidInputError, pinv, svd_pinv, svd_thin
+from .kernels import PINV_RTOL, InvalidInputError, SvdResult, _next_pow2, svd_pinv, svd_thin
 
 ANGLE_TOL = 1e-9    # _kappa_maps refuses a path whose |cos az| or |sin el| is below this
 
@@ -146,33 +147,56 @@ def _tucker_into(core, factors, out):
     np.matmul(x.reshape(-1, f5.shape[1]), f5.T, out=out.reshape(-1, f5.shape[0]))
 
 
+def _per_shape(fn, mats):
+    """``fn`` of every matrix in ``mats``, as one stacked call per distinct shape.
+
+    ``fn`` is a stacking LAPACK driver (``np.linalg.qr``, ``np.linalg.svd``);
+    entry i is the list of its outputs for ``mats[i]``.
+    """
+    by_shape = {}
+    for i, a in enumerate(mats):
+        by_shape.setdefault(a.shape, []).append(i)
+    out = [None] * len(mats)
+    for idx in by_shape.values():
+        for i, *parts in zip(idx, *fn(np.stack([mats[i] for i in idx]))):
+            out[i] = parts
+    return out
+
+
 def _gram(rows):
     """Hermitian Gram G[a, b] = <row_a, row_b> of Tucker rows (core, factors).
 
     Every row is padded to common per-mode ranks with zero core slices and
-    zero factor columns, which leaves it unchanged. Then, for all pairs at
-    once, the cores are contracted mode by mode with the factor cross-Grams
-    F_{a,m}^H F_{b,m}; no row is expanded.
+    zero factor columns, which leaves it unchanged, and expanded over the four
+    short spatial modes into a B x r_5 block X_a (B = N_1 N_2 N_3 N_4), so that
+    row_a = X_a F_{a,5}^T with the long mode-5 factor kept apart. Then
+    <row_a, row_b> sums (X_a^H X_b) * (F_{a,5}^H F_{b,5}) over its r_5 x r_5
+    entries: G is the blockwise sum of the Hadamard product of two GEMMs, the
+    spatial and the mode-5 cross-Grams of all rows at once.
     """
     n_rows = len(rows)
     ranks = [max(factors[m].shape[1] for _, factors in rows) for m in range(5)]
     cores = np.zeros((n_rows, *ranks), dtype=np.complex128)
-    padded = [np.zeros((rows[0][1][m].shape[0], n_rows, r), dtype=np.complex128)
-              for m, r in enumerate(ranks)]
+    spatial = [np.zeros((n_rows, rows[0][1][m].shape[0], r), dtype=np.complex128)
+               for m, r in enumerate(ranks[:4])]
+    f5 = np.zeros((n_rows, ranks[4], rows[0][1][4].shape[0]), dtype=np.complex128)
     for a, (core, factors) in enumerate(rows):
         cores[(a,) + tuple(map(slice, core.shape))] = core
-        for f, factor in zip(padded, factors):
-            f[:, a, :factor.shape[1]] = factor
-    z = np.broadcast_to(cores, (n_rows,) + cores.shape)       # z[a, b] = core_b
-    for m, (f, r) in enumerate(zip(padded, ranks)):
-        flat = f.reshape(f.shape[0], -1)
-        cross = (flat.conj().T @ flat).reshape(n_rows, r, n_rows, r).transpose(0, 2, 1, 3)
-        z = cross[:, :, None] @ z.reshape(n_rows, n_rows, int(np.prod(ranks[:m])), r, -1)
-    return np.einsum("ai,abi->ab", cores.reshape(n_rows, -1).conj(),
-                     z.reshape(n_rows, n_rows, -1))
+        for f, factor in zip(spatial, factors):
+            f[a, :, :factor.shape[1]] = factor
+        f5[a, :factors[4].shape[1]] = factors[4].T
+    # each step contracts the leading spatial rank and appends that mode's
+    # beams last, ending at (row, r_5, N_1..N_4)
+    x = cores
+    for f in spatial:
+        x = (f @ x.reshape(n_rows, f.shape[2], -1)).transpose(0, 2, 1)
+    x = x.reshape(n_rows * ranks[4], -1)
+    f5 = f5.reshape(n_rows * ranks[4], -1)
+    cross = (x.conj() @ x.T) * (f5.conj() @ f5.T)
+    return cross.reshape(n_rows, ranks[4], n_rows, ranks[4]).sum(axis=(1, 3))
 
 
-def _xi_tucker(factors, spatial_qrs, transforms, l5, omega, phi):
+def _xi_tucker(mode_qs, sel_qs, transforms, lam_cores, chi, phi):
     """Frequency-error rows xi for every (path, dim) in Tucker form, [l][n] -> (core, factors).
 
     From the noiseless H = P Diag(gamma) G^T: lambda_l = (J2 - Phi J1)^H u_l^*,
@@ -180,44 +204,32 @@ def _xi_tucker(factors, spatial_qrs, transforms, l5, omega, phi):
     window; their blockwise convolution lifts the pair onto the observation
     as xi_{l,n}, and upsilon_{l,n} = xi_{l,n} phi_{l,n} / conj(gamma_l).
     As J1 P = KR(C_m) (selector on factor n), lambda_l is a Tucker tensor with
-    core conj(row l of KR(R_m)^+), factors Q_m, and (J2^H - conj(phi) J1^H) Q_n
-    in mode n; the convolution with chi_l acts on its mode-5 factor alone.
+    core ``lam_cores[n][l]`` = conj(row l of KR(R_m)^+), factors Q_m
+    (``mode_qs``: of B_1..B_4 and of the K5-row A_5), and (J2^H - conj(phi) J1^H) Q_n
+    in mode n, Q_n from ``sel_qs`` (of J1 B_n, and of A_5 less its last row).
+    The convolution with chi_l acts on the mode-5 factor alone: every mode-5
+    column meets every column of ``chi`` in one batched FFT convolution.
     The frequency selectors keep the leading and the trailing K5 - 1 rows.
     """
-    m5 = factors[4].shape[0]
-    k5 = m5 + 1 - l5
-    n_paths = omega.shape[0]
-    p5 = channel.steering_matrix(k5, omega[:, 4])
-    chi = pinv(channel.steering_matrix(l5, omega[:, 4]).T).conj()   # column l = chi_l
-    qrs = spatial_qrs + [np.linalg.qr(p5)]
-
-    def window(f, l):
-        """The convolution of each column of f with chi_l."""
-        return np.stack([np.convolve(c, chi[:, l]) for c in f.T], axis=1)
-    q5_windows = [window(qrs[4][0], l) for l in range(n_paths)]   # shared by dims 1..4
+    n_paths = phi.shape[0]
+    k5, r5 = mode_qs[4].shape
+    j_pairs = [(t.l1.conj().T @ q, t.l2.conj().T @ q) for t, q in zip(transforms, sel_qs)]
+    j1q, j2q = np.zeros((2, k5, sel_qs[4].shape[1]), dtype=np.complex128)
+    j1q[:-1], j2q[1:] = sel_qs[4], sel_qs[4]
+    # windows[l] (M5 x columns) convolves each of [Q_5 | J1^H q | J2^H q] with chi_l
+    m5 = k5 + chi.shape[0] - 1
+    nfft = _next_pow2(m5)
+    columns = np.fft.fft(np.concatenate([mode_qs[4], j1q, j2q], axis=1), nfft, axis=0)
+    windows = np.fft.ifft(np.fft.fft(chi.T, nfft)[:, :, None] * columns, axis=1)[:, :m5]
+    j_pairs.append(np.split(windows[:, :, r5:], 2, axis=2))     # mode 5: per path, windowed
 
     rows = [[None] * 5 for _ in range(n_paths)]
-    for n in range(5):
-        if n < 4:
-            s1, s2 = transforms[n].l1, transforms[n].l2
-            q, r = np.linalg.qr(s1 @ factors[n])
-            j1q, j2q = s1.conj().T @ q, s2.conj().T @ q
-        else:
-            q, r = np.linalg.qr(p5[:-1])
-            j1q, j2q = np.zeros((2, k5, q.shape[1]), dtype=np.complex128)
-            j1q[:-1], j2q[1:] = q, q
-        mode_qrs = [(q, r) if m == n else qr for m, qr in enumerate(qrs)]
-        core = svd_thin(channel.khatri_rao([r_m for _, r_m in mode_qrs]))
-        s = core.singular_values
-        if s.size < n_paths or s[-1] <= 1e-12 * s[0]:
-            raise IllPosedScenarioError(f"J1 P rank deficient in dimension {n + 1}")
-        lam_cores = svd_pinv(core).conj().reshape(
-            (n_paths,) + tuple(r_m.shape[0] for _, r_m in mode_qrs))
+    for n, (j1, j2) in enumerate(j_pairs):
+        lam_n = j2 - np.conj(phi[:, n])[:, None, None] * j1
         for l in range(n_paths):
-            lam = [q_m for q_m, _ in mode_qrs]
-            lam[n] = j2q - np.conj(phi[l, n]) * j1q
-            lam[4] = window(lam[4], l) if n == 4 else q5_windows[l]
-            rows[l][n] = (lam_cores[l], lam)
+            lam = mode_qs[:4] + [windows[l, :, :r5]]
+            lam[n] = lam_n[l]
+            rows[l][n] = (lam_cores[n][l], lam)
     return rows
 
 
@@ -244,28 +256,28 @@ def _kappa_maps(paths, delta_f):
     return maps
 
 
-def _gain_sensitivities(factors, spatial_qrs, transforms, omega, gains):
+def _gain_sensitivities(factors, fac_qrs, core_pinv, transforms, omega, gains):
     """The gain pair: B^+ in Tucker form, (cores, factors), and Upsilon_n.
 
-    B^+ comes from the QR core of B = KR(B_1..B_4, A_5), so Upsilon_n =
-    KR(R)^+ KR(Q_m^H B-breve_m) Diag(gamma) is L x L work.
+    B^+ = KR(R)^+ (Q_1 x .. x Q_5)^H from the QR factors of B = KR(B_1..B_4,
+    A_5), so Upsilon_n = KR(R)^+ KR(Q_m^H B-breve_m) Diag(gamma) is L x L work.
+    B-breve_m is B_m (whose Q_m^H B_m is R_m) but its derivative in mode n, and
+    the five Khatri-Rao products are formed as one stack over n.
     """
     n_paths = omega.shape[0]
-    qrs = spatial_qrs + [np.linalg.qr(factors[4])]
-    qs = [q for q, _ in qrs]
-    core_pinv = svd_pinv(svd_thin(channel.khatri_rao([r for _, r in qrs])))   # KR(R)^+
+    qs = [q for q, _ in fac_qrs]
     b_pinv_tucker = (core_pinv.reshape((n_paths,) + tuple(q.shape[1] for q in qs)),
                      [q.conj() for q in qs])
-    upsilon_gain = np.empty((5, n_paths, n_paths), dtype=np.complex128)
-    for n in range(5):
-        m_n = factors[4].shape[0] if n == 4 else transforms[n].m
-        deriv = 1j * np.arange(m_n)[:, None] * channel.steering_matrix(m_n, omega[:, n])
-        if n < 4:
-            deriv = transforms[n].t.conj().T @ deriv
-        b_breve = channel.khatri_rao([q.conj().T @ (deriv if m == n else f)
-                                      for m, (q, f) in enumerate(zip(qs, factors))])
-        upsilon_gain[n] = (core_pinv @ b_breve) * gains[None, :]
-    return b_pinv_tucker, upsilon_gain
+    b_breve = np.ones((5, 1, n_paths), dtype=np.complex128)
+    for m, (q, r) in enumerate(fac_qrs):
+        a = factors[4] if m == 4 else channel.steering_matrix(transforms[m].m, omega[:, m])
+        deriv = 1j * np.arange(a.shape[0])[:, None] * a
+        if m < 4:
+            deriv = transforms[m].t.conj().T @ deriv
+        mode = np.repeat(r[None], 5, axis=0)
+        mode[m] = q.conj().T @ deriv
+        b_breve = (b_breve[:, :, None] * mode[:, None]).reshape(5, -1, n_paths)
+    return b_pinv_tucker, (core_pinv @ b_breve) * gains
 
 
 PARAM_KEYS = ("rmse_phi_az", "rmse_phi_el", "rmse_theta_az", "rmse_theta_el",
@@ -376,7 +388,7 @@ def _norms(gram, kappa_maps, upsilon_gain, position_map):
     def sq_norms(b_coeffs, upsilon_coeffs):
         c = np.concatenate([b_coeffs, upsilon_coeffs.reshape(b_coeffs.shape[:-1] + (-1,))],
                            axis=-1)
-        return np.einsum("...a,ab,...b->...", c.conj(), gram, c).real
+        return ((c.conj() @ gram) * c).sum(axis=-1).real
 
     kappa_norm = np.sqrt(sq_norms(np.zeros((n_paths, 5, n_paths)),
                                   np.einsum("lm,lin->limn", eye, kappa_maps)))
@@ -396,7 +408,8 @@ def build_kit(paths, transforms, scenario, l5, with_position=True):
     the norms of kappa, Pi and (unless ``with_position=False``) Psi, which
     every analytic RMSE scales. No J-long row is written. An ``l5`` below
     the path count, which no smoothing estimator can run, raises
-    ``IllPosedScenarioError``.
+    ``IllPosedScenarioError``, and so do paths that leave J1 P (in some
+    dimension) or the window factor A5 rank deficient.
     """
     gains = np.array([p.gamma for p in paths], dtype=np.complex128)   # a None reads nan
     if not np.all(np.isfinite(gains)) or np.any(gains == 0):
@@ -406,17 +419,43 @@ def build_kit(paths, transforms, scenario, l5, with_position=True):
                                     f"{len(paths)} paths")
     omega = np.stack([channel.to_angular(p, scenario.delta_f).omega for p in paths])
     phi = np.exp(1j * omega)
-    factors = channel.beamspace_factors(paths, transforms, scenario)
-    spatial_qrs = [np.linalg.qr(f) for f in factors[:4]]
-
-    xi_tucker = _xi_tucker(factors, spatial_qrs, transforms, l5, omega, phi)
+    n_paths = len(paths)
+    factors = channel.steering_factors(omega, transforms, scenario.m[4])
+    p5 = factors[4][:scenario.m[4] + 1 - l5]      # A_5's leading K5 rows
+    # every QR of the kit, one LAPACK call per shape: of B_1..B_4 and A_5
+    # (B^+), of J1 B_n and of A_5's K5-row window less its last row (xi's
+    # mode n), and of that K5-row window (xi's mode 5)
+    qrs = _per_shape(np.linalg.qr, factors + [t.l1 @ f for t, f in zip(transforms, factors)]
+                     + [p5[:-1], p5])
+    fac_qrs, sel_qrs, xi_qrs = qrs[:5], qrs[5:10], qrs[:4] + qrs[10:]
+    # the QR cores KR(R_m): of J1 P in every dimension (the selector on
+    # factor n), then of B, with one SVD per shape
+    core_rs = [[r for _, r in xi_qrs[:n] + [sel_qrs[n]] + xi_qrs[n + 1:]] for n in range(5)]
+    core_rs.append([r for _, r in fac_qrs])
+    svds = _per_shape(partial(np.linalg.svd, full_matrices=False),
+                      [channel.khatri_rao(rs) for rs in core_rs])
+    for n, (_, s, _) in enumerate(svds[:5]):
+        if s.size < n_paths or s[-1] <= PINV_RTOL * s[0]:
+            raise IllPosedScenarioError(f"J1 P rank deficient in dimension {n + 1}")
+    # the smoothed stack's window factor A5 (l5 x L): pseudo-inverted as chi,
+    # so it needs full rank too, which two paths with one delay deny it
+    window = svd_thin(factors[4][:l5].T)
+    s = window.singular_values
+    if s[-1] <= PINV_RTOL * s[0]:
+        raise IllPosedScenarioError(f"the l5={l5}-column window factor A5 is rank "
+                                    f"deficient: two paths share a delay")
+    pinvs = [svd_pinv(SvdResult(u, s, vh.conj().T)) for u, s, vh in svds]
+    lam_cores = [p.conj().reshape((n_paths,) + tuple(r.shape[0] for r in rs))
+                 for p, rs in zip(pinvs[:5], core_rs)]
+    xi_tucker = _xi_tucker([q for q, _ in xi_qrs], [q for q, _ in sel_qrs], transforms,
+                           lam_cores, svd_pinv(window).conj(), phi)
     kappa_maps = _kappa_maps(paths, scenario.delta_f)
-    b_pinv_tucker, upsilon_gain = _gain_sensitivities(factors, spatial_qrs, transforms,
+    b_pinv_tucker, upsilon_gain = _gain_sensitivities(factors, fac_qrs, pinvs[5], transforms,
                                                       omega, gains)
     position_map = _position_map(paths, scenario) if with_position else None
     # the Gram of the rows conj(B^+_l), then upsilon_{l,n} = xi_{l,n} phi_{l,n} / conj(gamma_l)
-    b_cores, b_factors = b_pinv_tucker
-    rows = ([(c.conj(), [f.conj() for f in b_factors]) for c in b_cores]
+    qs = [q for q, _ in fac_qrs]
+    rows = ([(c.conj(), qs) for c in b_pinv_tucker[0]]
             + [piece for row in xi_tucker for piece in row])
     scale = np.concatenate([np.ones(len(paths)),
                             (phi / np.conj(gains)[:, None]).reshape(-1)])

@@ -630,6 +630,23 @@ class TestCli:
         assert cli.main([command, *args]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["desk.json", "fullscale.json"])
+    def test_shipped_configs_are_valid(self, name, capsys):
+        assert cli.main(["validate-config", str(ROOT / "configs" / name)]) == 0
+        assert "config ok" in capsys.readouterr().out
+
+    def test_los_scatterer_refused_for_every_smoothing_method(self, tmp_path, capsys):
+        # the kit's rank test runs at load for matrix_fast alone too: the
+        # scatterer's path repeats the LOS path, so no smoothed stack
+        # separates the two
+        doc = json.loads((ROOT / "configs" / "desk.json").read_text())
+        doc["scenario"]["scatterers"] = [[10, 5, 4.75]]
+        doc["methods"] = ["matrix_fast"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate-config", str(path)]) == 2
+        assert "['matrix_fast']: J1 P rank deficient" in capsys.readouterr().err
+
     def test_single_path_analytic_only_is_valid(self, tmp_path, capsys):
         # only the per-trial methods need a path to localize from
         doc = desk_config(methods=["analytic"])

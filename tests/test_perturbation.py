@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from espritsim import channel, esprit, perturbation, shift, slac
-from espritsim.kernels import InvalidInputError, pinv
+from espritsim.kernels import PINV_RTOL, InvalidInputError, pinv
 from tests.conftest import match_rows, synthetic_paths
 
 
@@ -422,6 +423,10 @@ def reference_kit(paths, transforms, scen, l5):
                 - np.conj(phi[l, n]) * pair.first.apply_adjoint(row)
             xi[l, n] = blockwise_convolve(lam.reshape(n_blocks, k5), chi[:, l], m5).reshape(-1)
             upsilon[l, n] = phi[l, n] * xi[l, n] / np.conj(gains[l])
+    # two paths that share a delay leave the window factor rank deficient
+    s = np.linalg.svd(channel.steering_matrix(l5, omega[:, 4]), compute_uv=False)
+    if s[-1] <= PINV_RTOL * s[0]:
+        raise perturbation.IllPosedScenarioError("window factor A5 rank deficient")
     kappa = np.empty_like(xi)
     for l, p in enumerate(paths):
         u = upsilon[l]
@@ -487,9 +492,12 @@ def assert_kit_matches(kit, ref, arrays=KIT_ARRAYS, rtol=1e-12):
 
 class TestAgainstMaterializedReference:
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), n_paths=st.integers(1, 3),
-           beams=st.tuples(*[st.integers(3, 4)] * 4), m5=st.integers(4, 12))
-    def test_tiny_geometries(self, data, n_paths, beams, m5):
+    @given(data=st.data(), n_paths=st.integers(1, 5),
+           beams=st.tuples(*[st.integers(3, 4)] * 4))
+    def test_tiny_geometries(self, data, n_paths, beams):
+        # up to 5 paths on 3-4 beams: where a mode has fewer beams than paths
+        # the rows' per-mode ranks differ, and the kit's Gram pads them
+        m5 = data.draw(st.integers(max(4, n_paths + 1), 12), label="m5")
         l5 = data.draw(st.integers(n_paths, m5 - 1), label="l5")
         # frequencies on a 0.45 rad lattice, |w| <= 1.8 in the angle modes so
         # both angle maps stay regular; w5 over most of the circle
@@ -571,6 +579,19 @@ class TestAnalyticNorms:
         assert kit.upsilon.shape == (len(paths), 5, j_total)
         assert vars(kit)["upsilon"] is kit.upsilon      # cached on first read
 
+    def test_six_path_kit_memory(self, desk_scenario):
+        # the Gram expands no pairwise core: the six-path desk kit stays small
+        scen = dataclasses.replace(desk_scenario, scatterers=SIX_PATH_SCATTERERS, seed=13)
+        paths = channel.params_from_geometry(scen)
+        transforms = channel.scenario_transforms(scen, paths)
+        tracemalloc.start()
+        try:
+            perturbation.build_kit(paths, transforms, scen, esprit.default_l5(scen.m[4]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
+
 
 def largest_array(obj):
     """Entries of the largest numpy array reachable through containers and dataclasses."""
@@ -617,6 +638,16 @@ class TestRankCheck:
         transforms = channel.scenario_transforms(scen, paths)
         with pytest.raises(perturbation.IllPosedScenarioError, match="dimension 1"):
             perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
+
+    def test_shared_delay_raises(self, tiny_scenario):
+        # J1 P has full rank, as the paths part in dimension 4, but their shared
+        # delay leaves the L5-column window factor A5 with rank 1
+        scen = dataclasses.replace(tiny_scenario, m=(4, 4, 4, 4, 163))
+        paths = synthetic_paths([[0.0] * 5, [0.0, 0.0, 0.0, 0.45, 0.0]], [1.0, 0.6 - 0.2j],
+                                scen.delta_f)
+        transforms = channel.scenario_transforms(scen, paths)
+        with pytest.raises(perturbation.IllPosedScenarioError, match="window factor"):
+            perturbation.build_kit(paths, transforms, scen, 162, with_position=False)
 
     def test_window_below_path_count_raises(self, desk_kit):
         # an L5-column smoothed stack holds at most L5 paths: no estimator
