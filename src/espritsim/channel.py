@@ -601,7 +601,16 @@ def link_metrics(paths, transforms, scenario, n0):
     }
 
 
+def n0_for_snr_grid(paths, transforms, scenario, snr_grid_db):
+    """Invert the SNR definition over a grid: the N0 achieving each target SNR.
+
+    The signal power does not depend on the SNR, so it is computed once.
+    """
+    metrics = link_metrics(paths, transforms, scenario, n0=1.0)
+    return tuple(metrics["signal_power"] / (metrics["noise_per_n0"] * 10 ** (snr_db / 10))
+                 for snr_db in snr_grid_db)
+
+
 def n0_for_snr_db(paths, transforms, scenario, snr_db):
     """Invert the SNR definition: the N0 achieving the target SNR."""
-    metrics = link_metrics(paths, transforms, scenario, n0=1.0)
-    return metrics["signal_power"] / (metrics["noise_per_n0"] * 10 ** (snr_db / 10))
+    return n0_for_snr_grid(paths, transforms, scenario, (snr_db,))[0]

@@ -21,9 +21,9 @@ def _build_parser():
     run.add_argument("--config", required=True, help="experiment config JSON")
     run.add_argument("--out", default=None, help="output directory for CSVs")
     run.add_argument("--threads", type=int, default=None,
-                     help="worker processes for the trials (overrides the config's "
-                          "threads); 1 runs them in this process, and the metric "
-                          "CSVs do not depend on the count")
+                     help="processes for the trials, this one included (overrides "
+                          "the config's threads); 1 runs them in this process, and the "
+                          "metric CSVs do not depend on the count")
     run.add_argument("--dump-trials", action="store_true",
                      help="also write trials.csv, one row per trial")
 

@@ -3,13 +3,18 @@
 Determinism contract: every trial draws from its own RNG substream keyed by
 (seed, snr index, trial index); per-trial results come back in task order
 and are reduced in a fixed order, so outputs are byte-identical across
-repeat runs and across worker counts. The workers are ``threads`` forked
-processes, so trials run off the parent's interpreter lock; they inherit the
-sweep's inputs, which the parent builds once before the fork. The
-perturbation kit and the perfect-CSI rate terms, which only the parent reads,
-are built in the parent while the workers run trials; an exception raised in
-the parent cancels the queued trials before it propagates. ``threads = 1``
-runs every trial in process.
+repeat runs and across process counts. The parent runs trials next to
+``threads - 1`` forked helper processes, which inherit the sweep's inputs
+(built once before the fork); every process claims the next trial from one
+shared counter, and each helper sends its outputs back through its own pipe.
+The parent first builds the perturbation kit and the perfect-CSI rate terms,
+which only it reads, then runs trials and drains the pipes between them. An
+exception raised in the parent exhausts the counter, so no queued trial
+starts, and joins the helpers before it propagates; a helper's programming
+error is re-raised in the parent, and a helper that exits without sending a
+trial it claimed raises ``TrialLostError``. ``threads = 1`` runs every trial
+in the parent. Every loaded OpenBLAS runs one thread for the sweep, so the
+bytes do not depend on the caller's BLAS threading either.
 
 Each trial yields one record; ``TRIAL_DIAGNOSTICS`` names the estimate
 diagnostics it keeps, which are also the diagnostic columns of trials.csv.
@@ -21,14 +26,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import functools
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,6 +64,10 @@ class ConfigError(ValueError):
 
 class TrialFailureRateError(RuntimeError):
     """More than the tolerated fraction of trials failed."""
+
+
+class TrialLostError(RuntimeError):
+    """A forked helper exited without sending back a trial it had claimed."""
 
 
 @dataclass(frozen=True)
@@ -291,9 +302,59 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
     return out
 
 
+# (getter, setter) symbol pairs of the thread count in the scipy-openblas
+# builds that numpy and scipy bundle (64-bit and 32-bit integer interface)
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found by path in /proc/self/maps; empty when there is none."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({fields[5].strip() for fields in (line.split(None, 5) for line in fh)
+                            if len(fields) == 6 and "openblas" in fields[5].lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS at one thread inside the block, and the caller's
+    counts back after it. Forked helpers inherit the count. With no OpenBLAS
+    found, the block runs at whatever threading the BLAS has."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+
 @dataclass(frozen=True)
 class _Sweep:
-    """What every trial of one sweep reads, built once before the workers fork."""
+    """What every trial of one sweep reads, built once before the helpers fork."""
     cfg: ExperimentConfig
     paths: list
     transforms: tuple
@@ -314,37 +375,116 @@ def _trial(sweep, method, si, t):
                              sweep.paths, sweep.truth_omega, sweep.l5, rng)
 
 
-_worker_sweep = None   # set by _init_worker in forked pool workers only
+def _task_name(task):
+    method, si, t = task
+    return f"{method} trial {t} at SNR point {si}"
 
 
-def _init_worker(sweep):
-    global _worker_sweep
-    _worker_sweep = sweep
+class _RemoteTraceback(Exception):
+    """A helper's traceback text, chained as the cause of its re-raised exception."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
 
 
-def _worker_trial(task):
-    return _trial(_worker_sweep, *task)
+def _helper(sweep, tasks, claim, conn, inherited):
+    """A forked helper: claim, run and send back trials until none are left.
+    A programming error goes back with its traceback text and ends the helper."""
+    # the read ends of its own and earlier helpers' pipes are the parent's:
+    # held open here, a full pipe would block this helper's send forever
+    # once the parent stops reading
+    for other in inherited:
+        other.close()
+    try:
+        while (i := claim()) < len(tasks):
+            try:
+                out = _trial(sweep, *tasks[i])
+            except Exception as exc:
+                conn.send((i, exc, traceback.format_exc()))
+                return
+            conn.send((i, out, None))
+    except BrokenPipeError:
+        pass                     # the parent stopped reading: it is unwinding
+    finally:
+        conn.close()
 
 
 @contextlib.contextmanager
-def _worker_pool(sweep, workers):
-    """``workers`` forked processes that inherit ``sweep``, or None for one.
+def _trial_loop(sweep, tasks, helpers):
+    """Yields an iterator over the outputs of ``tasks``, in task order.
 
-    An exception raised in the parent inside the block cancels the queued
-    trials before it propagates, instead of waiting for them to run.
+    ``helpers`` forked processes, which inherit ``sweep``, and the parent all
+    claim the next task from one shared counter. Each helper sends its
+    outputs back through its own pipe; the parent runs a trial of its own
+    whenever the output next due has not arrived, and drains the pipes
+    between its trials. On exit, also by an exception raised in the parent
+    inside the block, the counter is exhausted, so no queued trial starts,
+    and the helpers are joined.
     """
-    if workers < 2:
-        yield None
-        return
-    # fork, not spawn: workers inherit the sweep's arrays instead of unpickling them
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=(sweep,)) as pool:
-        try:
-            yield pool
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    ctx = multiprocessing.get_context("fork")
+    next_task = ctx.Value("q", 0)
+    held = ctx.RawArray("q", [-1] * helpers)     # the task each helper claimed last
+    sent = [-1] * helpers                        # the task each helper sent back last
+    done = {}                                    # outputs not yet yielded, by task
+    procs, live = [], {}                         # live: read end -> helper index
+
+    def claim(h=None):
+        with next_task.get_lock():
+            i = next_task.value
+            next_task.value = i + 1
+            if h is not None:
+                held[h] = i
+        return i
+
+    def receive(timeout):
+        """Take what the helpers have sent, waiting up to ``timeout`` seconds."""
+        for conn in multiprocessing.connection.wait(list(live), timeout):
+            h = live[conn]
+            try:
+                i, out, tb = conn.recv()
+            except EOFError:
+                del live[conn]
+                conn.close()
+                procs[h].join()
+                if held[h] != sent[h] and held[h] < len(tasks):
+                    raise TrialLostError(
+                        f"helper pid {procs[h].pid} exited with code {procs[h].exitcode} "
+                        f"before sending {_task_name(tasks[held[h]])}") from None
+                continue
+            if tb is not None:
+                raise out from _RemoteTraceback(tb)
+            done[i], sent[h] = out, i
+
+    def outputs():
+        for due in range(len(tasks)):
+            while due not in done:
+                receive(0)                       # what has arrived, without waiting
+                if due in done:
+                    break
+                if (i := claim()) < len(tasks):
+                    done[i] = _trial(sweep, *tasks[i])
+                elif live:
+                    receive(None)
+                else:
+                    raise TrialLostError(f"{_task_name(tasks[due])} was never sent back")
+            yield done.pop(due)
+
+    try:
+        for h in range(helpers):
+            recv, send = ctx.Pipe(duplex=False)
+            procs.append(ctx.Process(target=_helper, args=(
+                sweep, tasks, functools.partial(claim, h), send, [*live, recv])))
+            procs[-1].start()
+            send.close()
+            live[recv] = h
+        yield outputs()
+    finally:
+        with next_task.get_lock():
+            next_task.value = len(tasks)
+        for conn in live:
+            conn.close()
+        for proc in procs:
+            proc.join()
 
 
 def _path_classes(n_paths):
@@ -398,6 +538,7 @@ def _analytic_rows(kit, snr_db, n0):
                       np.array([pos ** 2]))
 
 
+@_one_blas_thread()
 def run_experiment(cfg):
     """Run the Monte-Carlo sweep and return (rows, csv file map).
 
@@ -405,11 +546,14 @@ def run_experiment(cfg):
     streams. The analytic method builds the perturbation kit once per sweep,
     which holds the norms of its sensitivities (taken from their Tucker
     pieces, with no J-long row written); each SNR point only scales them.
-    With ``cfg.threads > 1`` the trials of every (SNR, method) run on one
-    pool of that many forked worker processes, built once the trials' inputs
-    exist; the kit is built while they run. A method whose
-    failed-trial fraction exceeds ``cfg.max_failure_rate`` raises
-    TrialFailureRateError after the sweep.
+    The trials of every (SNR, method) run in the parent and in
+    ``cfg.threads - 1`` helper processes, forked once the trials' inputs
+    exist; the parent builds the kit first, then runs trials next to the
+    helpers. A helper that exits without sending back a trial it claimed
+    raises TrialLostError; a helper's programming error is re-raised with
+    its traceback text as the cause. Every loaded OpenBLAS runs one thread
+    for the sweep. A method whose failed-trial fraction exceeds
+    ``cfg.max_failure_rate`` raises TrialFailureRateError after the sweep.
     """
     scenario = cfg.scenario
     paths = channel.params_from_geometry(scenario)
@@ -419,19 +563,16 @@ def run_experiment(cfg):
     tensor = channel.synth_beamspace_tensor(paths, transforms, scenario)
     l5 = cfg.l5 if cfg.l5 else esprit.default_l5(scenario.m[4])
 
-    n0 = tuple(channel.n0_for_snr_db(paths, transforms, scenario, snr_db)
-               for snr_db in cfg.snr_grid_db)
+    n0 = channel.n0_for_snr_grid(paths, transforms, scenario, cfg.snr_grid_db)
     sweep = _Sweep(cfg, paths, transforms, truth_omega, tensor, l5, n0)
 
     per_method = [m for m in cfg.methods if m != "analytic"]
     tasks = [(method, si, t) for si in range(len(n0)) for method in per_method
              for t in range(cfg.trials)]
-    with _worker_pool(sweep, min(cfg.threads, len(tasks))) as pool:
-        results = (pool.map(_worker_trial, tasks) if pool is not None
-                   else (_trial(sweep, *task) for task in tasks))
+    with _trial_loop(sweep, tasks, max(min(cfg.threads, len(tasks)) - 1, 0)) as results:
         # only the parent reads the kit and the perfect-CSI rate terms (which
-        # do not depend on SNR: truth is its own estimate), so they are built
-        # while the workers run
+        # do not depend on SNR: truth is its own estimate), so it builds them
+        # while the helpers run the first trials
         kit = (perturbation.build_kit(paths, transforms, scenario, l5)
                if "analytic" in cfg.methods else None)
         u_perf, _ = slac.rate_terms(paths, paths, scenario)

@@ -1,3 +1,5 @@
+import faulthandler
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,15 @@ from espritsim import channel, harness
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def hang_guard():
+    """Dump every thread's traceback and exit if the test runs past 120 s, so
+    that a deadlocked sweep fails the suite instead of stalling it."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 import csv
 import dataclasses
+import functools
 import json
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +453,7 @@ def trials_without_runtime(path):
     return [row[:col] + row[col + 1:] for row in rows]
 
 
+@pytest.mark.usefixtures("hang_guard")
 class TestProcessPool:
     """threads > 1 runs the trials in forked workers, which inherit any fault
     a test installs before the sweep."""
@@ -536,6 +541,141 @@ class TestProcessPool:
         rows, _ = harness.run_experiment(cfg)
         assert any(r.method == "matrix_fast" for r in rows)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("hang_guard")
+class TestTrialLoop:
+    """The parent runs trials next to threads - 1 forked helpers; a helper's
+    failure reaches the parent, and no helper is left behind."""
+
+    def only_in_helpers(self, monkeypatch, fault):
+        """Patch the matrix pipeline to call ``fault`` in every process but this one."""
+        parent = os.getpid()
+        real = esprit.esprit_pipeline
+
+        def pipeline(*args, **kwargs):
+            if os.getpid() != parent:
+                fault()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(esprit, "esprit_pipeline", pipeline)
+
+    def test_dead_helper_raises_lost_task(self, monkeypatch):
+        self.only_in_helpers(monkeypatch, lambda: os._exit(3))
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(trials=20, methods=["matrix_fast"], threads=2))
+        with pytest.raises(harness.TrialLostError,
+                           match=r"exited with code 3 before sending matrix_fast "
+                                 r"trial \d+ at SNR point 0"):
+            harness.run_experiment(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_helper_error_carries_its_traceback(self, monkeypatch):
+        def fault():
+            raise RuntimeError("broken in a helper")
+
+        self.only_in_helpers(monkeypatch, fault)
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(trials=20, methods=["matrix_fast"], threads=2))
+        with pytest.raises(RuntimeError, match="broken in a helper") as info:
+            harness.run_experiment(cfg)
+        assert info.type is RuntimeError
+        remote = str(info.value.__cause__)
+        assert "Traceback (most recent call last)" in remote
+        assert "in fault" in remote and "RuntimeError: broken in a helper" in remote
+        assert multiprocessing.active_children() == []
+
+    def test_parent_failure_with_a_full_pipe_joins_the_helper(self, monkeypatch):
+        # a desk trial's output pickles to ~3 kB, so the helper fills its pipe
+        # while the kit sleeps; its blocked send must fail once the parent
+        # stops reading, or the join would wait forever
+        def slow_ill_posed(*args, **kwargs):
+            time.sleep(0.6)
+            raise perturbation.IllPosedScenarioError("injected kit failure")
+
+        cfg = harness.ExperimentConfig.from_dict(desk_config(
+            trials=400, methods=["matrix_fast", "analytic"], threads=2))
+        monkeypatch.setattr(perturbation, "build_kit", slow_ill_posed)
+        with pytest.raises(perturbation.IllPosedScenarioError, match="injected"):
+            harness.run_experiment(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_more_threads_than_tasks_matches_one_thread(self, tmp_path):
+        results = []
+        for threads in (1, 5):
+            cfg = harness.ExperimentConfig.from_dict(desk_config(
+                outputs=str(tmp_path / f"t{threads}"), threads=threads, trials=2,
+                methods=["matrix_fast"], dump_trials=True))
+            rows, files = harness.run_experiment(cfg)
+            results.append(([r.as_csv_row() for r in rows if r.metric != "runtime_s"],
+                            trials_without_runtime(files["trials"])))
+        assert results[0] == results[1]
+        assert multiprocessing.active_children() == []
+
+
+class TestBlasThreads:
+    """run_experiment runs every loaded OpenBLAS at one thread and restores
+    the caller's counts after the sweep."""
+
+    def fake_blas(self, monkeypatch, start=4):
+        counts = [start, start]
+        controls = tuple((functools.partial(counts.__getitem__, i),
+                          functools.partial(counts.__setitem__, i)) for i in range(2))
+        monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: controls)
+        return counts
+
+    def test_pinned_during_sweep_restored_after_error(self, monkeypatch):
+        counts = self.fake_blas(monkeypatch)
+        seen = []
+
+        def broken(*args, **kwargs):
+            seen.append(list(counts))
+            raise RuntimeError("broken pipeline")
+
+        monkeypatch.setattr(esprit, "esprit_pipeline", broken)
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(trials=1, methods=["matrix_fast"]))
+        with pytest.raises(RuntimeError, match="broken pipeline"):
+            harness.run_experiment(cfg)
+        assert seen == [[1, 1]]
+        assert counts == [4, 4]
+
+    def test_no_openblas_found_runs_unpinned(self, monkeypatch):
+        monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: ())
+        cfg = harness.ExperimentConfig.from_dict(
+            desk_config(trials=2, methods=["matrix_fast", "analytic"], threads=2))
+        rows, _ = harness.run_experiment(cfg)
+        assert {r.method for r in rows} == {"matrix_fast", "analytic", "perfect_csi"}
+
+    def test_real_counts_restored_after_sweep(self):
+        # in a subprocess: the thread counts are process-wide state
+        script = textwrap.dedent("""
+            import json, sys
+            from espritsim import esprit, harness
+            controls = harness._openblas_thread_controls()
+            for _, set_ in controls:
+                set_(3)
+            seen = []
+            real = esprit.esprit_pipeline
+            def spy(*args, **kwargs):
+                seen.append([get() for get, _ in controls])
+                return real(*args, **kwargs)
+            esprit.esprit_pipeline = spy
+            harness.run_experiment(harness.ExperimentConfig.from_dict(json.loads(sys.argv[1])))
+            print(json.dumps({"during": seen, "after": [get() for get, _ in controls]}))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps(desk_config(trials=2, methods=["matrix_fast"]))],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        if not out["after"]:
+            pytest.skip("no OpenBLAS is loaded")
+        assert out["during"] == [[1] * len(out["after"])] * 2
+        assert out["after"] == [3] * len(out["after"])
 
 
 class TestCli:
