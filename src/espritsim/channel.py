@@ -477,6 +477,12 @@ def steering_factors(omegas, transforms, m5):
     return factors
 
 
+# Contraction order of synth_beamspace_tensor: the gains into B1, then the
+# factors pairwise. It is the order optimize=True finds on the shipped
+# configs; fixing it spares every call einsum's path search.
+_SYNTH_EINSUM_PATH = ("einsum_path", (0, 5), (0, 1), (0, 2), (1, 2), (0, 1))
+
+
 def synth_beamspace_tensor(paths, transforms, scenario):
     """Noiseless beamspace channel tensor of shape (N1, N2, N3, N4, M5)."""
     if not paths:
@@ -484,7 +490,7 @@ def synth_beamspace_tensor(paths, transforms, scenario):
     gains = np.array([p.gamma for p in paths], dtype=np.complex128)
     b1, b2, b3, b4, b5 = beamspace_factors(paths, transforms, scenario)
     return np.einsum("al,bl,cl,dl,el,l->abcde", b1, b2, b3, b4, b5, gains,
-                     optimize=True)
+                     optimize=_SYNTH_EINSUM_PATH)
 
 
 def khatri_rao(mats):

@@ -30,6 +30,7 @@ import ctypes
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import numbers
@@ -39,7 +40,6 @@ import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import channel, esprit, perturbation, slac, tensor_esprit
 from .kernels import EstimationError, InvalidInputError
@@ -190,13 +190,70 @@ class MetricRow:
 METRIC_COLUMNS = tuple(f.name for f in fields(MetricRow))   # the metric CSV header
 
 
+def _min_cost_assignment(cost):
+    """Exact minimum-cost perfect matching of the square matrix ``cost``.
+
+    Shortest augmenting paths over reduced costs with dual potentials
+    (Kuhn-Munkres in the Jonker-Volgenant form of Crouse, IEEE TAES 2016,
+    which scipy's ``linear_sum_assignment`` implements, ties broken alike):
+    each row joins by one Dijkstra-like search, O(n^2), so O(n^3) in all.
+    Returns ``row4col``, the row assigned to each column. The loops run over
+    Python lists, whose element access is cheaper than numpy's.
+    """
+    rows = cost.tolist()
+    n = len(rows)
+    u, v = [0.0] * n, [0.0] * n               # row and column potentials
+    row4col, col4row, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        dist = [math.inf] * n                 # shortest path cost to each column
+        remaining = list(range(n - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            seen_rows.append(i)
+            row, ui = rows[i], u[i]
+            lowest, index = math.inf, -1
+            for k, j in enumerate(remaining):
+                d = min_val + row[j] - ui - v[j]
+                if d < dist[j]:
+                    path[j], dist[j] = i, d
+                else:
+                    d = dist[j]
+                # on a tie prefer a free column: it ends the path
+                if d < lowest or (d == lowest and row4col[j] < 0):
+                    lowest, index = d, k
+            min_val = lowest
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            seen_cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - dist[j]
+        j = sink                              # augment along the path
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return row4col
+
+
 def match_paths(estimated, truth):
     """Minimum-cost assignment of estimated to true paths.
 
     Cost between two frequency 5-vectors is the sum of squared wrapped
     angular distances. The total cost is additive over pairs, so the
-    Hungarian solution (``linear_sum_assignment``) is exact for every L.
-    Returns ``perm`` with estimated[perm[i]] matched to truth[i].
+    Hungarian solution, computed in-package by ``_min_cost_assignment``,
+    is exact for every L. Returns the int array ``perm`` with
+    estimated[perm[i]] matched to truth[i].
     """
     est = np.stack([f.omega if isinstance(f, channel.AngularFreqs) else np.asarray(f)
                     for f in estimated])
@@ -206,12 +263,8 @@ def match_paths(estimated, truth):
         raise InvalidInputError("path lists must have equal lengths")
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
         raise InvalidInputError("path frequencies must be finite")
-    n = est.shape[0]
     cost = np.sum(channel.wrap_angle(est[:, None, :] - tru[None, :, :]) ** 2, axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(n, dtype=int)
-    perm[cols] = rows
-    return perm
+    return np.array(_min_cost_assignment(cost), dtype=int)
 
 
 # (name, kind) of each estimate diagnostic that trials.csv carries, in column

@@ -9,6 +9,7 @@ stay visible instead of being tuned away.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,7 +393,7 @@ def test_criterion_9_determinism(tmp_path):
     cfg4 = desk_config(outputs=str(tmp_path / "four"), threads=4, **base)
     _, f1 = harness.run_experiment(cfg1)
     _, f4 = harness.run_experiment(cfg4)
-    same = all(open(f1[k], "rb").read() == open(f4[k], "rb").read()
+    same = all(Path(f1[k]).read_bytes() == Path(f4[k]).read_bytes()
                for k in ("3a", "3b", "3c", "4", "5"))
     report(9, same, "metric CSVs byte-identical across 1-thread and 4-thread "
                     "runs (wall-clock figure 6 exempt)")

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import multiprocessing
 import os
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espritsim import channel, cli, esprit, harness, perturbation
 from espritsim.kernels import EstimationError, InvalidInputError, NumericFailureError
@@ -79,6 +82,86 @@ class TestMatchPaths:
             harness.match_paths([bad], [good])
         with pytest.raises(InvalidInputError, match="finite"):
             harness.match_paths([good], [bad])
+
+
+def random_cost(n, integer, seed):
+    """An n x n cost matrix; integer-valued costs make ties likely."""
+    rng = np.random.default_rng(seed)
+    if integer:
+        return rng.integers(0, 4, (n, n)).astype(float)
+    return rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+
+
+def total_cost(cost, perm):
+    """Total cost of the assignment of row perm[j] to column j."""
+    return cost[np.asarray(perm), np.arange(len(perm))].sum()
+
+
+def scipy_assignment(cost):
+    """scipy's linear_sum_assignment as ``perm`` (row perm[j] to column j): a test oracle."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(len(rows), dtype=int)
+    perm[cols] = rows
+    return perm
+
+
+def optimum_is_unique(cost, perm, tol):
+    """Whether every other assignment costs more than ``perm`` by over ``tol``.
+
+    Any other assignment leaves out at least one pair of ``perm``, so the
+    optimum is unique exactly when forbidding each pair in turn raises the
+    minimum by more than ``tol``.
+    """
+    best = total_cost(cost, perm)
+    forbidden = 2 * np.abs(cost).sum() + 1.0
+    for j, i in enumerate(perm):
+        masked = cost.copy()
+        masked[i, j] = forbidden
+        if total_cost(masked, scipy_assignment(masked)) <= best + tol:
+            return False
+    return True
+
+
+class TestMinCostAssignment:
+    """The in-package exact solver behind match_paths."""
+
+    def check_against_scipy(self, cost):
+        perm = harness._min_cost_assignment(cost)
+        n = cost.shape[0]
+        assert sorted(perm) == list(range(n))
+        tol = 1e-12 * n * np.abs(cost).max()      # 1e-12 of the scale of a total
+        oracle = scipy_assignment(cost)
+        assert abs(total_cost(cost, perm) - total_cost(cost, oracle)) <= tol
+        if optimum_is_unique(cost, oracle, 1e6 * tol):
+            assert list(perm) == list(oracle)
+        return perm, tol
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.booleans(), st.integers(0, 2**31))
+    def test_optimal_against_brute_force(self, n, integer, seed):
+        cost = random_cost(n, integer, seed)
+        perm, tol = self.check_against_scipy(cost)
+        if n <= 7:
+            best = min(total_cost(cost, p) for p in itertools.permutations(range(n)))
+            assert abs(total_cost(cost, perm) - best) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(9, 40), st.booleans(), st.integers(0, 2**31))
+    def test_optimal_against_scipy(self, n, integer, seed):
+        self.check_against_scipy(random_cost(n, integer, seed))
+
+    def test_all_equal_costs(self):
+        assert sorted(harness._min_cost_assignment(np.full((6, 6), 0.25))) == list(range(6))
+
+    def test_one_by_one(self):
+        assert list(harness._min_cost_assignment(np.array([[2.5]]))) == [0]
+
+    def test_match_paths_returns_int_array(self):
+        a = channel.AngularFreqs(np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+        perm = harness.match_paths([a], [a])
+        assert perm.dtype == np.dtype(int) and list(perm) == [0]
 
 
 def estimation_error_names():
@@ -243,8 +326,8 @@ class TestRunExperiment:
         _, files1 = harness.run_experiment(cfg1)
         _, files4 = harness.run_experiment(cfg4)
         for fig in self.DETERMINISTIC_FIGS:
-            b1 = open(files1[fig], "rb").read()
-            b4 = open(files4[fig], "rb").read()
+            b1 = Path(files1[fig]).read_bytes()
+            b4 = Path(files4[fig]).read_bytes()
             assert b1 == b4
 
     def test_fast_path_determinism_across_threads(self, tmp_path):
@@ -255,7 +338,7 @@ class TestRunExperiment:
                 methods=["matrix_fast"]))
             files.append(harness.run_experiment(cfg)[1])
         for fig in self.DETERMINISTIC_FIGS:
-            assert open(files[0][fig], "rb").read() == open(files[1][fig], "rb").read()
+            assert Path(files[0][fig]).read_bytes() == Path(files[1][fig]).read_bytes()
 
     def test_repeat_run_byte_identical(self, tmp_path):
         cfg1 = harness.ExperimentConfig.from_dict(
@@ -265,7 +348,7 @@ class TestRunExperiment:
         _, f1 = harness.run_experiment(cfg1)
         _, f2 = harness.run_experiment(cfg2)
         for fig in self.DETERMINISTIC_FIGS:
-            assert open(f1[fig], "rb").read() == open(f2[fig], "rb").read()
+            assert Path(f1[fig]).read_bytes() == Path(f2[fig]).read_bytes()
 
     def test_dump_recompute_matches(self, tmp_path):
         cfg = harness.ExperimentConfig.from_dict(
@@ -441,7 +524,8 @@ class TestRunExperiment:
         cfg = harness.ExperimentConfig.from_dict(
             desk_config(outputs=str(tmp_path / "h")))
         _, files = harness.run_experiment(cfg)
-        head = open(files["3a"]).readline().strip()
+        with open(files["3a"]) as fh:
+            head = fh.readline().strip()
         assert head == "method,snr_db,path_class,metric,value,trials,failures"
 
 

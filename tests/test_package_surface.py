@@ -1,4 +1,5 @@
-"""The package's public surface, and the names the benchmark tracer binds to it.
+"""The package's public surface, the names the benchmark tracer binds to it,
+and the modules that importing the package loads.
 
 ``perfbench/tracer.py`` wraps functions by dotted name and classifies trial
 boundaries and set-up work by those names; a renamed or privatized function
@@ -6,11 +7,14 @@ would silently drop out of its metrics, so each name must resolve here. The
 calls ``perfbench/workloads.py`` makes must also still bind to their
 functions' signatures, and every failure class the tracer counts must belong
 to the failure taxonomy that a trial catches (``kernels.EstimationError``).
+The package loads numpy, ``scipy.linalg`` and the standard library only.
 """
 
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +23,8 @@ import pytest
 import espritsim
 from espritsim.kernels import EstimationError
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -95,3 +100,22 @@ def test_all_names_import(name):
     namespace = {}
     exec(f"from espritsim import {name}", namespace)
     assert namespace[name] is getattr(espritsim, name)
+
+
+# scipy subpackages the package must not load: scipy.optimize alone pulls in
+# the other three and costs about a fifth of the benchmark's peak memory
+UNLOADED_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
+
+
+def test_import_leaves_heavy_scipy_unloaded():
+    # a fresh interpreter: this one has loaded whatever the other tests import
+    script = ("import sys, espritsim, espritsim.harness, espritsim.cli; "
+              "print(' '.join(sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "scipy.linalg" in loaded
+    assert sorted(loaded.intersection(UNLOADED_SCIPY)) == []
