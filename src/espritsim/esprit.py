@@ -77,12 +77,12 @@ def signal_subspace(tensor, n_paths, l5, method="dense"):
     window and the taps: ``dense`` (the oracle) factors the operator's
     materialized stack in place, a Householder QR, the SVD of its L5 x L5 R
     and Q applied as reflectors to the ``n_paths`` leading columns only
-    (``kernels.svd_leading``); ``fast`` runs Lanczos on the operator and
-    never builds the stack. A backend that finds fewer than ``n_paths``
-    singular triplets (Lanczos breaking down on data of lower rank) raises
-    ``NumericFailureError`` instead of dropping paths. Returns (U_s,
-    diagnostics): the spectral gap sigma_L / sigma_{L+1} (a warning flag
-    when absent) and, for ``fast``, ``lanczos_steps`` and ``lanczos_stop``.
+    (``kernels._svd_leading_overwrite``); ``fast`` runs Lanczos on the
+    operator and never builds the stack. A backend that finds fewer than
+    ``n_paths`` singular triplets (Lanczos breaking down on data of lower
+    rank) raises ``NumericFailureError`` instead of dropping paths. Returns (U_s,
+    diagnostics): the spectral gap sigma_L / sigma_{L+1} and, for ``fast``,
+    ``lanczos_steps`` and ``lanczos_stop``.
     """
     op = fastsvd.HankelBlockOperator.from_tensor(tensor, l5)
     if not 1 <= n_paths <= min(op.shape):
@@ -103,7 +103,6 @@ def signal_subspace(tensor, n_paths, l5, method="dense"):
     if len(s) > n_paths and s[n_paths - 1] > 0:
         gap = s[n_paths - 1] / max(s[n_paths], 1e-300)
         diagnostics["subspace_gap"] = float(gap)
-        diagnostics["gap_warning"] = bool(gap < 1 + 1e-12)
     return u_s, diagnostics
 
 

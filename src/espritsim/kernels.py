@@ -106,22 +106,14 @@ def _geqrf_overwrite(at):
         raise NumericFailureError(f"QR factorization failed: {exc}") from exc
 
 
-def svd_leading(a, k):
-    """(left, singular_values): the k leading left singular vectors of ``a``, (m, k)
-    orthonormal, and all min(m, n) singular values, descending and bit-equal to
-    ``svd_thin``'s on tall input. geqrf factors tall input in place on a
-    transposed copy, Q stays reflectors, and LAPACK unmqr applies it to the k
-    leading columns of R's left factor only. Wide or square input takes
-    ``svd_thin``'s path."""
-    a = _as_matrix(a)
-    m, n = a.shape
-    if not 1 <= k <= min(m, n):
-        raise InvalidInputError(f"k={k} outside [1, {min(m, n)}] for shape {a.shape}")
-    return _svd_leading_overwrite(a.T.copy(), k)
-
-
 def _svd_leading_overwrite(at, k):
-    """``svd_leading(at.T, k)`` past its checks; may destroy ``at`` (C-contiguous complex128)."""
+    """(left, singular_values) of ``at.T``: its k leading left singular vectors,
+    (m, k) orthonormal, and all min(m, n) singular values, descending and
+    bit-equal to ``svd_thin``'s. Unchecked: ``at`` is C-contiguous complex128,
+    nonempty and finite, and 1 <= k <= min(m, n). geqrf factors tall input in
+    place, destroying ``at``; Q stays reflectors, and LAPACK unmqr applies it
+    to the k leading columns of R's left factor only. Wide or square input
+    takes ``svd_thin``'s path."""
     n, m = at.shape
     if m <= n:
         res = _svd(at.T)

@@ -18,7 +18,7 @@ combinations of the rows {conj(B^+_l), upsilon_{l,n}}, so their norms are
 quadratic forms in the rows' Gram. The Gram takes two GEMMs over all rows
 at once: of the rows expanded over the four short spatial modes, and of
 their long mode-5 factors, never expanded (Bader & Kolda, SIAM J. Sci.
-Comput. 2007). The J-long rows themselves are written on first read only.
+Comput. 2007).
 
 Sign note: the elevation and delay maps enter the angular frequencies with a
 negative derivative (w2 = pi cos el, w5 = -2 pi df tau), so kappa_2, kappa_4
@@ -29,7 +29,7 @@ absorb it through the chain rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -53,10 +53,8 @@ class PerturbationKit:
     """Sensitivities of one (paths, transforms, L5) configuration.
 
     Built complete by ``build_kit``, which stores every sensitivity row in
-    Tucker form and the norms the analytic RMSEs scale. The J-long arrays
-    ``xi``, ``upsilon``, ``kappa``, ``b_pinv``, ``pi`` and ``psi`` are written
-    from those pieces on first read and cached. ``psi`` and ``psi_norm`` are
-    None only for a kit built with ``with_position=False``.
+    Tucker form and the norms the analytic RMSEs scale. ``psi_norm`` is None
+    only for a kit built with ``with_position=False``.
     """
 
     paths: list
@@ -71,80 +69,6 @@ class PerturbationKit:
     kappa_norm: np.ndarray       # (L, 5) ||kappa[l, n]||
     pi_norm: np.ndarray          # (L,) ||pi[l]||_F
     psi_norm: float | None = None        # ||psi||_F
-
-    @property
-    def j_total(self):
-        return int(np.prod([f.shape[0] for f in self.b_pinv_tucker[1]]))
-
-    @cached_property
-    def xi(self):
-        """(L, 5, J) xi_{l,n}, each written by ``_tucker_into``."""
-        xi = np.empty(self.phi.shape + (self.j_total,), dtype=np.complex128)
-        for l, row in enumerate(self.xi_tucker):
-            for n, (core, factors) in enumerate(row):
-                _tucker_into(core, factors, xi[l, n])
-        return xi
-
-    @cached_property
-    def upsilon(self):
-        """(L, 5, J) upsilon_{l,n} = xi_{l,n} phi_{l,n} / conj(gamma_l)."""
-        return self.xi * (self.phi / np.conj(self.gains)[:, None])[:, :, None]
-
-    @cached_property
-    def kappa(self):
-        """(L, 5, J) channel-parameter sensitivities kappa_l = K_l upsilon_l."""
-        kappa = np.empty_like(self.upsilon)
-        for l, k_l in enumerate(_kappa_maps(self.paths, self.scenario.delta_f)):
-            np.matmul(k_l, self.upsilon[l].view(np.float64), out=kappa[l].view(np.float64))
-        return kappa
-
-    @cached_property
-    def b_pinv(self):
-        """(L, J) B^+."""
-        cores, factors = self.b_pinv_tucker
-        b_pinv = np.empty((cores.shape[0], self.j_total), dtype=np.complex128)
-        _tucker_into(cores, factors, b_pinv)
-        return b_pinv
-
-    @cached_property
-    def pi(self):
-        """(L, 2, 2J) real gain sensitivities.
-
-        Pi_l = [[Re b, -Im b], [Im b, Re b]] - sum_n [Re c; Im c] [Im v*, Re v*] with
-        b = B^+[l], c = Upsilon_n[l], v = upsilon[:, n].
-        """
-        b_pinv, upsilon = self.b_pinv, self.upsilon
-        n_paths, _, j_total = upsilon.shape
-        # w is the sum for every l, (re, im) interleaved
-        coeff = np.stack([self.upsilon_gain.real, self.upsilon_gain.imag], 2).transpose(1, 2, 3, 0)
-        w = coeff.reshape(2 * n_paths, -1) @ upsilon.view(np.float64).reshape(5 * n_paths, -1)
-        w = w.reshape(n_paths, 2, j_total, 2)
-        pi = np.empty((n_paths, 2, 2 * j_total))
-        np.add(b_pinv.real, w[:, 0, :, 1], out=pi[:, 0, :j_total])
-        np.subtract(-b_pinv.imag, w[:, 0, :, 0], out=pi[:, 0, j_total:])
-        np.add(b_pinv.imag, w[:, 1, :, 1], out=pi[:, 1, :j_total])
-        np.subtract(b_pinv.real, w[:, 1, :, 0], out=pi[:, 1, j_total:])
-        return pi
-
-    @cached_property
-    def psi(self):
-        """(3, J) position sensitivity Psi, None without position."""
-        if self.psi_norm is None:
-            return None
-        return _psi(self.paths, self.kappa, self.scenario)
-
-
-def _tucker_into(core, factors, out):
-    """Write core x_1 F_1 .. x_5 F_5 (C-order) into ``out``.
-
-    ``core`` is (r_1..r_5), or (L, r_1..r_5) for L tensors at once; F_m is
-    (N_m, r_m), and mode 5 is one (N_1..N_4 x r_5)(r_5 x N_5) product.
-    """
-    x = core
-    for axis, f in enumerate(factors[:4], start=core.ndim - 5):
-        x = np.moveaxis(np.tensordot(f, x, axes=([1], [axis])), 0, axis)
-    f5 = factors[4]
-    np.matmul(x.reshape(-1, f5.shape[1]), f5.T, out=out.reshape(-1, f5.shape[0]))
 
 
 def _per_shape(fn, mats):
@@ -352,18 +276,6 @@ def _position_map(paths, scenario, weights=None):
     return m
 
 
-def _psi(paths, kappa, scenario, weights=None):
-    """Position sensitivity Psi (3 x J): dp = Im(Psi dh).
-
-    One real product of ``_position_map`` on kappa's float view.
-    """
-    m = _position_map(paths, scenario, weights)
-    flat = kappa.view(np.float64).reshape(5 * len(paths), -1)
-    psi = (m.reshape(3, -1) @ flat).view(np.complex128)
-    np.conjugate(psi, out=psi)
-    return psi
-
-
 def analytic_pos_rmse(kit, n0):
     """Closed-form position RMSE sqrt(N0 / (2 N_P E_s)) ||Psi||_F in meters, stored norm."""
     root = _noise_root(kit, n0)
@@ -404,12 +316,11 @@ def _norms(gram, kappa_maps, upsilon_gain, position_map):
 def build_kit(paths, transforms, scenario, l5, with_position=True):
     """The complete perturbation kit of one configuration.
 
-    upsilon's and B^+'s rows in Tucker form, the gain coupling Upsilon_n, and
-    the norms of kappa, Pi and (unless ``with_position=False``) Psi, which
-    every analytic RMSE scales. No J-long row is written. An ``l5`` below
-    the path count, which no smoothing estimator can run, raises
-    ``IllPosedScenarioError``, and so do paths that leave J1 P (in some
-    dimension) or the window factor A5 rank deficient.
+    xi's and B^+'s rows in Tucker form, the gain coupling Upsilon_n, and the
+    norms of kappa, Pi and (unless ``with_position=False``) Psi, which every
+    analytic RMSE scales. An ``l5`` below the path count, which no smoothing
+    estimator can run, raises ``IllPosedScenarioError``, and so do paths that
+    leave J1 P (in some dimension) or the window factor A5 rank deficient.
     """
     gains = np.array([p.gamma for p in paths], dtype=np.complex128)   # a None reads nan
     if not np.all(np.isfinite(gains)) or np.any(gains == 0):

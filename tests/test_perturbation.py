@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from espritsim import channel, esprit, perturbation, shift, slac
 from espritsim.kernels import PINV_RTOL, InvalidInputError, pinv
-from tests.conftest import match_rows, synthetic_paths
+from tests.conftest import kit_rows, match_rows, synthetic_paths
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +45,9 @@ class TestXiUpsilon:
         g_mat = channel.steering_matrix(l5, om[:, 4])
         chi = pinv(g_mat.T).conj()
         sel = shift.selectors_for_transforms(transforms, k5)
-        xi = kit.xi                     # derived from upsilon on each read
+        xi = kit_rows(kit)["xi"]
         for trial in range(100):
-            dh = rng.standard_normal(kit.j_total) + 1j * rng.standard_normal(kit.j_total)
+            dh = rng.standard_normal(xi.shape[-1]) + 1j * rng.standard_normal(xi.shape[-1])
             dmat = smoothed_error(dh, scen.n, k5, l5)
             l, n = trial % 2, trial % 5
             pair = sel[n]
@@ -71,13 +71,14 @@ class TestXiUpsilon:
                                      rng=np.random.default_rng(5))
         got, _ = match_rows(est.omega, truth)
         measured = channel.wrap_angle(got - truth)
-        predicted = np.imag(np.einsum("lnj,j->ln", kit.upsilon.conj(), dh))
+        predicted = np.imag(np.einsum("lnj,j->ln", kit_rows(kit)["upsilon"].conj(), dh))
         assert np.allclose(measured / predicted, 1.0, atol=2e-3)
 
     def test_pipeline_correlation_at_high_snr(self, desk_kit):
         scen, paths, transforms, l5, kit, tensor = desk_kit
         n0 = channel.n0_for_snr_db(paths, transforms, scen, 40.0)
         truth = kit.omega
+        upsilon = kit_rows(kit)["upsilon"]
         meas, pred = [], []
         for t, ss in enumerate(np.random.SeedSequence(17).spawn(60)):
             r = np.random.default_rng(ss)
@@ -87,8 +88,7 @@ class TestXiUpsilon:
                                          scen.delta_f, rng=r)
             got, _ = match_rows(est.omega, truth)
             meas.append(channel.wrap_angle(got - truth).reshape(-1))
-            pred.append(np.imag(np.einsum("lnj,j->ln",
-                                          kit.upsilon.conj(), dh)).reshape(-1))
+            pred.append(np.imag(np.einsum("lnj,j->ln", upsilon.conj(), dh)).reshape(-1))
         meas = np.array(meas)
         pred = np.array(pred)
         for k in range(meas.shape[1]):
@@ -135,7 +135,8 @@ class TestKappa:
         assert paths[0].phi_el == pytest.approx(np.pi / 2)
         transforms = channel.scenario_transforms(scen, paths)
         kit = perturbation.build_kit(paths, transforms, scen, 4, with_position=False)
-        assert np.allclose(kit.kappa[0, 1], -kit.upsilon[0, 1] / np.pi, atol=1e-15)
+        rows = kit_rows(kit)
+        assert np.allclose(rows["kappa"][0, 1], -rows["upsilon"][0, 1] / np.pi, atol=1e-15)
 
     def test_finite_difference_richardson(self, desk_kit):
         scen, paths, transforms, l5, kit, tensor = desk_kit
@@ -167,13 +168,14 @@ class TestKappa:
         s1 = run(eps)
         s2 = run(2 * eps)
         slope = (4 * s1 - s2) / 3
-        predicted = np.imag(np.einsum("lij,j->li", kit.kappa.conj(), d))
+        predicted = np.imag(np.einsum("lij,j->li", kit_rows(kit)["kappa"].conj(), d))
         rel = np.abs(slope - predicted) / np.abs(predicted)
         assert rel.max() < 0.01
 
     def test_gain_perturbation_matches_pipeline(self, desk_kit):
         scen, paths, transforms, l5, kit, tensor = desk_kit
         gains = kit.gains
+        rows = kit_rows(kit)
 
         def mismatch(snr_db, trials=60):
             n0 = channel.n0_for_snr_db(paths, transforms, scen, snr_db)
@@ -186,9 +188,9 @@ class TestKappa:
                                              scen.delta_f, rng=r)
                 _, perm = match_rows(est.omega, kit.omega)
                 meas.append(est.gains[perm] - gains)
-                dgam = kit.b_pinv @ dh
+                dgam = rows["b_pinv"] @ dh
                 for n in range(5):
-                    v_n = kit.upsilon[:, n, :].T
+                    v_n = rows["upsilon"][:, n, :].T
                     dgam = dgam - kit.upsilon_gain[n] @ np.imag(v_n.conj().T @ dh)
                 pred.append(dgam)
             meas = np.array(meas)
@@ -232,7 +234,7 @@ class TestAnalyticRmse:
     def test_position_needs_a_position_kit(self, desk_kit):
         scen, paths, transforms, l5, _, _ = desk_kit
         kit = perturbation.build_kit(paths, transforms, scen, l5, with_position=False)
-        assert kit.psi is None and kit.psi_norm is None
+        assert kit.psi_norm is None
         with pytest.raises(InvalidInputError, match="with_position=False"):
             perturbation.analytic_pos_rmse(kit, 1e-9)
 
@@ -311,40 +313,32 @@ class TestPsi:
         s1 = (position(eps) - position(-eps)) / (2 * eps)
         s2 = (position(2 * eps) - position(-2 * eps)) / (4 * eps)
         slope = (4 * s1 - s2) / 3
-        predicted = np.imag(kit.psi @ d)
+        psi = per_path_psi(paths, kit_rows(kit)["kappa"], scen,
+                           slac.path_weights(paths, scen.weights))
+        predicted = np.imag(psi @ d)
         assert np.linalg.norm(slope - predicted) / np.linalg.norm(predicted) < 0.01
 
     def test_zero_weight_masks_nlos(self, desk_kit):
-        scen, paths, transforms, l5, kit, _ = desk_kit
-        psi = perturbation._psi(kit.paths, kit.kappa, scen, weights=np.array([1.0, 0.0]))
-        # psi must lie in the span of the LOS kappa rows only
-        los_rows = kit.kappa[0].conj()
-        coeffs, *_ = np.linalg.lstsq(los_rows.T, psi.T, rcond=None)
-        resid = psi.T - los_rows.T @ coeffs
-        assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(psi)
+        # a zero-weight path adds nothing to the position map, so Psi lies in
+        # the span of the LOS kappa rows only
+        scen, paths, _, _, _, _ = desk_kit
+        assert np.all(perturbation._position_map(paths, scen, weights=[1, 0])[:, 1] == 0)
 
     @pytest.mark.parametrize("scene", ["desk", "six-path", "nlos-weight"])
     def test_matches_per_path_loop(self, desk_kit, desk_scenario, scene):
-        # the stacked real product sums d-breve and e-breve before the
-        # product, so it agrees with the per-path loop to round-off
+        # ||Psi||, a quadratic form in the rows' Gram through the stacked
+        # position map, agrees with Psi summed path by path to round-off;
+        # "nlos-weight" weights the paths by |gamma|^2, so the map is not uniform
         scen, paths, transforms, l5, kit, _ = desk_kit
-        if scene == "six-path":
-            scen = dataclasses.replace(desk_scenario, scatterers=SIX_PATH_SCATTERERS,
-                                       seed=13)
+        if scene != "desk":
+            scen = (dataclasses.replace(desk_scenario, scatterers=SIX_PATH_SCATTERERS, seed=13)
+                    if scene == "six-path" else dataclasses.replace(desk_scenario, weights="gain"))
             paths = channel.params_from_geometry(scen)
             transforms = channel.scenario_transforms(scen, paths)
             kit = perturbation.build_kit(paths, transforms, scen, l5)
-        if scene == "nlos-weight":
-            weights = np.array([1.0, 0.3])
-            got = perturbation._psi(kit.paths, kit.kappa, scen, weights)
-            got_norm = np.linalg.norm(got)
-        else:
-            weights = slac.path_weights(paths, scen.weights)
-            got, got_norm = kit.psi, kit.psi_norm
-        want = per_path_psi(kit.paths, kit.kappa, scen, weights)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        assert got_norm == pytest.approx(np.linalg.norm(want), rel=1e-13)
+        want = per_path_psi(paths, kit_rows(kit)["kappa"], scen,
+                            slac.path_weights(paths, scen.weights))
+        assert kit.psi_norm == pytest.approx(np.linalg.norm(want), rel=1e-12)
 
     def test_position_rmse_scaling(self, desk_kit):
         scen, paths, transforms, l5, kit, _ = desk_kit
@@ -466,16 +460,18 @@ def reference_kit(paths, transforms, scen, l5):
             "b_pinv": b_pinv, "pi": pi}
 
 
-KIT_ARRAYS = ("xi", "upsilon", "kappa", "upsilon_gain", "b_pinv", "pi")
+KIT_ARRAYS = ("xi", "upsilon", "kappa", "upsilon_gain", "b_pinv")
 # the six-path scene of criterion 5
 SIX_PATH_SCATTERERS = [[10, 2.5, 0], [6, 7, 1], [14, 1, 2], [8, 4.5, 0.5], [12, 6, 1.5]]
 
 
-def assert_kit_matches(kit, ref, arrays=KIT_ARRAYS, rtol=1e-12):
-    """Each array within ``rtol`` of the reference, relative per last-axis row,
-    and each stored norm within ``rtol`` of the norm of the reference's array."""
-    for name in arrays:
-        got, want = getattr(kit, name), ref[name]
+def assert_kit_matches(kit, ref, rtol=1e-12):
+    """Each of the kit's rows (``kit_rows``) and Upsilon_n within ``rtol`` of the
+    reference, relative per last-axis row, and each stored norm within ``rtol``
+    of the norm of the reference's kappa, Pi and (if given) Psi."""
+    arrays = {**kit_rows(kit), "upsilon_gain": kit.upsilon_gain}
+    for name in KIT_ARRAYS:
+        got, want = arrays[name], ref[name]
         assert got.shape == want.shape and got.dtype == want.dtype, name
         got, want = got.reshape(-1, want.shape[-1]), want.reshape(-1, want.shape[-1])
         err = np.linalg.norm(got - want, axis=1)
@@ -485,7 +481,7 @@ def assert_kit_matches(kit, ref, arrays=KIT_ARRAYS, rtol=1e-12):
     if "psi" in ref:
         norms.append((kit.psi_norm, np.linalg.norm(ref["psi"])))
     else:
-        assert kit.psi is None and kit.psi_norm is None
+        assert kit.psi_norm is None
     for got, want in norms:
         assert np.all(np.abs(got - want) <= rtol * want), (got, want)
 
@@ -531,7 +527,7 @@ class TestAgainstMaterializedReference:
         ref = reference_kit(paths, transforms, scen, l5)
         ref["psi"] = per_path_psi(paths, ref["kappa"], scen,
                                   slac.path_weights(paths, scen.weights))
-        assert_kit_matches(kit, ref, KIT_ARRAYS + ("psi",))
+        assert_kit_matches(kit, ref)
 
     def test_six_path_desk(self, desk_scenario):
         # six paths on four beams: the spatial QR cores are 4 x 6 (rank below L)
@@ -552,32 +548,31 @@ class TestAgainstMaterializedReference:
 
 class TestAnalyticNorms:
     def test_rows_equal_per_call_norms(self, desk_kit):
-        # the stored norms come from the rows' Gram, so they give the per-call
-        # norms of the derived arrays to round-off
+        # the stored norms come from the rows' Gram, so they give the norms of
+        # the materialized reference's arrays to round-off
         scen, paths, transforms, l5, kit, _ = desk_kit
+        ref = reference_kit(paths, transforms, scen, l5)
+        psi = per_path_psi(paths, ref["kappa"], scen, slac.path_weights(paths, scen.weights))
         root = np.sqrt(1e-9 / (2 * scen.n_p * scen.e_s))
         for l, row in enumerate(perturbation.analytic_param_rmse(kit, 1e-9)):
             for i, key in enumerate(perturbation.PARAM_KEYS):
                 assert row[key] == pytest.approx(
-                    root * np.linalg.norm(kit.kappa[l, i]), rel=1e-12)
+                    root * np.linalg.norm(ref["kappa"][l, i]), rel=1e-12)
             assert row["rmse_gamma"] == pytest.approx(
-                root * np.linalg.norm(kit.pi[l]), rel=1e-12)
+                root * np.linalg.norm(ref["pi"][l]), rel=1e-12)
         assert perturbation.analytic_pos_rmse(kit, 1e-9) == pytest.approx(
-            root * np.linalg.norm(kit.psi), rel=1e-12)
+            root * np.linalg.norm(psi), rel=1e-12)
 
-    def test_no_j_long_array_until_read(self, desk_scenario):
+    def test_kit_holds_no_j_long_array(self, desk_scenario):
         scen = desk_scenario
         paths = channel.params_from_geometry(scen)
         transforms = channel.scenario_transforms(scen, paths)
         kit = perturbation.build_kit(paths, transforms, scen, esprit.default_l5(scen.m[4]))
-        j_total = int(np.prod(scen.n)) * scen.m[4]
-        assert kit.j_total == j_total
-        assert largest_array(vars(kit)) < j_total      # j_total read no row
         perturbation.analytic_param_rmse(kit, 1e-9)
         perturbation.analytic_pos_rmse(kit, 1e-9)
-        assert largest_array(vars(kit)) < j_total
-        assert kit.upsilon.shape == (len(paths), 5, j_total)
-        assert vars(kit)["upsilon"] is kit.upsilon      # cached on first read
+        assert largest_array(vars(kit)) < int(np.prod(scen.n)) * scen.m[4]
+        for name in ("xi", "upsilon", "kappa", "b_pinv", "pi", "psi"):
+            assert not hasattr(kit, name), name
 
     def test_six_path_kit_memory(self, desk_scenario):
         # the Gram expands no pairwise core: the six-path desk kit stays small
