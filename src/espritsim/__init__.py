@@ -5,14 +5,14 @@ from .channel import (AngularFreqs, BeamTransform, PathParams, Scenario,
                       params_from_geometry, scenario_transforms, steering_vector,
                       synth_beamspace_tensor, to_angular)
 from .esprit import EspritEstimate, esprit_pipeline, spatial_smooth
-from .kernels import EigResult, SvdResult, eig_general, pinv, svd_thin
+from .kernels import SvdResult, eig_general, pinv, svd_thin
 from .perturbation import (PerturbationKit, analytic_param_rmse, analytic_pos_rmse,
                            build_kit)
 from .slac import LocalizationResult, localize, localize_scenario, rate
 
 __all__ = [
     "AngularFreqs", "BeamTransform", "PathParams", "Scenario",
-    "EspritEstimate", "EigResult", "SvdResult", "PerturbationKit",
+    "EspritEstimate", "SvdResult", "PerturbationKit",
     "LocalizationResult",
     "steering_vector", "params_from_geometry", "to_angular", "from_angular",
     "make_beam_transform", "scenario_transforms", "synth_beamspace_tensor",

@@ -27,7 +27,6 @@ from .kernels import EstimationError, InvalidInputError, svd_thin
 
 SPEED_OF_LIGHT = 299792458.0
 
-DFT_BEAM_SPACING = np.pi / 4  # matches an 8-element DFT grid
 DIRECTIONAL_BEAM_SPACING = np.pi / 8
 CLAMP_MARGIN = 1e-9  # clamp_freqs keeps |w2|, |w4| <= pi (1 - CLAMP_MARGIN)
 
@@ -226,8 +225,13 @@ def _position(key, value):
 
 
 def _beam_kind(d, side):
+    """The beam kind of ``side`` (``tx`` or ``rx``): one kind for both, or a
+    dict refused unless its keys are exactly ``tx`` and ``rx``."""
     kind = d.get("beam_kind", "dft")
     if isinstance(kind, dict):
+        if set(kind) != {"tx", "rx"}:
+            raise InvalidInputError(
+                f"scenario beam_kind keys {sorted(kind)} must be exactly ['rx', 'tx']")
         return kind[side]
     return kind
 
@@ -346,6 +350,11 @@ def to_angular(p, delta_f):
     return AngularFreqs(omega=w)
 
 
+def path_omegas(paths, delta_f):
+    """The (L, 5) angular frequencies of ``paths``, one ``to_angular`` row each."""
+    return np.stack([to_angular(p, delta_f).omega for p in paths])
+
+
 def from_angular(w, delta_f):
     """Invert ``to_angular`` on the restricted domain (gain left unset).
 
@@ -395,7 +404,7 @@ def beam_focus(scenario, paths):
     Beam grids are pointed from the scenario geometry, mirroring a system that
     selects beams from prior user/scatterer location information.
     """
-    w = np.stack([to_angular(p, scenario.delta_f).omega for p in paths])
+    w = path_omegas(paths, scenario.delta_f)
     return 0.5 * (w[:, :4].min(axis=0) + w[:, :4].max(axis=0))
 
 
@@ -414,28 +423,13 @@ def directional_grid(n_n, focus):
     return focus + offsets
 
 
-def make_beam_transform(kind, m_n, n_n, grid=None, focus=0.0):
-    """Build a steering-grid transform T_n and its shift-invariance data.
+def make_beam_transform(m_n, grid):
+    """The steering-grid transform T_n of the beam frequencies ``grid`` on an
+    m_n-element array, with its shift-invariance data.
 
-    ``kind`` is one of ``dft`` (orthogonal pi/4-spaced grid for M=8, i.e. the
-    m-point DFT bins nearest the focus), ``directional`` (pi/8-spaced beams
-    centered on the focus) or ``custom`` (explicit ``grid`` of frequencies).
-    Columns are steering vectors scaled by 1/sqrt(m_n).
+    Columns are steering vectors scaled by 1/sqrt(m_n), one per grid entry.
     """
-    if kind == "dft":
-        grid = dft_grid(m_n, n_n, focus)
-    elif kind == "directional":
-        grid = directional_grid(n_n, focus)
-    elif kind == "custom":
-        if grid is None:
-            raise InvalidInputError("custom beam transform needs an explicit grid")
-        grid = np.asarray(grid, dtype=float)
-    else:
-        raise InvalidInputError(f"unknown beam kind {kind!r}")
-    if n_n > m_n and kind in ("dft", "directional"):
-        raise InvalidInputError("more beams than elements")
-    if len(grid) != n_n:
-        raise InvalidInputError("grid size must match the beam count")
+    grid = np.asarray(grid, dtype=float)
     wrapped = np.sort(wrap_angle(grid))
     if np.any(np.abs(np.diff(wrapped)) < 1e-12):
         raise SingularTransformError("duplicate beam frequencies")
@@ -443,16 +437,17 @@ def make_beam_transform(kind, m_n, n_n, grid=None, focus=0.0):
     t = steering_matrix(m_n, grid) / np.sqrt(m_n)
     f = np.diag(np.exp(-1j * grid))
     q = shift.restore_projector(t, f)
-    return BeamTransform(t=t, f=f, l1=q, l2=q @ f.conj().T,
-                         grid=np.asarray(grid, dtype=float))
+    return BeamTransform(t=t, f=f, l1=q, l2=q @ f.conj().T, grid=grid)
 
 
 def scenario_transforms(scenario, paths):
-    """The four spatial beam transforms pointed at ``paths`` (the scenario's prior)."""
+    """The four spatial beam transforms pointed at ``paths`` (the scenario's
+    prior), on each side's ``dft_grid`` or ``directional_grid``."""
     focus = beam_focus(scenario, paths)
     kinds = [scenario.beam_kind_tx] * 2 + [scenario.beam_kind_rx] * 2
-    return tuple(make_beam_transform(kinds[i], scenario.m[i], scenario.n[i],
-                                     focus=focus[i]) for i in range(4))
+    grids = [dft_grid(scenario.m[i], scenario.n[i], focus[i]) if kinds[i] == "dft"
+             else directional_grid(scenario.n[i], focus[i]) for i in range(4)]
+    return tuple(make_beam_transform(scenario.m[i], grids[i]) for i in range(4))
 
 
 def transform_matrix(t):
@@ -462,8 +457,7 @@ def transform_matrix(t):
 
 def beamspace_factors(paths, transforms, scenario):
     """Per-dimension factor matrices B_n = T_n^H A_n (n = 1..4) and A_5."""
-    omegas = np.stack([to_angular(p, scenario.delta_f).omega for p in paths])
-    return steering_factors(omegas, transforms, scenario.m[4])
+    return steering_factors(path_omegas(paths, scenario.delta_f), transforms, scenario.m[4])
 
 
 def steering_factors(omegas, transforms, m5):
@@ -513,54 +507,28 @@ def khatri_rao_core(mats):
     return [q for q, _ in qrs], svd_thin(khatri_rao([r for _, r in qrs]))
 
 
-def observe_and_estimate(tensor, scenario, rng, n0, mode="direct"):
+def observe_and_estimate(tensor, scenario, rng, n0):
     """Noisy beamspace channel estimate from the pilot stage at noise level ``n0``.
 
-    ``direct`` injects the estimation error with its known statistics
-    (iid circular Gaussian, variance N0 / (N_P E_s) per entry); ``pilot``
-    simulates the pilot transmission Y = H S + Z explicitly and correlates
-    with S^H. The two modes are statistically identical.
+    The estimation error is drawn with its known statistics: iid circular
+    Gaussian, variance N0 / (N_P E_s) per entry, as correlating the pilot
+    transmission Y = H S + Z with S^H (S S^H = N_P E_s I) leaves it.
     """
     tensor = np.asarray(tensor, dtype=np.complex128)
     n0 = float(n0)
     if n0 == 0.0:
         return tensor.copy()
-    n1, n2, n3, n4, m5 = tensor.shape
-    scale_sq = n0 / (scenario.n_p * scenario.e_s)
-    if mode == "direct":
-        # tensor + c (a + 1j b) part by part: the same draws in the same order
-        # and the same roundings, without the complex temporaries
-        c = np.sqrt(scale_sq / 2)
-        est = tensor.copy()
-        draw = rng.standard_normal(tensor.shape)
-        draw *= c
-        est.real += draw
-        rng.standard_normal(out=draw)
-        draw *= c
-        est.imag += draw
-        return est
-    if mode != "pilot":
-        raise InvalidInputError(f"unknown observation mode {mode!r}")
-
-    s = pilot_matrix(n1 * n2, scenario.n_p, scenario.e_s)
-    est = np.empty_like(tensor)
-    for k in range(m5):
-        h = tensor[..., k].reshape(n1 * n2, n3 * n4).T  # rows: RX beams
-        z = rng.standard_normal((n3 * n4, scenario.n_p)) \
-            + 1j * rng.standard_normal((n3 * n4, scenario.n_p))
-        y = h @ s + np.sqrt(n0 / 2) * z
-        h_hat = (y @ s.conj().T) / (scenario.n_p * scenario.e_s)
-        est[..., k] = h_hat.T.reshape(n1, n2, n3, n4)
+    # tensor + c (a + 1j b) part by part: the same draws in the same order
+    # and the same roundings, without the complex temporaries
+    c = np.sqrt(n0 / (scenario.n_p * scenario.e_s) / 2)
+    est = tensor.copy()
+    draw = rng.standard_normal(tensor.shape)
+    draw *= c
+    est.real += draw
+    rng.standard_normal(out=draw)
+    draw *= c
+    est.imag += draw
     return est
-
-
-def pilot_matrix(n_beams, n_p, e_s):
-    """Rows of a scaled DFT matrix: S S^H = N_P E_s I."""
-    if n_p < n_beams:
-        raise UnderdeterminedPilotError(f"N_P={n_p} < {n_beams} transmit beams")
-    k = np.arange(n_p)
-    rows = np.arange(n_beams)
-    return np.sqrt(e_s) * np.exp(-2j * np.pi * np.outer(rows, k) / n_p)
 
 
 def link_metrics(paths, transforms, scenario, n0):
@@ -574,7 +542,7 @@ def link_metrics(paths, transforms, scenario, n0):
     n0 = float(n0)
     gains = np.array([p.gamma for p in paths], dtype=np.complex128)
     taus = np.array([p.tau for p in paths])
-    omegas = np.stack([to_angular(p, scenario.delta_f).omega for p in paths])
+    omegas = path_omegas(paths, scenario.delta_f)
 
     a1 = steering_matrix(scenario.m[0], omegas[:, 0])
     a2 = steering_matrix(scenario.m[1], omegas[:, 1])

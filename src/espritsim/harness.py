@@ -611,8 +611,7 @@ def run_experiment(cfg):
     scenario = cfg.scenario
     paths = channel.params_from_geometry(scenario)
     transforms = channel.scenario_transforms(scenario, paths)
-    truth_omega = np.stack([channel.to_angular(p, scenario.delta_f).omega
-                            for p in paths])
+    truth_omega = channel.path_omegas(paths, scenario.delta_f)
     tensor = channel.synth_beamspace_tensor(paths, transforms, scenario)
     l5 = cfg.l5 if cfg.l5 else esprit.default_l5(scenario.m[4])
 

@@ -36,14 +36,6 @@ class SvdResult:
     right: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """General eigendecomposition; ``eigenvectors[:, k]`` pairs with ``eigenvalues[k]``."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _as_matrix(a, name="matrix"):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -135,15 +127,14 @@ def _svd_leading_overwrite(at, k):
 
 
 def eig_general(a):
-    """Eigendecomposition of a general square complex matrix (no ordering)."""
+    """Eigendecomposition of a general square complex matrix: numpy's ``EigResult``, unordered."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"eig_general needs a square matrix, got {a.shape}")
     try:
-        w, v = np.linalg.eig(a)
+        return np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition did not converge: {exc}") from exc
-    return EigResult(eigenvalues=w, eigenvectors=v)
 
 
 PINV_RTOL = 1e-12   # every pseudo-inverse drops singular values <= PINV_RTOL * s_max

@@ -328,7 +328,7 @@ def build_kit(paths, transforms, scenario, l5, with_position=True):
     if l5 < len(paths):
         raise IllPosedScenarioError(f"l5={l5} smoothing columns cannot hold "
                                     f"{len(paths)} paths")
-    omega = np.stack([channel.to_angular(p, scenario.delta_f).omega for p in paths])
+    omega = channel.path_omegas(paths, scenario.delta_f)
     phi = np.exp(1j * omega)
     n_paths = len(paths)
     factors = channel.steering_factors(omega, transforms, scenario.m[4])

@@ -125,7 +125,7 @@ def _path_factors(params, scenario):
     Returns the receive and transmit steering matrices A_R (M3 M4, L) and
     A_T (M1 M2, L) and the gain-weighted frequency taps c (M5, L).
     """
-    omegas = np.stack([channel.to_angular(p, scenario.delta_f).omega for p in params])
+    omegas = channel.path_omegas(params, scenario.delta_f)
     gains = np.array([p.gamma for p in params], dtype=np.complex128)
     m1, m2, m3, m4, m5 = scenario.m
     a_t = channel.khatri_rao([channel.steering_matrix(m1, omegas[:, 0]),

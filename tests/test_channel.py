@@ -7,6 +7,23 @@ from espritsim import channel, slac
 from tests.conftest import synthetic_paths
 
 
+def pilot_observation(tensor, scen, rng, n0):
+    """The pilot stage simulated per subcarrier: Y = H S + Z with S the first
+    N1 N2 rows of a scaled N_P-point DFT (S S^H = N_P E_s I), correlated with
+    S^H; ``observe_and_estimate`` draws the error this leaves directly."""
+    n1, n2, n3, n4, m5 = tensor.shape
+    s = np.sqrt(scen.e_s) * np.exp(
+        -2j * np.pi * np.outer(np.arange(n1 * n2), np.arange(scen.n_p)) / scen.n_p)
+    est = np.empty_like(tensor)
+    for k in range(m5):
+        h = tensor[..., k].reshape(n1 * n2, n3 * n4).T  # rows: RX beams
+        z = rng.standard_normal((n3 * n4, scen.n_p)) \
+            + 1j * rng.standard_normal((n3 * n4, scen.n_p))
+        y = h @ s + np.sqrt(n0 / 2) * z
+        est[..., k] = ((y @ s.conj().T) / (scen.n_p * scen.e_s)).T.reshape(n1, n2, n3, n4)
+    return est
+
+
 class TestSteeringVector:
     def test_zero_frequency(self):
         assert np.allclose(channel.steering_vector(4, 0.0), np.ones(4))
@@ -118,26 +135,43 @@ class TestAngularMaps:
 class TestBeamTransforms:
     def test_full_dft_unitary(self):
         grid = channel.wrap_angle(2 * np.pi * np.arange(4) / 4)
-        t = channel.make_beam_transform("custom", 4, 4, grid=grid)
+        t = channel.make_beam_transform(4, grid)
         assert np.allclose(t.t.conj().T @ t.t, np.eye(4), atol=1e-12)
 
     def test_shift_identity_any_grid(self, rng):
         grid = np.sort(rng.uniform(-2, 2, 3))
-        t = channel.make_beam_transform("custom", 6, 3, grid=grid)
+        t = channel.make_beam_transform(6, grid)
         assert np.linalg.norm(t.t[:-1] - t.t[1:] @ t.f) < 1e-12
 
     def test_duplicate_grid_rejected(self):
         with pytest.raises(channel.SingularTransformError):
-            channel.make_beam_transform("custom", 8, 3, grid=[0.1, 0.1, 0.5])
+            channel.make_beam_transform(8, [0.1, 0.1, 0.5])
 
     def test_dft_grid_spacing(self):
-        t = channel.make_beam_transform("dft", 8, 4, focus=0.3)
+        t = channel.make_beam_transform(8, channel.dft_grid(8, 4, 0.3))
         assert np.allclose(np.diff(t.grid), np.pi / 4)
 
     def test_directional_grid_spacing(self):
-        t = channel.make_beam_transform("directional", 8, 4, focus=-0.7)
+        t = channel.make_beam_transform(8, channel.directional_grid(4, -0.7))
         assert np.allclose(np.diff(t.grid), np.pi / 8)
         assert np.mean(t.grid) == pytest.approx(-0.7)
+
+    def test_per_side_beam_kinds(self):
+        # the desk_scenario layout, loaded with a directional transmit side
+        scen = channel.Scenario.from_dict({
+            "p_t": [20, 5, 8], "p_r": [0, 5, 1.5], "scatterers": [[10, 2.5, 0]],
+            "m": [8, 8, 8, 8, 64], "n": [4, 4, 4, 4], "delta_f_hz": 1.875e6,
+            "carrier_hz": 30e9, "n_p": 32, "n_c": 600, "e_s": 1.0, "seed": 7,
+            "beam_kind": {"tx": "directional", "rx": "dft"}})
+        assert (scen.beam_kind_tx, scen.beam_kind_rx) == ("directional", "dft")
+        paths = channel.params_from_geometry(scen)
+        focus = channel.beam_focus(scen, paths)
+        grids = ([channel.directional_grid(4, focus[i]) for i in (0, 1)]
+                 + [channel.dft_grid(8, 4, focus[i]) for i in (2, 3)])
+        for t, grid in zip(channel.scenario_transforms(scen, paths), grids, strict=True):
+            assert np.array_equal(t.grid, grid)
+            want = channel.make_beam_transform(8, grid).t
+            assert np.array_equal(t.t.view(np.uint64), want.view(np.uint64))
 
 
 class TestSynthesis:
@@ -208,23 +242,6 @@ class TestObservation:
         assert np.array_equal(view.view(np.uint64), want.view(np.uint64))
         assert not np.any(wide[..., 1::2])
 
-    def test_pilot_mode_matches_pilot_loop(self, tiny_scenario):
-        scen = tiny_scenario
-        r = np.random.default_rng(23)
-        tensor = r.standard_normal((3, 3, 3, 3, 8)) + 1j * r.standard_normal((3, 3, 3, 3, 8))
-        n0 = 1e-2
-        got = channel.observe_and_estimate(tensor, scen, np.random.default_rng(5),
-                                           mode="pilot", n0=n0)
-        r = np.random.default_rng(5)
-        s = channel.pilot_matrix(9, scen.n_p, scen.e_s)
-        want = np.empty_like(tensor)
-        for k in range(8):
-            h = tensor[..., k].reshape(9, 9).T
-            z = r.standard_normal((9, scen.n_p)) + 1j * r.standard_normal((9, scen.n_p))
-            y = h @ s + np.sqrt(n0 / 2) * z
-            want[..., k] = ((y @ s.conj().T) / (scen.n_p * scen.e_s)).T.reshape(3, 3, 3, 3)
-        assert np.array_equal(got, want)
-
     def test_error_variance(self, tiny_scenario, rng):
         scen = tiny_scenario
         tensor = np.zeros((3, 3, 3, 3, 8), dtype=complex)
@@ -246,13 +263,13 @@ class TestObservation:
         tensor = np.zeros((3, 3, 3, 3, 8), dtype=complex)
         n0 = 1e-2
         trials = 400
+        observe = {"direct": channel.observe_and_estimate, "pilot": pilot_observation}
         sums = {"direct": 0.0, "pilot": 0.0}
         sq = {"direct": 0.0, "pilot": 0.0}
         n = tensor.size * trials
         for mode in ("direct", "pilot"):
             for _ in range(trials):
-                d = channel.observe_and_estimate(tensor, scen, rng, mode=mode,
-                                                 n0=n0).reshape(-1)
+                d = observe[mode](tensor, scen, rng, n0).reshape(-1)
                 sums[mode] += d.sum()
                 sq[mode] += np.sum(np.abs(d) ** 2)
         expect = n0 / (scen.n_p * scen.e_s)
@@ -260,10 +277,6 @@ class TestObservation:
             var = sq[mode] / n
             assert var == pytest.approx(expect, rel=0.05)
             assert abs(sums[mode] / n) < 3 * np.sqrt(expect / n)
-
-    def test_underdetermined_pilot_rejected(self):
-        with pytest.raises(channel.UnderdeterminedPilotError):
-            channel.pilot_matrix(16, 8, 1.0)
 
 
 class TestLinkMetrics:

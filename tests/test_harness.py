@@ -812,6 +812,9 @@ class TestCli:
         ({"n": [2, 4, 4, 4]}, "scenario n[0]=2 is below the 3 beams"),
         ({"n0": 0.0}, "unknown scenario keys: ['n0']"),
         ({"scatterers": [[10, 5, 4.75]]}, "two paths coincide"),
+        ({"beam_kind": {"tx": "dft", "rx": "dft", "typo": "directional"}},
+         "beam_kind keys ['rx', 'tx', 'typo']"),
+        ({"beam_kind": {"tx": "dft"}}, "beam_kind keys ['tx']"),
     ])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_unbuildable_scenario_exit_code_2(self, tmp_path, capsys, command,

@@ -47,7 +47,7 @@ class TestRestoreProjector:
     def test_restored_identity_on_factors(self, rng):
         # L1 B Phi = L2 B for B = T^H A on a steering grid
         grid = np.array([-1.1, -0.3, 0.4, 1.2])
-        t = channel.make_beam_transform("custom", 8, 4, grid=grid)
+        t = channel.make_beam_transform(8, grid)
         omegas = np.array([-0.8, 0.15, 0.9])
         b = t.t.conj().T @ channel.steering_matrix(8, omegas)
         phi = np.diag(np.exp(1j * omegas))
