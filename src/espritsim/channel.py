@@ -450,11 +450,6 @@ def scenario_transforms(scenario, paths):
     return tuple(make_beam_transform(scenario.m[i], grids[i]) for i in range(4))
 
 
-def transform_matrix(t):
-    """The M_n x N_n matrix of a BeamTransform or a raw array."""
-    return t.t if isinstance(t, BeamTransform) else np.asarray(t, dtype=np.complex128)
-
-
 def beamspace_factors(paths, transforms, scenario):
     """Per-dimension factor matrices B_n = T_n^H A_n (n = 1..4) and A_5."""
     return steering_factors(path_omegas(paths, scenario.delta_f), transforms, scenario.m[4])
@@ -464,7 +459,7 @@ def steering_factors(omegas, transforms, m5):
     """``beamspace_factors`` of the (L, 5) angular frequencies ``omegas``."""
     factors = []
     for i in range(4):
-        t = transform_matrix(transforms[i])
+        t = transforms[i].t
         a_n = steering_matrix(t.shape[0], omegas[:, i])
         factors.append(t.conj().T @ a_n)
     factors.append(steering_matrix(m5, omegas[:, 4]))
@@ -547,8 +542,7 @@ def link_metrics(paths, transforms, scenario, n0):
     a1 = steering_matrix(scenario.m[0], omegas[:, 0])
     a2 = steering_matrix(scenario.m[1], omegas[:, 1])
     a_t = khatri_rao([a1, a2])                       # M1 M2 x L
-    f_mat = np.kron(transform_matrix(transforms[0]),
-                    transform_matrix(transforms[1])).conj()
+    f_mat = np.kron(transforms[0].t, transforms[1].t).conj()
     atf = a_t.T @ f_mat                              # L x N1 N2
     gram_t = atf @ atf.conj().T                      # L x L
     a_r = khatri_rao([steering_matrix(scenario.m[2], omegas[:, 2]),

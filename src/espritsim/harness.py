@@ -97,16 +97,26 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if not (isinstance(self.max_failure_rate, numbers.Real)
-                and 0 <= self.max_failure_rate <= 1):
-            raise ConfigError(f"max_failure_rate={self.max_failure_rate!r} outside [0, 1]")
-        if not self.snr_grid_db:
+        rate = self.max_failure_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ConfigError(f"max_failure_rate={rate!r} must be a number")
+        if not 0 <= rate <= 1:
+            raise ConfigError(f"max_failure_rate={rate!r} outside [0, 1]")
+        # a JSON string or boolean would otherwise load as digits or as 0/1
+        grid = self.snr_grid_db
+        if not (isinstance(grid, (list, tuple)) and all(
+                isinstance(s, numbers.Real) and not isinstance(s, bool) for s in grid)):
+            raise ConfigError(f"snr_grid_db={grid!r} must be a list of numbers")
+        if not grid:
             raise ConfigError("snr grid must be nonempty")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not all(np.isfinite(self.snr_grid_db)):
             raise ConfigError(f"snr_grid_db entries must be finite: {self.snr_grid_db}")
         if self.outputs is not None and not isinstance(self.outputs, (str, os.PathLike)):
             raise ConfigError(f"outputs={self.outputs!r} must be null or a directory path")
+        if not (isinstance(self.methods, (list, tuple))
+                and all(isinstance(m, str) for m in self.methods)):
+            raise ConfigError(f"methods={self.methods!r} must be a list of method names")
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:
             raise ConfigError(f"unknown methods: {sorted(bad)}")
@@ -327,7 +337,7 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
         out.error = "non-finite estimate"
         return out
 
-    perm = match_paths(est.freqs, [channel.AngularFreqs(om) for om in truth_omega])
+    perm = match_paths(est.freqs, truth_omega)
     params = [est.params[p] for p in perm]
     gains = est.gains[perm]
     sq_angle = np.empty((n_paths, 4))

@@ -60,6 +60,13 @@ def synthetic_paths(omegas, gains, delta_f):
     return out
 
 
+def identity_transforms(n):
+    """Four element-space transforms: t is the n x n identity, and the shift
+    data, which no identity transform has, is None."""
+    return [channel.BeamTransform(t=np.eye(n, dtype=complex), f=None, l1=None,
+                                  l2=None, grid=None)] * 4
+
+
 def projector_gap(u, w):
     """||u u^H - w w^H||_F for orthonormal bases of one rank, without forming either.
 
@@ -67,6 +74,27 @@ def projector_gap(u, w):
     so the cross term equals the squared norm of w^H u.
     """
     return np.sqrt(2) * np.linalg.norm(u - w @ (w.conj().T @ u))
+
+
+def selector_products(pair, x, adjoint=False):
+    """(J1 x, J2 x), or (J1^H x, J2^H x) with ``adjoint``, for a selector pair.
+
+    Each block acts as a mode product on axis ``pair.dim - 1`` of x's row
+    index (N1, N2, N3, N4, K5); the frequency blocks are ``np.eye(K5)[:-1]``
+    and ``[1:]``. x is a vector or a matrix of columns.
+    """
+    axis = pair.dim - 1
+    k5 = pair.dims[4]
+    blocks = (np.eye(k5)[:-1], np.eye(k5)[1:]) if pair.dim == 5 else (pair.l1, pair.l2)
+    x = np.asarray(x)
+    out = []
+    for block in blocks:
+        if adjoint:
+            block = block.conj().T
+        shape = pair.dims[:axis] + (block.shape[1],) + pair.dims[axis + 1:]
+        y = np.tensordot(block, x.reshape(shape + x.shape[1:]), axes=([1], [axis]))
+        out.append(np.moveaxis(y, 0, axis).reshape((-1,) + x.shape[1:]))
+    return tuple(out)
 
 
 def match_rows(est_omega, truth_omega):

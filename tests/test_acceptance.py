@@ -17,7 +17,8 @@ import pytest
 from espritsim import channel, esprit, fastsvd, harness, perturbation, shift, slac
 from espritsim import tensor_esprit
 from espritsim.kernels import pinv
-from tests.conftest import kit_rows, match_rows, projector_gap, synthetic_paths
+from tests.conftest import (kit_rows, match_rows, projector_gap, selector_products,
+                            synthetic_paths)
 
 ANGLE_KEYS = ("rmse_phi_az", "rmse_phi_el", "rmse_theta_az", "rmse_theta_el")
 
@@ -108,9 +109,9 @@ def test_criterion_2_perturbation_formula_validation(desk):
         dmat = np.ascontiguousarray(np.swapaxes(win, 1, 2)).reshape(-1, l5)
         l, n = trial % 2, trial % 5
         pair = sel[n]
-        row = pinv(pair.first.apply(p_mat))[l]
-        matrix_form = row @ (pair.second.apply(dmat)
-                             - kit.phi[l, n] * pair.first.apply(dmat)) \
+        row = pinv(selector_products(pair, p_mat)[0])[l]
+        j1d, j2d = selector_products(pair, dmat)
+        matrix_form = row @ (j2d - kit.phi[l, n] * j1d) \
             @ chi[:, l].conj() / kit.gains[l]
         vector_form = rows["xi"][l, n].conj() @ dh / kit.gains[l]
         worst = max(worst, abs(matrix_form - vector_form) / abs(vector_form))

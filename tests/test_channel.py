@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from espritsim import channel, slac
-from tests.conftest import synthetic_paths
+from tests.conftest import identity_transforms, synthetic_paths
 
 
 def pilot_observation(tensor, scen, rng, n0):
@@ -182,8 +182,7 @@ class TestSynthesis:
             e_s=1.0, seed=2)
         gamma = 0.3 - 0.4j
         paths = synthetic_paths(np.zeros((1, 5)), [gamma], scen.delta_f)
-        eye = [np.eye(4)] * 4
-        tensor = channel.synth_beamspace_tensor(paths, eye, scen)
+        tensor = channel.synth_beamspace_tensor(paths, identity_transforms(4), scen)
         assert np.allclose(tensor, gamma)
 
     def test_khatri_rao_identity(self, desk_setup):

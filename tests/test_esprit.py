@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from espritsim import channel, esprit, fastsvd, kernels, perturbation, shift
-from tests.conftest import match_rows, projector_gap, synthetic_paths
+from tests.conftest import (identity_transforms, match_rows, projector_gap, selector_products,
+                            synthetic_paths)
 
 
 class TestSpatialSmooth:
@@ -190,9 +191,8 @@ class TestGammaN:
         two_pass = []
         for pair in shift.selectors_for_transforms(transforms, scen.m[4] + 1 - l5):
             gam, residual = esprit.gamma_n(u_s, pair)
-            rhs = pair.second.apply(u_s)
-            two_pass.append(np.linalg.norm(pair.first.apply(u_s) @ gam - rhs)
-                            / np.linalg.norm(rhs))
+            lhs, rhs = selector_products(pair, u_s)
+            two_pass.append(np.linalg.norm(lhs @ gam - rhs) / np.linalg.norm(rhs))
             assert residual == pytest.approx(two_pass[-1], rel=1e-12)
         est = esprit.esprit_pipeline(noisy, transforms, 2, l5, scen.delta_f,
                                      rng=np.random.default_rng(1))
@@ -274,7 +274,7 @@ def test_compressed_rotation_matches_two_pass(beam_dims, k5, n_paths, kinds, see
     gammas, residuals = esprit.rotation_factors(u, pairs)
     assert np.array_equal(u, u_before)      # the in-place QRs work on copies
     for pair, gam, residual in zip(pairs, gammas, residuals):
-        lhs, rhs = pair.first.apply(u), pair.second.apply(u)
+        lhs, rhs = selector_products(pair, u)
         want = kernels.lstsq_pinv(lhs, rhs)
         want_residual = np.linalg.norm(lhs @ want - rhs) / np.linalg.norm(rhs)
         assert np.abs(gam - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
@@ -336,8 +336,7 @@ class TestEstimateGains:
         scen = tiny_scenario
         m5 = scen.m[4]
         h = np.full(3 ** 4 * m5, 0.7 - 0.1j)
-        eye = [np.eye(3)] * 4
-        got, _ = esprit.estimate_gains(np.zeros((1, 5)), eye, h, m5)
+        got, _ = esprit.estimate_gains(np.zeros((1, 5)), identity_transforms(3), h, m5)
         assert got[0] == pytest.approx(0.7 - 0.1j)
 
     def test_sensitivity_to_small_frequency_error(self, desk_setup):

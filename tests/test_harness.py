@@ -259,6 +259,20 @@ class TestConfig:
         with pytest.raises(harness.ConfigError):
             harness.ExperimentConfig.from_dict(desk_config(snr_grid_db=[]))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"snr_grid_db": "30"}, "snr_grid_db='30' must be a list of numbers"),
+        ({"snr_grid_db": [True, 20]}, "snr_grid_db=[True, 20] must be a list of numbers"),
+        ({"snr_grid_db": 30}, "snr_grid_db=30 must be a list of numbers"),
+        ({"max_failure_rate": True}, "max_failure_rate=True must be a number"),
+        ({"methods": "tensor"}, "methods='tensor' must be a list of method names"),
+    ], ids=["string-grid", "bool-in-grid", "number-grid", "bool-failure-cap",
+            "string-methods"])
+    def test_rejects_wrongly_typed_value(self, overrides, message):
+        # a string is not taken one character at a time, nor a boolean as 0/1
+        with pytest.raises(harness.ConfigError) as info:
+            harness.ExperimentConfig.from_dict(desk_config(**overrides))
+        assert message in str(info.value)
+
     @pytest.mark.parametrize("l5", [0, 65, 200])
     def test_rejects_l5_outside_subcarriers(self, l5):
         with pytest.raises(harness.ConfigError, match="outside"):

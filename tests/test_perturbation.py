@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from espritsim import channel, esprit, perturbation, shift, slac
 from espritsim.kernels import PINV_RTOL, InvalidInputError, pinv
-from tests.conftest import kit_rows, match_rows, synthetic_paths
+from tests.conftest import kit_rows, match_rows, selector_products, synthetic_paths
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +51,11 @@ class TestXiUpsilon:
             dmat = smoothed_error(dh, scen.n, k5, l5)
             l, n = trial % 2, trial % 5
             pair = sel[n]
-            j1p_pinv = pinv(pair.first.apply(p_mat))
+            j1p_pinv = pinv(selector_products(pair, p_mat)[0])
             row = j1p_pinv[l]
             phi = kit.phi[l, n]
-            matrix_form = row @ (pair.second.apply(dmat)
-                                 - phi * pair.first.apply(dmat)) \
+            j1d, j2d = selector_products(pair, dmat)
+            matrix_form = row @ (j2d - phi * j1d) \
                 @ chi[:, l].conj() / kit.gains[l]
             vector_form = xi[l, n].conj() @ dh / kit.gains[l]
             assert abs(matrix_form - vector_form) <= 1e-10 * max(abs(vector_form), 1e-30)
@@ -114,10 +114,10 @@ class TestXiUpsilon:
 
         pair = shift.lifted_selectors(5, (1, 1, 1, 1), 3)
         p_mat = a3[:, None]
-        j1p_pinv = pinv(pair.first.apply(p_mat))
+        j1p_pinv = pinv(selector_products(pair, p_mat)[0])
         row = j1p_pinv[0].conj()
-        got_lam = pair.second.apply_adjoint(row) \
-            - np.conj(phi) * pair.first.apply_adjoint(row)
+        j1h_row, j2h_row = selector_products(pair, row, adjoint=True)
+        got_lam = j2h_row - np.conj(phi) * j1h_row
         got_xi = blockwise_convolve(got_lam[None, :], chi, 4)[0]
         assert np.allclose(got_lam, lam, atol=1e-12)
         assert np.allclose(got_xi, want_xi, atol=1e-12)
@@ -406,15 +406,15 @@ def reference_kit(paths, transforms, scen, l5):
     xi = np.empty((n_paths, 5, n_blocks * m5), dtype=np.complex128)
     upsilon = np.empty_like(xi)
     for n, pair in enumerate(shift.selectors_for_transforms(transforms, k5)):
-        j1p = pair.first.apply(p_mat)
+        j1p = selector_products(pair, p_mat)[0]
         s = np.linalg.svd(j1p, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
             raise perturbation.IllPosedScenarioError(f"J1 P rank deficient in dimension {n + 1}")
         j1p_pinv = pinv(j1p)
         for l in range(n_paths):
             row = j1p_pinv[l].conj()
-            lam = pair.second.apply_adjoint(row) \
-                - np.conj(phi[l, n]) * pair.first.apply_adjoint(row)
+            j1h_row, j2h_row = selector_products(pair, row, adjoint=True)
+            lam = j2h_row - np.conj(phi[l, n]) * j1h_row
             xi[l, n] = blockwise_convolve(lam.reshape(n_blocks, k5), chi[:, l], m5).reshape(-1)
             upsilon[l, n] = phi[l, n] * xi[l, n] / np.conj(gains[l])
     # two paths that share a delay leave the window factor rank deficient

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from espritsim import channel, shift
-from tests.conftest import synthetic_paths
+from tests.conftest import selector_products, synthetic_paths
 
 
 def steering_transform(m, grid):
@@ -72,32 +72,29 @@ class TestRestoreProjector:
 
 
 class TestLiftedSelectors:
-    def test_frequency_windows(self):
-        pair = shift.lifted_selectors(5, (1, 1, 1, 1), 3)
-        x = np.arange(3.0)
-        assert np.allclose(pair.first.apply(x), [0, 1])   # drops last tap
-        assert np.allclose(pair.second.apply(x), [1, 2])  # drops first tap
-
-    def test_dense_vs_implicit(self, rng):
-        l1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        l2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        dims = (2, 3, 2, 3)
+    def test_products_match_kronecker(self, rng):
+        # the reference itself: mode products equal I_pre (x) block (x) I_post
+        dims = (2, 3, 2, 3, 4)
         for n in (1, 2, 3, 4, 5):
+            size = dims[n - 1]
             if n == 5:
-                pair = shift.lifted_selectors(5, dims, 4)
+                pair = shift.lifted_selectors(5, dims[:4], dims[4])
+                blocks = (np.eye(size)[:-1], np.eye(size)[1:])  # drop last / first tap
             else:
-                mat1 = l1[:dims[n - 1], :dims[n - 1]]
-                mat2 = l2[:dims[n - 1], :dims[n - 1]]
-                pair = shift.lifted_selectors(n, dims, 4, l1=mat1, l2=mat2)
-            for sel in (pair.first, pair.second):
-                dense = sel.to_dense()
-                x = rng.standard_normal(sel.in_size) \
-                    + 1j * rng.standard_normal(sel.in_size)
-                assert np.allclose(sel.apply(x), dense @ x, atol=1e-12)
-                y = rng.standard_normal(sel.out_size) \
-                    + 1j * rng.standard_normal(sel.out_size)
-                assert np.allclose(sel.apply_adjoint(y), dense.conj().T @ y,
-                                   atol=1e-12)
+                blocks = tuple(rng.standard_normal((size - 1, size))
+                               + 1j * rng.standard_normal((size - 1, size)) for _ in range(2))
+                pair = shift.lifted_selectors(n, dims[:4], dims[4], *blocks)
+            pre, post = int(np.prod(dims[:n - 1])), int(np.prod(dims[n:]))
+            dense = [np.kron(np.kron(np.eye(pre), b), np.eye(post)) for b in blocks]
+            for cols in ((), (3,)):
+                x = rng.standard_normal((dense[0].shape[1],) + cols) \
+                    + 1j * rng.standard_normal((dense[0].shape[1],) + cols)
+                for got, want in zip(selector_products(pair, x), dense):
+                    assert np.allclose(got, want @ x, atol=1e-12)
+                y = rng.standard_normal((dense[0].shape[0],) + cols) \
+                    + 1j * rng.standard_normal((dense[0].shape[0],) + cols)
+                for got, want in zip(selector_products(pair, y, adjoint=True), dense):
+                    assert np.allclose(got, want.conj().T @ y, atol=1e-12)
 
     def test_khatri_rao_invariance_oracle(self, tiny_scenario, rng):
         # J1 P Phi_n = J2 P on P = B1 o..o B4 o A5^{K5}
@@ -113,13 +110,6 @@ class TestLiftedSelectors:
         pairs = shift.selectors_for_transforms(transforms, k5)
         for n, pair in enumerate(pairs):
             phi = np.diag(np.exp(1j * omegas[:, n]))
-            resid = np.linalg.norm(pair.first.apply(p_mat) @ phi
-                                   - pair.second.apply(p_mat))
+            j1p, j2p = selector_products(pair, p_mat)
+            resid = np.linalg.norm(j1p @ phi - j2p)
             assert resid <= 1e-9 * np.linalg.norm(p_mat)
-
-    def test_matrix_columns(self, rng):
-        pair = shift.lifted_selectors(5, (2, 2, 2, 2), 3)
-        x = rng.standard_normal((pair.first.in_size, 4))
-        got = pair.first.apply(x)
-        for c in range(4):
-            assert np.allclose(got[:, c], pair.first.apply(x[:, c]))
