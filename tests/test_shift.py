@@ -72,29 +72,40 @@ class TestRestoreProjector:
 
 
 class TestLiftedSelectors:
-    def test_products_match_kronecker(self, rng):
-        # the reference itself: mode products equal I_pre (x) block (x) I_post
-        dims = (2, 3, 2, 3, 4)
-        for n in (1, 2, 3, 4, 5):
+    DIMS = (2, 3, 2, 3, 4)
+
+    def _check_kronecker(self, pair, blocks, rng):
+        # the reference itself: mode products equal I_pre (x) block (x) I_post,
+        # forward and adjoint, on vector and matrix operands
+        dims, n = self.DIMS, pair.dim
+        pre, post = int(np.prod(dims[:n - 1])), int(np.prod(dims[n:]))
+        dense = [np.kron(np.kron(np.eye(pre), b), np.eye(post)) for b in blocks]
+        for cols in ((), (3,)):
+            x = rng.standard_normal((dense[0].shape[1],) + cols) \
+                + 1j * rng.standard_normal((dense[0].shape[1],) + cols)
+            for got, want in zip(selector_products(pair, x), dense):
+                assert np.allclose(got, want @ x, atol=1e-12)
+            y = rng.standard_normal((dense[0].shape[0],) + cols) \
+                + 1j * rng.standard_normal((dense[0].shape[0],) + cols)
+            for got, want in zip(selector_products(pair, y, adjoint=True), dense):
+                assert np.allclose(got, want.conj().T @ y, atol=1e-12)
+
+    def test_dense_vs_implicit(self, rng):
+        # spatial modes: the pair's own l1 / l2 blocks
+        dims = self.DIMS
+        for n in (1, 2, 3, 4):
             size = dims[n - 1]
-            if n == 5:
-                pair = shift.lifted_selectors(5, dims[:4], dims[4])
-                blocks = (np.eye(size)[:-1], np.eye(size)[1:])  # drop last / first tap
-            else:
-                blocks = tuple(rng.standard_normal((size - 1, size))
-                               + 1j * rng.standard_normal((size - 1, size)) for _ in range(2))
-                pair = shift.lifted_selectors(n, dims[:4], dims[4], *blocks)
-            pre, post = int(np.prod(dims[:n - 1])), int(np.prod(dims[n:]))
-            dense = [np.kron(np.kron(np.eye(pre), b), np.eye(post)) for b in blocks]
-            for cols in ((), (3,)):
-                x = rng.standard_normal((dense[0].shape[1],) + cols) \
-                    + 1j * rng.standard_normal((dense[0].shape[1],) + cols)
-                for got, want in zip(selector_products(pair, x), dense):
-                    assert np.allclose(got, want @ x, atol=1e-12)
-                y = rng.standard_normal((dense[0].shape[0],) + cols) \
-                    + 1j * rng.standard_normal((dense[0].shape[0],) + cols)
-                for got, want in zip(selector_products(pair, y, adjoint=True), dense):
-                    assert np.allclose(got, want.conj().T @ y, atol=1e-12)
+            blocks = tuple(rng.standard_normal((size - 1, size))
+                           + 1j * rng.standard_normal((size - 1, size)) for _ in range(2))
+            pair = shift.lifted_selectors(n, dims[:4], dims[4], *blocks)
+            self._check_kronecker(pair, blocks, rng)
+
+    def test_frequency_windows(self, rng):
+        # mode 5: the leading and the trailing K5 - 1 windows
+        dims = self.DIMS
+        pair = shift.lifted_selectors(5, dims[:4], dims[4])
+        blocks = (np.eye(dims[4])[:-1], np.eye(dims[4])[1:])  # drop last / first tap
+        self._check_kronecker(pair, blocks, rng)
 
     def test_khatri_rao_invariance_oracle(self, tiny_scenario, rng):
         # J1 P Phi_n = J2 P on P = B1 o..o B4 o A5^{K5}
