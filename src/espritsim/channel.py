@@ -69,18 +69,6 @@ class PathParams:
 
 
 @dataclass(frozen=True)
-class AngularFreqs:
-    """Per-path angular frequencies, dimensions 1..5, each in (-pi, pi]."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        if self.omega.shape != (5,):
-            raise InvalidInputError("AngularFreqs needs exactly 5 frequencies")
-
-
-@dataclass(frozen=True)
 class BeamTransform:
     """Per-dimension steering-grid transform with its shift-invariance data.
 
@@ -175,10 +163,10 @@ class Scenario:
             delta_f=_positive("delta_f_hz", d["delta_f_hz"]),
             f_c=_positive("carrier_hz", d["carrier_hz"]),
             n_p=_integer("n_p", d["n_p"]), n_c=_integer("n_c", d.get("n_c", 600)),
-            e_s=float(d.get("e_s", 1.0)),
+            e_s=_positive("e_s", d.get("e_s", 1.0)),
             seed=_integer("seed", d.get("seed", 0)),
             beam_kind_tx=_beam_kind(d, "tx"), beam_kind_rx=_beam_kind(d, "rx"),
-            nlos_power_scale=float(d.get("nlos_power_scale", 0.1)),
+            nlos_power_scale=_positive("nlos_power_scale", d.get("nlos_power_scale", 0.1)),
             weights=d.get("weights", "uniform"),
         )
         scenario_transforms(scenario, params_from_geometry(scenario))
@@ -208,8 +196,16 @@ def _beam_count(key, value):
     return value
 
 
+def _is_real(value):
+    """True for a real number; a bool (JSON true/false) and a string are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _positive(key, value):
-    """``value`` of scenario entry ``key`` as a float; refused unless finite and > 0."""
+    """``value`` of scenario entry ``key`` as a float; refused unless a real
+    number, finite and > 0."""
+    if not _is_real(value):
+        raise InvalidInputError(f"scenario {key}={value!r} must be a real number")
     value = float(value)
     if not 0 < value < np.inf:
         raise InvalidInputError(f"scenario {key}={value!r} must be finite and > 0")
@@ -217,11 +213,13 @@ def _positive(key, value):
 
 
 def _position(key, value):
-    """``value`` of scenario entry ``key`` as a position; refused unless a finite 3-vector."""
-    p = np.asarray(value, dtype=float)
-    if p.shape != (3,) or not np.isfinite(p).all():
-        raise InvalidInputError(f"scenario {key}={value!r} must be a finite 3-vector")
-    return p
+    """``value`` of scenario entry ``key`` as a position; refused unless a finite
+    3-vector of real numbers."""
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
+            and all(_is_real(v) and np.isfinite(v) for v in value)):
+        raise InvalidInputError(f"scenario {key}={value!r} must be a finite 3-vector "
+                                f"of real numbers")
+    return np.asarray(value, dtype=float)
 
 
 def _beam_kind(d, side):
@@ -339,29 +337,32 @@ def params_from_geometry(scenario):
 
 
 def to_angular(p, delta_f):
-    """Angular frequencies of a path; delay maps to w5 = wrap(-2 pi df tau)."""
-    w = np.array([
+    """The (5,) angular frequencies of a path, dimensions 1..5, each in
+    (-pi, pi]; delay maps to w5 = wrap(-2 pi df tau)."""
+    return np.array([
         np.pi * np.sin(p.phi_az) * np.sin(p.phi_el),
         np.pi * np.cos(p.phi_el),
         np.pi * np.sin(p.theta_az) * np.sin(p.theta_el),
         np.pi * np.cos(p.theta_el),
         wrap_angle(-2 * np.pi * delta_f * p.tau),
     ])
-    return AngularFreqs(omega=w)
 
 
 def path_omegas(paths, delta_f):
     """The (L, 5) angular frequencies of ``paths``, one ``to_angular`` row each."""
-    return np.stack([to_angular(p, delta_f).omega for p in paths])
+    return np.stack([to_angular(p, delta_f) for p in paths])
 
 
 def from_angular(w, delta_f):
     """Invert ``to_angular`` on the restricted domain (gain left unset).
 
-    Raises OutOfDomainError when |w2| or |w4| reaches pi, or when the azimuth
-    ratio w1 / (pi sin el) leaves [-1, 1].
+    Raises InvalidInputError unless ``w`` is a 5-vector, and OutOfDomainError
+    when |w2| or |w4| reaches pi, or when the azimuth ratio w1 / (pi sin el)
+    leaves [-1, 1].
     """
-    om = np.asarray(w.omega if isinstance(w, AngularFreqs) else w, dtype=float)
+    om = np.asarray(w, dtype=float)
+    if om.shape != (5,):
+        raise InvalidInputError(f"from_angular needs 5 frequencies, got shape {om.shape}")
     if abs(om[1]) >= np.pi or abs(om[3]) >= np.pi:
         raise OutOfDomainError("elevation frequency at or beyond pi")
     phi_el = np.arccos(om[1] / np.pi)

@@ -8,12 +8,12 @@ to the selector products up to an isometry (built from the R factor of U_s's
 mode-n unfolding, or of the stacked frequency windows) -> one
 eigendecomposition of a random beta-combination for auto-pairing ->
 frequency, parameter, and gain recovery (gains from the Khatri-Rao structure,
-shared with the tensor pipeline).
+shared with the tensor pipeline). The auto-paired frequencies stay one (L, 5)
+array from pairing to the estimate; the harness times the call.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,16 +44,18 @@ class SmoothedMatrix:
 
 @dataclass
 class EspritEstimate:
-    """Auto-paired frequency, parameter, and gain estimates for L paths."""
+    """Auto-paired frequency, parameter, and gain estimates for L paths: row l
+    of ``omega``, ``gains[l]`` and ``params[l]`` describe the same path."""
 
-    freqs: list                 # list[AngularFreqs], index l consistent across dims
+    omega: np.ndarray           # (L, 5) angular frequencies, dimensions 1..5
     gains: np.ndarray
     params: list                # list[PathParams]
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def omega(self):
-        return np.stack([f.omega for f in self.freqs])
+    def freqs(self):
+        """Read-only alias of ``omega``, kept because perfbench/workloads.py reads it."""
+        return self.omega
 
 
 def default_l5(m5):
@@ -209,8 +211,6 @@ def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
     rng : Generator that draws the pairing's beta combinations
     """
     noisy = np.asarray(noisy, dtype=np.complex128)
-    t_start = time.perf_counter()
-
     u_s, diagnostics = signal_subspace(noisy, n_paths, l5, method=method)
     k5 = noisy.shape[-1] + 1 - l5
     pairs = shift.selectors_for_transforms(transforms, k5)
@@ -219,24 +219,22 @@ def esprit_pipeline(noisy, transforms, n_paths, l5, delta_f,
 
     _, omega, pair_diag = auto_pair(gammas, rng=rng)
     diagnostics.update(pair_diag)
-    return _estimate_tail(omega, transforms, noisy, delta_f, diagnostics,
-                          t_start)
+    return _estimate_tail(omega, transforms, noisy, delta_f, diagnostics)
 
 
-def _estimate_tail(omega, transforms, noisy, delta_f, diagnostics, t_start):
-    """Clamp omega, convert to parameters and add gains (both pipelines)."""
+def _estimate_tail(omega, transforms, noisy, delta_f, diagnostics):
+    """Clamp the (L, 5) omega in place, convert each row to parameters and add
+    gains (both pipelines)."""
     clamped_paths = []
     for l in range(omega.shape[0]):
         omega[l], clamped = channel.clamp_freqs(omega[l])
         if clamped:
             clamped_paths.append(l)
-    freqs = [channel.AngularFreqs(om) for om in omega]
-    params = [channel.from_angular(f, delta_f) for f in freqs]
+    params = [channel.from_angular(om, delta_f) for om in omega]
     gains, gain_diag = estimate_gains(omega, transforms, noisy.reshape(-1),
                                       noisy.shape[-1])
     diagnostics.update(gain_diag)
     diagnostics["clamped_paths"] = clamped_paths
-    diagnostics["runtime_s"] = time.perf_counter() - t_start
     params = [replace(p, gamma=complex(g)) for p, g in zip(params, gains)]
-    return EspritEstimate(freqs=freqs, gains=gains, params=params,
+    return EspritEstimate(omega=omega, gains=gains, params=params,
                           diagnostics=diagnostics)

@@ -172,6 +172,8 @@ class ExperimentConfig:
                     if "analytic" in cfg.methods:
                         raise
             return cfg
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -262,15 +264,14 @@ def match_paths(estimated, truth):
     Cost between two frequency 5-vectors is the sum of squared wrapped
     angular distances. The total cost is additive over pairs, so the
     Hungarian solution, computed in-package by ``_min_cost_assignment``,
-    is exact for every L. Returns the int array ``perm`` with
-    estimated[perm[i]] matched to truth[i].
+    is exact for every L. Both arguments are (L, 5) arrays, or lists of
+    5-vectors. Returns the int array ``perm`` with estimated[perm[i]]
+    matched to truth[i].
     """
-    est = np.stack([f.omega if isinstance(f, channel.AngularFreqs) else np.asarray(f)
-                    for f in estimated])
-    tru = np.stack([f.omega if isinstance(f, channel.AngularFreqs) else np.asarray(f)
-                    for f in truth])
-    if est.shape != tru.shape:
-        raise InvalidInputError("path lists must have equal lengths")
+    est = np.asarray(estimated, dtype=float)
+    tru = np.asarray(truth, dtype=float)
+    if est.ndim != 2 or est.shape[1] != 5 or est.shape != tru.shape:
+        raise InvalidInputError(f"need two equal (L, 5) arrays, not {est.shape} and {tru.shape}")
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
         raise InvalidInputError("path frequencies must be finite")
     cost = np.sum(channel.wrap_angle(est[:, None, :] - tru[None, :, :]) ** 2, axis=2)
@@ -310,8 +311,8 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
     if method not in ("matrix_dense", "matrix_fast", "tensor"):
         raise InvalidInputError(f"not a per-trial method: {method}")
     n_paths = len(truth_paths)
-    t0 = time.perf_counter()
     est, error = None, ""
+    t0 = time.perf_counter()
     try:
         if method == "tensor":
             est = tensor_esprit.tensor_esprit_pipeline(
@@ -324,9 +325,9 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
     # LAPACK calls outside kernels (auto_pair's solve) raise LinAlgError
     except (EstimationError, np.linalg.LinAlgError) as exc:
         error = f"{type(exc).__name__}: {exc}"
+    runtime = time.perf_counter() - t0     # the estimate's one timer, failed or not
     reported = est.diagnostics if est is not None else {}
-    out = _TrialOutput(ok=False, error=error,
-                       runtime=reported.get("runtime_s", time.perf_counter() - t0),
+    out = _TrialOutput(ok=False, error=error, runtime=runtime,
                        diagnostics={name: reported.get(name)
                                     for name, _ in TRIAL_DIAGNOSTICS})
     if est is None:
@@ -337,7 +338,7 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
         out.error = "non-finite estimate"
         return out
 
-    perm = match_paths(est.freqs, truth_omega)
+    perm = match_paths(est.omega, truth_omega)
     params = [est.params[p] for p in perm]
     gains = est.gains[perm]
     sq_angle = np.empty((n_paths, 4))

@@ -11,7 +11,6 @@ eigenvalue is assigned to the column its eigenvector points at.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,7 +204,6 @@ def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng):
     beam transforms.
     """
     noisy = np.asarray(noisy, dtype=np.complex128)
-    t_start = time.perf_counter()
     model = cp_als(noisy, n_paths, rng=rng)
 
     omega = np.empty((n_paths, 5))
@@ -234,5 +232,4 @@ def tensor_esprit_pipeline(noisy, transforms, n_paths, delta_f, rng):
 
     diagnostics = {"cp_fit": model.fit, "cp_iterations": model.iterations,
                    "cp_restart_iterations": model.restart_iterations}
-    return esprit._estimate_tail(omega, transforms, noisy, delta_f,
-                                 diagnostics, t_start)
+    return esprit._estimate_tail(omega, transforms, noisy, delta_f, diagnostics)

@@ -43,8 +43,7 @@ def desk_setup(desk_scenario):
     paths = channel.params_from_geometry(desk_scenario)
     transforms = channel.scenario_transforms(desk_scenario, paths)
     tensor = channel.synth_beamspace_tensor(paths, transforms, desk_scenario)
-    truth = np.stack([channel.to_angular(p, desk_scenario.delta_f).omega
-                      for p in paths])
+    truth = channel.path_omegas(paths, desk_scenario.delta_f)
     return desk_scenario, paths, transforms, tensor, truth
 
 
@@ -52,8 +51,7 @@ def synthetic_paths(omegas, gains, delta_f):
     """PathParams whose angular frequencies equal the given 5-vectors."""
     out = []
     for om, g in zip(np.atleast_2d(omegas), gains):
-        p = channel.from_angular(channel.AngularFreqs(np.asarray(om, float)),
-                                 delta_f)
+        p = channel.from_angular(om, delta_f)
         out.append(channel.PathParams(
             phi_az=p.phi_az, phi_el=p.phi_el, theta_az=p.theta_az,
             theta_el=p.theta_el, tau=p.tau, gamma=complex(g)))

@@ -68,7 +68,7 @@ def test_criterion_1_noiseless_exactness():
     paths = channel.params_from_geometry(scen)
     transforms = channel.scenario_transforms(scen, paths)
     tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
-    truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+    truth = channel.path_omegas(paths, scen.delta_f)
     gains = np.array([p.gamma for p in paths])
     l5 = esprit.default_l5(scen.m[4])
     worst_omega, worst_gain, worst_time = 0.0, 0.0, 0.0
@@ -188,7 +188,7 @@ def test_criterion_4_reference_point_simulation():
     n0 = channel.n0_for_snr_db(paths, transforms, scen, 40.0)
     tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
     truth_angles = paths[0].angles()
-    truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+    truth = channel.path_omegas(paths, scen.delta_f)
     l5 = esprit.default_l5(scen.m[4])
     sq = 0.0
     trials = 500
@@ -237,7 +237,9 @@ def test_criterion_5_fast_svd_equivalence_and_complexity(desk, rng):
             best = min(best, time.perf_counter() - t0)
         return best
 
-    growth = best_time(6) / best_time(3)
+    # the timed sections run at one BLAS thread, as every sweep does
+    with harness._one_blas_thread():
+        growth = best_time(6) / best_time(3)
 
     # (d) proposed beats the tensor baseline at L = 6 by >= 5x, measured
     # at full scale where the decomposition cost dominates, both at defaults
@@ -253,24 +255,25 @@ def test_criterion_5_fast_svd_equivalence_and_complexity(desk, rng):
     n06 = channel.n0_for_snr_db(paths6, transforms6, scen6, 20.0)
     l56 = esprit.default_l5(scen6.m[4])
     t_fast, t_tensor = [], []
-    for ss in np.random.SeedSequence(43).spawn(2):
-        r = np.random.default_rng(ss)
-        noisy = channel.observe_and_estimate(tensor6, scen6, r, n0=n06)
-        t0 = time.perf_counter()
-        try:
-            esprit.esprit_pipeline(noisy, transforms6, 6, l56, scen6.delta_f,
-                                   method="fast", rng=r)
-        except esprit.PairingFailureError:
-            pass
-        t_fast.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        try:
-            tensor_esprit.tensor_esprit_pipeline(noisy, transforms6, 6,
-                                                 scen6.delta_f, rng=r)
-        except (tensor_esprit.DecompositionFailureError,
-                esprit.PairingFailureError):
-            pass
-        t_tensor.append(time.perf_counter() - t0)
+    with harness._one_blas_thread():
+        for ss in np.random.SeedSequence(43).spawn(2):
+            r = np.random.default_rng(ss)
+            noisy = channel.observe_and_estimate(tensor6, scen6, r, n0=n06)
+            t0 = time.perf_counter()
+            try:
+                esprit.esprit_pipeline(noisy, transforms6, 6, l56, scen6.delta_f,
+                                       method="fast", rng=r)
+            except esprit.PairingFailureError:
+                pass
+            t_fast.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            try:
+                tensor_esprit.tensor_esprit_pipeline(noisy, transforms6, 6,
+                                                     scen6.delta_f, rng=r)
+            except (tensor_esprit.DecompositionFailureError,
+                    esprit.PairingFailureError):
+                pass
+            t_tensor.append(time.perf_counter() - t0)
     speedup = np.median(t_tensor) / np.median(t_fast)
 
     ok = (principal_gap < 1e-8 and mv_err < 1e-10 and growth <= 1.5
@@ -325,7 +328,7 @@ def test_criterion_7_localization():
     tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
     l5 = esprit.default_l5(scen.m[4])
     kit = perturbation.build_kit(paths, transforms, scen, l5)
-    truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+    truth = channel.path_omegas(paths, scen.delta_f)
     tx_sign, rx_sign = channel.array_axis_signs(scen)
     snrs = (0.0, 10.0, 20.0, 30.0, 40.0)
     trials = 200

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from espritsim import channel, slac
+from espritsim.kernels import InvalidInputError
 from tests.conftest import identity_transforms, synthetic_paths
 
 
@@ -83,16 +84,16 @@ class TestGeometry:
 class TestAngularMaps:
     def test_boresight(self):
         p = channel.PathParams(0.0, np.pi / 2, 0.0, np.pi / 2, 0.0, 1.0)
-        w = channel.to_angular(p, 1e6).omega
+        w = channel.to_angular(p, 1e6)
         assert np.allclose(w[:2], 0.0, atol=1e-15)
 
     def test_quarter_delay(self):
         df = 1e6
         p = channel.PathParams(0.1, 1.5, 0.2, 1.6, 1 / (4 * df), 1.0)
-        assert channel.to_angular(p, df).omega[4] == pytest.approx(-np.pi / 2)
+        assert channel.to_angular(p, df)[4] == pytest.approx(-np.pi / 2)
 
     def test_zero_vector_inverse(self):
-        p = channel.from_angular(channel.AngularFreqs(np.zeros(5)), 1e6)
+        p = channel.from_angular(np.zeros(5), 1e6)
         assert p.phi_el == pytest.approx(np.pi / 2)
         assert p.theta_el == pytest.approx(np.pi / 2)
         assert p.phi_az == p.theta_az == 0.0
@@ -116,16 +117,20 @@ class TestAngularMaps:
 
     def test_out_of_domain(self):
         with pytest.raises(channel.OutOfDomainError):
-            channel.from_angular(channel.AngularFreqs([0, np.pi, 0, 0, 0]), 1e6)
+            channel.from_angular(np.array([0, np.pi, 0, 0, 0]), 1e6)
         with pytest.raises(channel.OutOfDomainError):
             # elevation leaves only |w1| <= pi sin(el) ~ 0.93 of azimuth room
-            channel.from_angular(channel.AngularFreqs([2.0, 3.0, 0, 0, 0]), 1e6)
+            channel.from_angular(np.array([2.0, 3.0, 0, 0, 0]), 1e6)
+
+    def test_needs_five_frequencies(self):
+        with pytest.raises(InvalidInputError, match="5 frequencies"):
+            channel.from_angular(np.zeros(4), 1e6)
 
     def test_phase_slope_oracle(self, desk_scenario):
         # LOS angular frequencies agree with a regression of the synthesized
         # element-space phases along each array axis
         paths = channel.params_from_geometry(desk_scenario)[:1]
-        w = channel.to_angular(paths[0], desk_scenario.delta_f).omega
+        w = channel.to_angular(paths[0], desk_scenario.delta_f)
         m1 = desk_scenario.m[0]
         a1 = channel.steering_vector(m1, w[0])
         slope = np.angle(a1[1:] * a1[:-1].conj()).mean()
@@ -202,7 +207,7 @@ class TestSynthesis:
         h = np.zeros((scen.n[2] * scen.n[3], scen.n[0] * scen.n[1]),
                      dtype=complex)
         for p in paths:
-            w = channel.to_angular(p, scen.delta_f).omega
+            w = channel.to_angular(p, scen.delta_f)
             a_t = np.kron(channel.steering_vector(8, w[0]),
                           channel.steering_vector(8, w[1]))
             a_r = np.kron(channel.steering_vector(8, w[2]),
@@ -284,7 +289,7 @@ class TestLinkMetrics:
         met = channel.link_metrics(paths, transforms, scen, n0=1.0)
         gains = np.array([p.gamma for p in paths])
         taus = np.array([p.tau for p in paths])
-        om = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+        om = channel.path_omegas(paths, scen.delta_f)
         a_t = channel.khatri_rao([channel.steering_matrix(8, om[:, 0]),
                                   channel.steering_matrix(8, om[:, 1])])
         a_r = channel.khatri_rao([channel.steering_matrix(8, om[:, 2]),

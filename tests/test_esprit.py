@@ -388,7 +388,7 @@ class TestStructuredGains:
             n_p=32, n_c=600, e_s=1.0, seed=7)
         paths = channel.params_from_geometry(scen)
         transforms, noisy = noisy_case(scen, paths, 10.0, 3)
-        truth = np.stack([channel.to_angular(p, delta_f).omega for p in paths])
+        truth = channel.path_omegas(paths, delta_f)
         omega = truth + 1e-3 * np.random.default_rng(4).standard_normal(truth.shape)
         self.check(omega, transforms, noisy)
 
@@ -485,7 +485,7 @@ def test_noiseless_exactness_property(scene):
     except perturbation.IllPosedScenarioError:
         assume(False)
     tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
-    truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+    truth = channel.path_omegas(paths, scen.delta_f)
     gains = np.array([p.gamma for p in paths])
     for method in ("dense", "fast"):
         est = esprit.esprit_pipeline(tensor, transforms, len(paths), l5, scen.delta_f,

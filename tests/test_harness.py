@@ -45,21 +45,19 @@ def desk_config(tmp_path=None, **overrides):
 
 class TestMatchPaths:
     def test_identity(self):
-        freqs = [channel.AngularFreqs(np.array([0.1, 0.2, 0.3, 0.4, 0.5])),
-                 channel.AngularFreqs(np.array([-0.5, 0.9, -0.1, 0.0, 1.2]))]
+        freqs = np.array([[0.1, 0.2, 0.3, 0.4, 0.5], [-0.5, 0.9, -0.1, 0.0, 1.2]])
         assert list(harness.match_paths(freqs, freqs)) == [0, 1]
 
     def test_swap(self):
-        a = channel.AngularFreqs(np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
-        b = channel.AngularFreqs(np.array([-0.5, 0.9, -0.1, 0.0, 1.2]))
+        a = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        b = np.array([-0.5, 0.9, -0.1, 0.0, 1.2])
         assert list(harness.match_paths([b, a], [a, b])) == [1, 0]
 
     def test_matches_brute_force_l4(self, rng):
         truth = rng.uniform(-np.pi, np.pi, (4, 5))
         est = truth + 0.05 * rng.standard_normal((4, 5))
         est = est[[2, 0, 3, 1]]
-        perm = harness.match_paths([channel.AngularFreqs(e) for e in est],
-                                   [channel.AngularFreqs(t) for t in truth])
+        perm = harness.match_paths(est, truth)
         from itertools import permutations
 
         cost = np.sum(channel.wrap_angle(est[:, None] - truth[None]) ** 2, axis=2)
@@ -70,8 +68,7 @@ class TestMatchPaths:
     def test_hungarian_above_six(self, rng):
         truth = rng.uniform(-np.pi, np.pi, (7, 5))
         est = truth[::-1] + 1e-3 * rng.standard_normal((7, 5))
-        perm = harness.match_paths([channel.AngularFreqs(e) for e in est],
-                                   [channel.AngularFreqs(t) for t in truth])
+        perm = harness.match_paths(est, truth)
         assert list(perm) == list(range(6, -1, -1))
 
     def test_non_finite_frequency_rejected(self):
@@ -82,6 +79,13 @@ class TestMatchPaths:
             harness.match_paths([bad], [good])
         with pytest.raises(InvalidInputError, match="finite"):
             harness.match_paths([good], [bad])
+
+    @pytest.mark.parametrize("est_shape, truth_shape", [((2, 4), (2, 4)), ((2, 5), (3, 5)),
+                                                        ((5,), (5,))],
+                             ids=["four-frequencies", "unequal-lengths", "one-vector"])
+    def test_refuses_anything_but_two_equal_l_by_5_arrays(self, est_shape, truth_shape):
+        with pytest.raises(InvalidInputError, match=r"two equal \(L, 5\)"):
+            harness.match_paths(np.zeros(est_shape), np.zeros(truth_shape))
 
 
 def random_cost(n, integer, seed):
@@ -159,7 +163,7 @@ class TestMinCostAssignment:
         assert list(harness._min_cost_assignment(np.array([[2.5]]))) == [0]
 
     def test_match_paths_returns_int_array(self):
-        a = channel.AngularFreqs(np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+        a = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         perm = harness.match_paths([a], [a])
         assert perm.dtype == np.dtype(int) and list(perm) == [0]
 
@@ -187,7 +191,7 @@ class TestTrialFailureContainment:
     def run_trial(desk_setup, method, tensor, paths=None, l5=None, seed=1):
         scen, true_paths, transforms, _, _ = desk_setup
         paths = true_paths if paths is None else paths
-        truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+        truth = channel.path_omegas(paths, scen.delta_f)
         out = harness._run_single_trial(
             method, tensor, transforms, scen, paths, truth,
             l5 or esprit.default_l5(scen.m[4]), np.random.default_rng(seed))
@@ -429,7 +433,7 @@ class TestRunExperiment:
         paths = channel.params_from_geometry(scen)
         transforms = channel.scenario_transforms(scen, paths)
         tensor = channel.synth_beamspace_tensor(paths, transforms, scen)
-        truth = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+        truth = channel.path_omegas(paths, scen.delta_f)
         n0 = channel.n0_for_snr_db(paths, transforms, scen, 30.0)
         trials = []
         for method in ("matrix_dense", "matrix_fast"):
@@ -792,6 +796,13 @@ class TestCli:
         res = self.run_cli("validate-config", str(path))
         assert res.returncode == 2
 
+    def test_config_error_is_reported_once(self, tmp_path, capsys):
+        # a ConfigError raised while loading is not wrapped a second time
+        path = desk_config(tmp_path, snr_grid_db="30")
+        assert cli.main(["validate-config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: snr_grid_db='30' must be a list of numbers\n")
+
     def test_validate_rejects_out_of_range_l5(self, tmp_path, capsys):
         path = desk_config(tmp_path, l5=200)
         assert cli.main(["validate-config", str(path)]) == 2
@@ -829,6 +840,15 @@ class TestCli:
         ({"beam_kind": {"tx": "dft", "rx": "dft", "typo": "directional"}},
          "beam_kind keys ['rx', 'tx', 'typo']"),
         ({"beam_kind": {"tx": "dft"}}, "beam_kind keys ['tx']"),
+        # a string or a boolean is not taken as a real number
+        ({"e_s": "2"}, "scenario e_s='2' must be a real number"),
+        ({"delta_f_hz": "1.875e6"}, "scenario delta_f_hz='1.875e6' must be a real number"),
+        ({"nlos_power_scale": "0.1"}, "scenario nlos_power_scale='0.1' must be a real number"),
+        ({"carrier_hz": True}, "scenario carrier_hz=True must be a real number"),
+        ({"e_s": False}, "scenario e_s=False must be a real number"),
+        ({"p_r": [0, 5, True]}, "scenario p_r=[0, 5, True] must be a finite 3-vector"),
+        ({"p_t": ["20", 5, 8]}, "scenario p_t=['20', 5, 8] must be a finite 3-vector"),
+        ({"p_t": "abc"}, "scenario p_t='abc' must be a finite 3-vector"),
     ])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_unbuildable_scenario_exit_code_2(self, tmp_path, capsys, command,

@@ -396,7 +396,7 @@ def reference_kit(paths, transforms, scen, l5):
     m5 = scen.m[4]
     k5 = m5 + 1 - l5
     gains = np.array([p.gamma for p in paths], dtype=np.complex128)
-    omega = np.stack([channel.to_angular(p, scen.delta_f).omega for p in paths])
+    omega = channel.path_omegas(paths, scen.delta_f)
     phi = np.exp(1j * omega)
     n_paths = len(paths)
     factors = channel.beamspace_factors(paths, transforms, scen)

@@ -106,7 +106,7 @@ class TestRate:
         m5 = 7
         want = np.zeros((64, 64), dtype=complex)
         for p in paths:
-            w = channel.to_angular(p, scen.delta_f).omega
+            w = channel.to_angular(p, scen.delta_f)
             a_t = np.kron(channel.steering_vector(8, w[0]),
                           channel.steering_vector(8, w[1]))
             a_r = np.kron(channel.steering_vector(8, w[2]),
