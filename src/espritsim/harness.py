@@ -13,7 +13,7 @@ exception raised in the parent exhausts the counter, so no queued trial
 starts, and joins the helpers before it propagates; a helper's programming
 error is re-raised in the parent, and a helper that exits without sending a
 trial it claimed raises ``TrialLostError``. ``threads = 1`` runs every trial
-in the parent. Every loaded OpenBLAS runs one thread for the sweep, so the
+in the parent. numpy's OpenBLAS runs one thread for the sweep, so the
 bytes do not depend on the caller's BLAS threading either.
 
 Each trial yields one record; ``TRIAL_DIAGNOSTICS`` names the estimate
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
 import functools
 import itertools
 import json
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import channel, esprit, perturbation, slac, tensor_esprit
+from . import channel, esprit, kernels, perturbation, slac, tensor_esprit
 from .kernels import EstimationError, InvalidInputError
 
 ALL_METHODS = ("matrix_dense", "matrix_fast", "tensor", "analytic")
@@ -366,54 +365,17 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
     return out
 
 
-# (getter, setter) symbol pairs of the thread count in the scipy-openblas
-# builds that numpy and scipy bundle (64-bit and 32-bit integer interface)
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found by path in /proc/self/maps; empty when there is none."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({fields[5].strip() for fields in (line.split(None, 5) for line in fh)
-                            if len(fields) == 6 and "openblas" in fields[5].lower()})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Every loaded OpenBLAS at one thread inside the block, and the caller's
-    counts back after it. Forked helpers inherit the count. With no OpenBLAS
-    found, the block runs at whatever threading the BLAS has."""
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    """numpy's OpenBLAS, the one BLAS the package runs on, at one thread
+    inside the block, and the caller's count back after it. Forked helpers
+    inherit the count."""
+    saved = kernels._get_blas_threads()
+    kernels._set_blas_threads(1)
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
+        kernels._set_blas_threads(saved)
 
 
 @dataclass(frozen=True)
@@ -615,7 +577,7 @@ def run_experiment(cfg):
     exist; the parent builds the kit first, then runs trials next to the
     helpers. A helper that exits without sending back a trial it claimed
     raises TrialLostError; a helper's programming error is re-raised with
-    its traceback text as the cause. Every loaded OpenBLAS runs one thread
+    its traceback text as the cause. numpy's OpenBLAS runs one thread
     for the sweep. A method whose failed-trial fraction exceeds
     ``cfg.max_failure_rate`` raises TrialFailureRateError after the sweep.
     """

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espritsim import channel, cli, esprit, harness, perturbation
+from espritsim import channel, cli, esprit, harness, kernels, perturbation
 from espritsim.kernels import EstimationError, InvalidInputError, NumericFailureError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -716,22 +716,18 @@ class TestTrialLoop:
 
 
 class TestBlasThreads:
-    """run_experiment runs every loaded OpenBLAS at one thread and restores
-    the caller's counts after the sweep."""
-
-    def fake_blas(self, monkeypatch, start=4):
-        counts = [start, start]
-        controls = tuple((functools.partial(counts.__getitem__, i),
-                          functools.partial(counts.__setitem__, i)) for i in range(2))
-        monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: controls)
-        return counts
+    """run_experiment runs numpy's OpenBLAS at one thread and restores the
+    caller's count after the sweep."""
 
     def test_pinned_during_sweep_restored_after_error(self, monkeypatch):
-        counts = self.fake_blas(monkeypatch)
+        count = [4]
+        monkeypatch.setattr(kernels, "_get_blas_threads", lambda: count[0])
+        monkeypatch.setattr(kernels, "_set_blas_threads",
+                            functools.partial(count.__setitem__, 0))
         seen = []
 
         def broken(*args, **kwargs):
-            seen.append(list(counts))
+            seen.append(count[0])
             raise RuntimeError("broken pipeline")
 
         monkeypatch.setattr(esprit, "esprit_pipeline", broken)
@@ -739,32 +735,23 @@ class TestBlasThreads:
             desk_config(trials=1, methods=["matrix_fast"]))
         with pytest.raises(RuntimeError, match="broken pipeline"):
             harness.run_experiment(cfg)
-        assert seen == [[1, 1]]
-        assert counts == [4, 4]
-
-    def test_no_openblas_found_runs_unpinned(self, monkeypatch):
-        monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: ())
-        cfg = harness.ExperimentConfig.from_dict(
-            desk_config(trials=2, methods=["matrix_fast", "analytic"], threads=2))
-        rows, _ = harness.run_experiment(cfg)
-        assert {r.method for r in rows} == {"matrix_fast", "analytic", "perfect_csi"}
+        assert seen == [1]
+        assert count == [4]
 
     def test_real_counts_restored_after_sweep(self):
-        # in a subprocess: the thread counts are process-wide state
+        # in a subprocess: the thread count is process-wide state
         script = textwrap.dedent("""
             import json, sys
-            from espritsim import esprit, harness
-            controls = harness._openblas_thread_controls()
-            for _, set_ in controls:
-                set_(3)
+            from espritsim import esprit, harness, kernels
+            kernels._set_blas_threads(3)
             seen = []
             real = esprit.esprit_pipeline
             def spy(*args, **kwargs):
-                seen.append([get() for get, _ in controls])
+                seen.append(kernels._get_blas_threads())
                 return real(*args, **kwargs)
             esprit.esprit_pipeline = spy
             harness.run_experiment(harness.ExperimentConfig.from_dict(json.loads(sys.argv[1])))
-            print(json.dumps({"during": seen, "after": [get() for get, _ in controls]}))
+            print(json.dumps({"during": seen, "after": kernels._get_blas_threads()}))
         """)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -774,10 +761,8 @@ class TestBlasThreads:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
-        if not out["after"]:
-            pytest.skip("no OpenBLAS is loaded")
-        assert out["during"] == [[1] * len(out["after"])] * 2
-        assert out["after"] == [3] * len(out["after"])
+        assert out["during"] == [1, 1]
+        assert out["after"] == 3
 
 
 class TestCli:

@@ -198,12 +198,16 @@ class TestQrR:
         assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
 
     def test_lapack_failure_is_numeric_failure(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise np.linalg.LinAlgError("geqrf failed")
-
-        monkeypatch.setattr(kernels.scipy.linalg, "qr", broken)
-        with pytest.raises(kernels.NumericFailureError, match="geqrf failed"):
+        monkeypatch.setattr(kernels, "_zgeqrf_work", lambda *args: -4)
+        with pytest.raises(kernels.NumericFailureError, match="geqrf failed with info=-4"):
             r_factor(np.eye(3))
+
+    @pytest.mark.parametrize("at", [np.eye(3, 4, dtype=np.complex128)[:, ::2],
+                                    np.asfortranarray(np.eye(3, 4, dtype=np.complex128)),
+                                    np.eye(3, 4)], ids=["strided", "f-order", "float64"])
+    def test_refuses_an_operand_lapack_cannot_read_in_place(self, at):
+        with pytest.raises(TypeError, match="C-contiguous complex128"):
+            kernels._qr_r_overwrite(at)
 
 
 def graded(rng, m, n, rank):
@@ -233,17 +237,60 @@ class TestSvdLeading:
         assert np.linalg.norm(left.conj().T @ left - np.eye(k)) <= 1e-12
 
     def test_lapack_failure_is_numeric_failure(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise np.linalg.LinAlgError("geqrf failed")
-
-        monkeypatch.setattr(kernels.scipy.linalg, "qr", broken)
-        with pytest.raises(kernels.NumericFailureError, match="geqrf failed"):
+        monkeypatch.setattr(kernels, "_zgeqrf_work", lambda *args: -4)
+        with pytest.raises(kernels.NumericFailureError, match="geqrf failed with info=-4"):
             svd_leading(np.eye(5, 3), 2)
 
     def test_unmqr_error_code_is_numeric_failure(self, monkeypatch):
-        def broken(side, trans, a, tau, c, lwork, overwrite_c=False):
-            return c, np.zeros(1), -5
-
-        monkeypatch.setattr(kernels.scipy.linalg.lapack, "zunmqr", broken)
-        with pytest.raises(kernels.NumericFailureError, match="info=-5"):
+        monkeypatch.setattr(kernels, "_zunmqr_work", lambda *args: -5)
+        with pytest.raises(kernels.NumericFailureError, match="unmqr failed with info=-5"):
             svd_leading(np.eye(5, 3), 2)
+
+
+class TestLapackeAgainstScipy:
+    """The LAPACKE calls through ctypes give scipy's LAPACK results bit for
+    bit, on the two operand layouts the package passes: a C-contiguous
+    ``at`` factored in place as ``at.T``, and the F-ordered ``left`` that
+    unmqr overwrites. scipy is a test-only oracle."""
+
+    @pytest.mark.parametrize("m, n", [(16000, 8), (63488, 4), (8192, 33), (3, 7)])
+    def test_geqrf_reflectors_tau_and_r(self, rng, m, n):
+        import scipy.linalg
+
+        at = random_complex(rng, n, m)
+        (reflectors, tau), r = kernels._geqrf_overwrite(at.copy())
+        (want_reflectors, want_tau), want_r = scipy.linalg.qr(
+            at.copy().T, mode="raw", overwrite_a=True, check_finite=False)
+        assert np.array_equal(reflectors, want_reflectors)
+        assert np.array_equal(tau, want_tau)
+        assert np.array_equal(r, want_r)
+
+    @pytest.mark.parametrize("m, n, k", [(8192, 33, 2), (8192, 33, 4), (2000, 40, 3)])
+    def test_svd_leading_left_and_singular_values(self, rng, m, n, k):
+        import scipy.linalg
+
+        a = random_complex(rng, m, n)
+        left, s = svd_leading(a, k)
+        (reflectors, tau), r = scipy.linalg.qr(a.copy(order="F"), mode="raw",
+                                               overwrite_a=True, check_finite=False)
+        u, want_s, _ = np.linalg.svd(r)
+        want_left = np.zeros((m, k), dtype=np.complex128, order="F")
+        want_left[:n] = u[:, :k]
+        want_left, _, info = scipy.linalg.lapack.zunmqr("L", "N", reflectors, tau,
+                                                        want_left, k, overwrite_c=True)
+        assert info == 0
+        assert np.array_equal(s, want_s)
+        assert np.array_equal(left, want_left)
+
+    @pytest.mark.parametrize("m, n", [(64, 2), (256, 4), (500, 6), (4096, 8)])
+    def test_svd_thin_tall_path(self, rng, m, n):
+        import scipy.linalg
+
+        a = random_complex(rng, m, n)
+        res = kernels.svd_thin(a)
+        q, r = scipy.linalg.qr(a, mode="economic", check_finite=False)
+        u, want_s, vh = np.linalg.svd(r)
+        assert np.array_equal(res.left, q @ u)
+        assert np.array_equal(res.singular_values, want_s)
+        assert np.array_equal(res.right, vh.conj().T)
+

@@ -7,9 +7,12 @@ would silently drop out of its metrics, so each name must resolve here. The
 calls ``perfbench/workloads.py`` makes must also still bind to their
 functions' signatures, and every failure class the tracer counts must belong
 to the failure taxonomy that a trial catches (``kernels.EstimationError``).
-The package loads numpy, ``scipy.linalg`` and the standard library only.
+The package loads numpy and the standard library only, and refuses a numpy
+whose OpenBLAS lacks the LAPACKE entry points it calls.
 """
 
+import ctypes
+import ctypes.util
 import importlib
 import importlib.util
 import inspect
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import espritsim
+from espritsim import kernels
 from espritsim.kernels import EstimationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,12 +106,9 @@ def test_all_names_import(name):
     assert namespace[name] is getattr(espritsim, name)
 
 
-# scipy subpackages the package must not load: scipy.optimize alone pulls in
-# the other three and costs about a fifth of the benchmark's peak memory
-UNLOADED_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
-
-
 def test_import_leaves_heavy_scipy_unloaded():
+    # no scipy module at all: scipy.linalg alone was half of every process's
+    # footprint, and scipy.optimize pulled in sparse, spatial and special
     # a fresh interpreter: this one has loaded whatever the other tests import
     script = ("import sys, espritsim, espritsim.harness, espritsim.cli; "
               "print(' '.join(sys.modules))")
@@ -116,6 +117,13 @@ def test_import_leaves_heavy_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "scipy.linalg" in loaded
-    assert sorted(loaded.intersection(UNLOADED_SCIPY)) == []
+    loaded = proc.stdout.split()
+    assert "numpy" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_binder_refuses_a_library_without_lapacke():
+    libc = ctypes.CDLL(ctypes.util.find_library("c"))
+    with pytest.raises(ImportError, match="numpy's PyPI wheel, whose bundled "
+                                          "scipy-openblas64 exports LAPACKE"):
+        kernels._bind_openblas(libc)
