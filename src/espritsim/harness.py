@@ -16,8 +16,9 @@ trial it claimed raises ``TrialLostError``. ``threads = 1`` runs every trial
 in the parent. numpy's OpenBLAS runs one thread for the sweep, so the
 bytes do not depend on the caller's BLAS threading either.
 
-Each trial yields one record; ``TRIAL_DIAGNOSTICS`` names the estimate
-diagnostics it keeps, which are also the diagnostic columns of trials.csv.
+Each trial yields one frozen ``TrialRecord``, which the helpers send
+through their pipes as is; its leading fields are the columns of
+trials.csv, whose header ``TRIAL_COLUMNS`` derives from them.
 Monte-Carlo and analytic rows share one RMSE-row builder, and every metric
 CSV has the header ``METRIC_COLUMNS``.
 """
@@ -36,7 +37,7 @@ import numbers
 import os
 import time
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -153,14 +154,16 @@ class ExperimentConfig:
             scenario = channel.Scenario.from_dict(d.pop("scenario"))
             cfg = cls(scenario=scenario, **d)
             smoothing = sorted(set(cfg.methods) & {"matrix_dense", "matrix_fast", "analytic"})
+            if smoothing or "tensor" in cfg.methods:
+                paths = channel.params_from_geometry(scenario)
+                transforms = channel.scenario_transforms(scenario, paths)
             if smoothing:
                 # loading builds the kit once, so that its own rank test refuses
                 # paths no smoothing estimator can tell apart before any trial
                 # runs; only the analytic method needs the rest of the kit
-                paths = channel.params_from_geometry(scenario)
                 try:
-                    perturbation.build_kit(paths, channel.scenario_transforms(scenario, paths),
-                                           scenario, cfg.l5 or esprit.default_l5(scenario.m[4]),
+                    perturbation.build_kit(paths, transforms, scenario,
+                                           cfg.l5 or esprit.default_l5(scenario.m[4]),
                                            with_position="analytic" in cfg.methods)
                 except perturbation.IllPosedScenarioError as exc:
                     raise ConfigError(f"{smoothing}: {exc}; no smoothed stack separates these "
@@ -170,6 +173,16 @@ class ExperimentConfig:
                     # a singular angle map stops the analytic RMSEs, not the estimators
                     if "analytic" in cfg.methods:
                         raise
+            if "tensor" in cfg.methods:
+                # CP-ALS fits a rank-L model, and none exists when two paths
+                # coincide in every mode: KR(A_n) then has rank below L
+                s = channel.khatri_rao_core(channel.beamspace_factors(
+                    paths, transforms, scenario))[1].singular_values
+                if s[-1] <= kernels.PINV_RTOL * s[0]:
+                    raise ConfigError(
+                        f"['tensor']: KR(A_n) has sigma_min/sigma_max = {s[-1] / s[0]:.1e}, so "
+                        f"no rank-{scenario.num_paths} CP model exists (two paths coincide "
+                        f"where one of the scatterers lies on the line of sight)")
             return cfg
         except ConfigError:
             raise
@@ -277,35 +290,45 @@ def match_paths(estimated, truth):
     return np.array(_min_cost_assignment(cost), dtype=int)
 
 
-# (name, kind) of each estimate diagnostic that trials.csv carries, in column
-# order; see _dump_cell for how a kind is written.
-TRIAL_DIAGNOSTICS = (
-    ("lanczos_steps", int),         # matrix_fast only
-    ("lanczos_stop", str),          # converged | breakdown | cap
-    ("rotation_residual", float),   # matrix pipelines only
-    ("subspace_gap", float),        # matrix pipelines, when reported
-    ("cp_fit", float),              # tensor only
-    ("cp_iterations", int),         # tensor only: the winning restart
-    ("pairing_separation", float),  # matrix pipelines: inf for one path
-    ("beta_redraws", int),          # matrix pipelines only
-    ("gain_matrix_condition", float),
-)
-
-
-@dataclass
-class _TrialOutput:
+@dataclass(frozen=True)
+class TrialRecord:
+    """One trial. The fields up to ``error`` are its trials.csv row, in column
+    order; a diagnostic the estimate did not report is None. The per-path
+    squared errors and rate terms after them feed the metric rows only."""
+    method: str
+    snr_db: float
+    trial: int
     ok: bool
-    sq_angle: np.ndarray | None = None     # (L, 4) squared angle errors
-    sq_tau: np.ndarray | None = None       # (L,)
-    sq_gain: np.ndarray | None = None      # (L,)
     sq_pos: float | None = None
-    rate_terms: tuple | None = None        # (U, I), each (M5,)
-    runtime: float = 0.0
+    runtime_s: float = 0.0
+    lanczos_steps: int | None = None         # matrix_fast only
+    lanczos_stop: str | None = None          # converged | breakdown | cap
+    rotation_residual: float | None = None   # matrix pipelines only
+    subspace_gap: float | None = None        # matrix pipelines, when reported
+    cp_fit: float | None = None              # tensor only
+    cp_iterations: int | None = None         # tensor only: the winning restart
+    pairing_separation: float | None = None  # matrix pipelines: inf for one path
+    beta_redraws: int | None = None          # matrix pipelines only
+    gain_matrix_condition: float | None = None
     error: str = ""
-    diagnostics: dict = field(default_factory=dict)   # TRIAL_DIAGNOSTICS names
+    sq_angle: np.ndarray | None = None       # (L, 4) squared angle errors
+    sq_tau: np.ndarray | None = None         # (L,)
+    sq_gain: np.ndarray | None = None        # (L,)
+    rate_terms: tuple | None = None          # (U, I), each (M5,)
+
+    def as_csv_row(self):
+        """None is an empty cell, a bool 0/1, a float its repr."""
+        return ["" if v is None else int(v) if isinstance(v, bool)
+                else repr(float(v)) if isinstance(v, float) else v
+                for v in (getattr(self, name) for name in TRIAL_COLUMNS)]
 
 
-def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
+_RECORD_FIELDS = [f.name for f in fields(TrialRecord)]
+TRIAL_COLUMNS = tuple(_RECORD_FIELDS[:_RECORD_FIELDS.index("error") + 1])   # trials.csv header
+_DIAGNOSTICS = TRIAL_COLUMNS[TRIAL_COLUMNS.index("runtime_s") + 1:-1]
+
+
+def _run_single_trial(method, snr_db, trial, noisy, transforms, scenario, truth_paths,
                       truth_omega, l5, rng):
     if method not in ("matrix_dense", "matrix_fast", "tensor"):
         raise InvalidInputError(f"not a per-trial method: {method}")
@@ -326,16 +349,14 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
         error = f"{type(exc).__name__}: {exc}"
     runtime = time.perf_counter() - t0     # the estimate's one timer, failed or not
     reported = est.diagnostics if est is not None else {}
-    out = _TrialOutput(ok=False, error=error, runtime=runtime,
-                       diagnostics={name: reported.get(name)
-                                    for name, _ in TRIAL_DIAGNOSTICS})
+    record = functools.partial(TrialRecord, method, snr_db, trial, runtime_s=runtime,
+                               **{name: reported.get(name) for name in _DIAGNOSTICS})
     if est is None:
-        return out
+        return record(ok=False, error=error)
     values = [est.omega, est.gains] + [np.append(p.angles(), [p.tau, p.gamma])
                                        for p in est.params]
     if not all(np.all(np.isfinite(v)) for v in values):
-        out.error = "non-finite estimate"
-        return out
+        return record(ok=False, error="non-finite estimate")
 
     perm = match_paths(est.omega, truth_omega)
     params = [est.params[p] for p in perm]
@@ -351,18 +372,14 @@ def _run_single_trial(method, noisy, transforms, scenario, truth_paths,
     try:
         loc = slac.localize_scenario(params, scenario)
     except slac.DegenerateLocalizationError as exc:
-        out.error = f"localize: {exc}"
-        return out
+        return record(ok=False, error=f"localize: {exc}")
     sq_pos = float(np.sum((loc.p_hat - scenario.p_r) ** 2))
     rate_terms = slac.rate_terms(params, truth_paths, scenario)
     if not all(np.all(np.isfinite(v)) for v in (sq_angle, sq_tau, sq_gain, sq_pos,
                                                  *rate_terms)):
-        out.error = "non-finite metrics"
-        return out
-    out.ok = True
-    out.sq_angle, out.sq_tau, out.sq_gain = sq_angle, sq_tau, sq_gain
-    out.sq_pos, out.rate_terms = sq_pos, rate_terms
-    return out
+        return record(ok=False, error="non-finite metrics")
+    return record(ok=True, sq_pos=sq_pos, sq_angle=sq_angle, sq_tau=sq_tau,
+                  sq_gain=sq_gain, rate_terms=rate_terms)
 
 
 @contextlib.contextmanager
@@ -397,8 +414,8 @@ def _trial(sweep, method, si, t):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, t)))
     noisy = channel.observe_and_estimate(sweep.tensor, cfg.scenario, rng,
                                          n0=sweep.n0[si])
-    return _run_single_trial(method, noisy, sweep.transforms, cfg.scenario,
-                             sweep.paths, sweep.truth_omega, sweep.l5, rng)
+    return _run_single_trial(method, cfg.snr_grid_db[si], t, noisy, sweep.transforms,
+                             cfg.scenario, sweep.paths, sweep.truth_omega, sweep.l5, rng)
 
 
 def _task_name(task):
@@ -535,20 +552,21 @@ def _rmse_rows(row, sq_angle, sq_tau, sq_gain, sq_pos):
     return rows
 
 
-def _rows_from_trials(method, snr_db, outputs, scenario, n0, n_attempted):
-    good = [t for t in outputs if t.ok]
-    failures = n_attempted - len(good)
+def _rows_from_trials(records, scenario, n0):
+    """The Monte-Carlo rows of one (method, SNR) pair's records, and its failures."""
+    good = [t for t in records if t.ok]
+    failures = len(records) - len(good)
     if not good:
         return [], failures
-    row = functools.partial(MetricRow, method, snr_db, trials=len(good),
-                            failures=failures)
+    row = functools.partial(MetricRow, records[0].method, records[0].snr_db,
+                            trials=len(good), failures=failures)
     rows = _rmse_rows(row, np.stack([t.sq_angle for t in good]),
                       np.stack([t.sq_tau for t in good]),
                       np.stack([t.sq_gain for t in good]),
                       np.array([t.sq_pos for t in good]))
     rate, _ = slac.batch_rate([t.rate_terms for t in good], scenario, n0)
     rows.append(row("all", "rate_bps_hz", rate))
-    rows.append(row("all", "runtime_s", float(np.median([t.runtime for t in good]))))
+    rows.append(row("all", "runtime_s", float(np.median([t.runtime_s for t in good]))))
     return rows, failures
 
 
@@ -607,14 +625,12 @@ def run_experiment(cfg):
         for si, snr_db in enumerate(cfg.snr_grid_db):
             for method in per_method:
                 # results arrive in task order: the next cfg.trials are this pair's
-                outputs = list(itertools.islice(results, cfg.trials))
-                new_rows, failures = _rows_from_trials(
-                    method, snr_db, outputs, scenario, n0[si], cfg.trials)
+                records = list(itertools.islice(results, cfg.trials))
+                new_rows, failures = _rows_from_trials(records, scenario, n0[si])
                 rows.extend(new_rows)
                 worst[method] = max(worst.get(method, 0.0), failures / cfg.trials)
                 if cfg.dump_trials:
-                    trial_dump.extend((method, snr_db, t, out)
-                                      for t, out in enumerate(outputs))
+                    trial_dump.extend(records)
 
             if kit is not None:
                 rows.extend(_analytic_rows(kit, snr_db, n0[si]))
@@ -660,22 +676,10 @@ def write_figures(rows, outdir):
     return files
 
 
-def _dump_cell(kind, value):
-    """A diagnostic's trials.csv cell: empty when not reported, a float's repr."""
-    return "" if value is None else repr(float(value)) if kind is float else value
-
-
-def _write_trial_dump(dump, outdir):
+def _write_trial_dump(records, outdir):
     path = os.path.join(outdir, "trials.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "snr_db", "trial", "ok", "sq_pos", "runtime_s",
-                         *(name for name, _ in TRIAL_DIAGNOSTICS), "error"])
-        for method, snr_db, t, out in dump:
-            writer.writerow([method, repr(float(snr_db)), t, int(out.ok),
-                             repr(float(out.sq_pos)) if out.ok else "",
-                             repr(float(out.runtime)),
-                             *(_dump_cell(kind, out.diagnostics.get(name))
-                               for name, kind in TRIAL_DIAGNOSTICS),
-                             out.error])
+        writer.writerow(TRIAL_COLUMNS)
+        writer.writerows(r.as_csv_row() for r in records)
     return path

@@ -89,9 +89,11 @@ def _solve_mode(grams, mode, mttkrp):
     return lstsq_pinv(gram, mttkrp.T).T
 
 
-def _residual(head, kr_head, last, norm_t):
-    """||T - X|| / ||T|| with X = KR(A_1..A_{N-1}) A_N^T as a head-shaped product."""
-    return float(np.linalg.norm(head - kr_head @ last.T) / norm_t)
+def _residual(head, kr_head, last, norm_t, work):
+    """||T - X|| / ||T|| with X = KR(A_1..A_{N-1}) A_N^T as a head-shaped product,
+    formed and subtracted in ``work``, a buffer shaped like ``head``."""
+    np.subtract(head, np.matmul(kr_head, last.T, out=work), out=work)
+    return float(np.linalg.norm(work) / norm_t)
 
 
 def _init_factors(tensor, rank, how, rng):
@@ -130,7 +132,8 @@ def cp_als(tensor, rank, rng):
     & Cichocki, IEEE TSP 2013); mode N's MTTKRP is one (d_N x prod d_n) x
     (prod d_n x L) product. The factor Grams update one mode at a time, and
     each residual compares ``head`` with the single product
-    KR(A_1..A_{N-1}) A_N^T.
+    KR(A_1..A_{N-1}) A_N^T, formed in one head-shaped workspace allocated
+    once per call.
     """
     if rank < 1:
         raise InvalidInputError("rank must be >= 1")
@@ -143,6 +146,7 @@ def cp_als(tensor, rank, rng):
     if norm_t == 0:
         raise InvalidInputError("zero tensor has no CP decomposition")
     head = tensor.reshape(-1, tensor.shape[-1])
+    work = np.empty_like(head)      # every residual of this call reuses it
     last = tensor.ndim - 1
 
     best = None
@@ -163,13 +167,13 @@ def cp_als(tensor, rank, rng):
             kr_head = channel.khatri_rao(factors[:last])
             factors[last] = _solve_mode(grams, last, head.T @ kr_head.conj())
             grams[last] = factors[last].conj().T @ factors[last]
-            new_residual = _residual(head, kr_head, factors[last], norm_t)
+            new_residual = _residual(head, kr_head, factors[last], norm_t, work)
 
             if prev_factors is not None and new_residual < residual:
                 step = iteration ** (1.0 / 3.0) if iteration > 1 else 1.0
                 trial = [f + step * (f - fp) for f, fp in zip(factors, prev_factors)]
                 trial_residual = _residual(head, channel.khatri_rao(trial[:last]),
-                                           trial[last], norm_t)
+                                           trial[last], norm_t, work)
                 if trial_residual < new_residual:
                     factors = trial
                     grams = [f.conj().T @ f for f in factors]

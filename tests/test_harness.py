@@ -193,7 +193,7 @@ class TestTrialFailureContainment:
         paths = true_paths if paths is None else paths
         truth = channel.path_omegas(paths, scen.delta_f)
         out = harness._run_single_trial(
-            method, tensor, transforms, scen, paths, truth,
+            method, 30.0, 0, tensor, transforms, scen, paths, truth,
             l5 or esprit.default_l5(scen.m[4]), np.random.default_rng(seed))
         if not out.ok:
             assert out.error.split(": ", 1)[0] in estimation_error_names(), out.error
@@ -440,15 +440,44 @@ class TestRunExperiment:
             for t in range(2):
                 rng = np.random.default_rng(t)
                 noisy = channel.observe_and_estimate(tensor, scen, rng, n0=n0)
-                trials.append((method, 30.0, t, harness._run_single_trial(
-                    method, noisy, transforms, scen, paths, truth,
-                    esprit.default_l5(scen.m[4]), rng)))
+                trials.append(harness._run_single_trial(
+                    method, 30.0, t, noisy, transforms, scen, paths, truth,
+                    esprit.default_l5(scen.m[4]), rng))
         with open(harness._write_trial_dump(trials, tmp_path)) as fh:
             dump = list(csv.DictReader(fh))
         assert len(dump) == 4
         for r in dump:
             assert r["pairing_separation"] == "inf"
             assert r["beta_redraws"] == "0"
+
+    def test_dump_cells_of_hand_built_records(self, tmp_path):
+        # one cell rule: None is empty, a bool 0/1, a float its repr (a numpy
+        # float's too), anything else as is; the per-path arrays stay out
+        sq = np.full((2, 4), 0.5)
+        records = [
+            harness.TrialRecord(
+                "matrix_fast", 30.0, 3, True, sq_pos=0.1 + 0.2, runtime_s=0.0125,
+                lanczos_steps=6, lanczos_stop="converged", rotation_residual=1e-3,
+                subspace_gap=12.5, pairing_separation=0.25, beta_redraws=0,
+                gain_matrix_condition=np.float64(1.7), sq_angle=sq, sq_tau=sq[:, 0],
+                sq_gain=sq[:, 1], rate_terms=(sq[0], sq[1])),
+            harness.TrialRecord("tensor", -10.0, 0, False, runtime_s=2.5,
+                                error="InvalidInputError: zero tensor has no CP decomposition"),
+            harness.TrialRecord("matrix_dense", 40.0, 1, True, sq_pos=4e-06, runtime_s=1.0,
+                                rotation_residual=0.0, pairing_separation=np.inf,
+                                beta_redraws=0, gain_matrix_condition=1.0),
+        ]
+        with open(harness._write_trial_dump(records, tmp_path), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            list(harness.TRIAL_COLUMNS),
+            ["matrix_fast", "30.0", "3", "1", "0.30000000000000004", "0.0125", "6",
+             "converged", "0.001", "12.5", "", "", "0.25", "0", "1.7", ""],
+            ["tensor", "-10.0", "0", "0", "", "2.5", "", "", "", "", "", "", "", "", "",
+             "InvalidInputError: zero tensor has no CP decomposition"],
+            ["matrix_dense", "40.0", "1", "1", "4e-06", "1.0", "", "", "0.0", "", "", "",
+             "inf", "0", "1.0", ""],
+        ]
 
     def test_dump_carries_cp_fit_and_iterations(self, tmp_path):
         cfg = harness.ExperimentConfig.from_dict(
@@ -485,7 +514,7 @@ class TestRunExperiment:
         def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] % 2 == 0:
-                return harness._TrialOutput(ok=False, error="forced")
+                return harness.TrialRecord(*args[:3], ok=False, error="forced")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "_run_single_trial", flaky)
@@ -505,7 +534,7 @@ class TestRunExperiment:
         def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
-                return harness._TrialOutput(ok=False, error="forced")
+                return harness.TrialRecord(*args[:3], ok=False, error="forced")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "_run_single_trial", flaky)
@@ -893,6 +922,21 @@ class TestCli:
         assert cli.main(["validate-config", str(path)]) == 2
         assert "['matrix_fast']: J1 P rank deficient" in capsys.readouterr().err
 
+    def test_los_scatterer_refused_for_tensor(self, tmp_path, capsys):
+        # the two coinciding paths leave KR(A_n) of rank 1, so no rank-2 CP
+        # model exists; the shipped scene's sigma_min/sigma_max is 0.92
+        doc = json.loads((ROOT / "configs" / "desk.json").read_text())
+        doc["scenario"]["scatterers"] = [[10, 5, 4.75]]
+        doc["methods"] = ["tensor"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate-config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "['tensor']: " in err and "no rank-2 CP model" in err and "scatterers" in err
+        doc["scenario"]["scatterers"] = [[10, 2.5, 0]]
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate-config", str(path)]) == 0
+
     def test_single_path_analytic_only_is_valid(self, tmp_path, capsys):
         # only the per-trial methods need a path to localize from
         doc = desk_config(methods=["analytic"])
@@ -928,8 +972,7 @@ class TestCli:
                          "--dump-trials"]) == 0
         with open(out / "trials.csv", newline="") as fh:
             header = next(csv.reader(fh))
-        assert len(set(documented)) == len(documented)
-        assert set(header) == set(documented)
+        assert tuple(documented) == tuple(header) == harness.TRIAL_COLUMNS
 
     def test_failure_breach_exit_code_3(self, tmp_path, monkeypatch):
         def boom(cfg):

@@ -184,6 +184,23 @@ class TestSharedContraction:
             factors[mode] = random_complex(rng, (dims[mode], 2))
 
 
+class TestResidualWorkspace:
+    # head shapes of the desk and the full-size scene: (N1 N2 N3 N4) x M5
+    @pytest.mark.parametrize("rows, m5", [(256, 64), (256, 500)], ids=["desk", "full"])
+    @pytest.mark.parametrize("rank", [1, 2, 6])
+    def test_equals_the_two_temporary_form_bitwise(self, rows, m5, rank):
+        rng = np.random.default_rng(rows + m5 + rank)
+        head = random_complex(rng, (rows, m5))
+        kr_head = random_complex(rng, (rows, rank))
+        last = random_complex(rng, (m5, rank))
+        norm_t = np.linalg.norm(head)
+        work = np.full_like(head, np.nan)       # stale contents must not leak in
+        got = tensor_esprit._residual(head, kr_head, last, norm_t, work)
+        want = float(np.linalg.norm(head - kr_head @ last.T) / norm_t)
+        assert got == want
+        assert np.array_equal(work, head - kr_head @ last.T)
+
+
 class TestStart:
     @pytest.mark.parametrize("dims, rank", [
         ((2, 1, 1, 1, 6), 3),     # mode 5 is longer than the rest together
