@@ -133,6 +133,8 @@ class Scenario:
         for name in ("e_s", "nlos_power_scale"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidInputError(f"{name}={getattr(self, name)} must be finite and > 0")
+        if self.seed < 0:     # the path gains' SeedSequence cannot take it
+            raise InvalidInputError(f"scenario seed={self.seed} must be >= 0")
         if self.n_c < self.n_p:
             raise InvalidInputError(f"n_c={self.n_c} < n_p={self.n_p}: more pilots than symbols")
         if self.n_p < self.n[0] * self.n[1]:

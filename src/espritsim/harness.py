@@ -167,22 +167,21 @@ class ExperimentConfig:
                                            with_position="analytic" in cfg.methods)
                 except perturbation.IllPosedScenarioError as exc:
                     raise ConfigError(f"{smoothing}: {exc}; no smoothed stack separates these "
-                                      f"paths (two paths coincide where a scatterer lies on "
-                                      f"the line of sight)") from exc
+                                      f"paths ({_closest_paths(paths, scenario)})") from exc
                 except perturbation.SingularParameterizationError:
                     # a singular angle map stops the analytic RMSEs, not the estimators
                     if "analytic" in cfg.methods:
                         raise
             if "tensor" in cfg.methods:
-                # CP-ALS fits a rank-L model, and none exists when two paths
-                # coincide in every mode: KR(A_n) then has rank below L
+                # CP-ALS fits a rank-L model, and none exists when KR(A_n) has
+                # rank below L, as when two paths coincide in every mode
                 s = channel.khatri_rao_core(channel.beamspace_factors(
                     paths, transforms, scenario))[1].singular_values
-                if s[-1] <= kernels.PINV_RTOL * s[0]:
+                if kernels._numerical_rank(s) < scenario.num_paths:
                     raise ConfigError(
                         f"['tensor']: KR(A_n) has sigma_min/sigma_max = {s[-1] / s[0]:.1e}, so "
-                        f"no rank-{scenario.num_paths} CP model exists (two paths coincide "
-                        f"where one of the scatterers lies on the line of sight)")
+                        f"no rank-{scenario.num_paths} CP model exists "
+                        f"({_closest_paths(paths, scenario)})")
             return cfg
         except ConfigError:
             raise
@@ -193,6 +192,20 @@ class ExperimentConfig:
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _closest_paths(paths, scenario):
+    """The two paths whose angular frequencies lie closest, named as in the
+    config, and the largest wrapped difference between their frequencies: a
+    refusal by a rank test names them rather than guess at a cause."""
+    omega = channel.path_omegas(paths, scenario.delta_f)
+    gap = np.abs(channel.wrap_angle(omega[:, None] - omega[None])).max(axis=2)
+    gap[np.diag_indices_from(gap)] = np.inf
+    a, b = np.unravel_index(np.argmin(gap), gap.shape)
+    names = ["the line of sight"] + [f"scatterers[{i}]" for i in range(len(paths) - 1)]
+    closest = (f"{names[a]} and {names[b]} differ by at most {gap[a, b]:.1e} rad "
+               f"in every frequency")
+    return ("two paths coincide: " if gap[a, b] == 0.0 else "closest paths: ") + closest
 
 
 @dataclass(frozen=True)

@@ -125,14 +125,6 @@ def _svd(a):
     return SvdResult(left=u, singular_values=s, right=vh.conj().T)
 
 
-def _qr_r_overwrite(at):
-    """R factor of ``at.T = Q R``, min(m, n) x n upper trapezoidal, by LAPACK geqrf
-    in place on ``at`` (Q is never formed); the caller owns ``at`` and has
-    checked it to be nonempty and finite, and ``_geqrf_overwrite`` checks
-    its layout."""
-    return _geqrf_overwrite(at)[1]
-
-
 def _geqrf_overwrite(at):
     """Householder QR of ``at.T`` in place: ((reflectors, tau), R).
 
@@ -197,50 +189,31 @@ def eig_general(a):
 PINV_RTOL = 1e-12   # every pseudo-inverse drops singular values <= PINV_RTOL * s_max
 
 
-def pinv(a):
-    """Moore-Penrose pseudoinverse with singular values below ``PINV_RTOL * s_max`` truncated.
-
-    An all-zero matrix maps to the all-zero transpose-shaped matrix.
-    """
-    return svd_pinv(_svd(_as_matrix(a)))
-
-
-def svd_pinv(res):
-    """``pinv`` of the operand whose thin SVD is ``res``."""
-    inv_s = _truncated_inverse(res.singular_values)
-    if inv_s is None:
-        return np.zeros((res.right.shape[0], res.left.shape[0]), dtype=np.complex128)
-    return (res.right * inv_s) @ res.left.conj().T
+def _numerical_rank(s):
+    """How many of the descending singular values ``s`` exceed ``PINV_RTOL * s[0]``:
+    the ones every pseudo-inverse keeps; 0 for an empty or all-zero ``s``."""
+    return int(np.count_nonzero(s > PINV_RTOL * s[0])) if s.size else 0
 
 
 def lstsq_pinv(a, b):
-    """Minimum-norm least-squares solve ``pinv(a) @ b`` without forming the pseudoinverse."""
+    """Minimum-norm least-squares solve ``a^+ @ b`` without forming the pseudoinverse."""
     return svd_solve(_svd(_as_matrix(a, "lhs")), b)
 
 
 def svd_solve(res, b):
-    """``lstsq_pinv`` of the lhs whose thin SVD is ``res``."""
+    """``a^+ @ b`` for the ``a`` whose thin SVD is ``res``: the package's one
+    truncated pseudo-inverse, which inverts the ``_numerical_rank`` leading
+    singular values only (``svd_solve(res, I)`` is ``a^+`` itself, and an
+    all-zero ``a`` maps every ``b`` to zeros)."""
     b = np.asarray(b, dtype=np.complex128)
     if not np.all(np.isfinite(b)):
         raise InvalidInputError("rhs contains non-finite entries")
-    inv_s = _truncated_inverse(res.singular_values)
-    if inv_s is None:
-        shape = (res.right.shape[0],) + b.shape[1:]
-        return np.zeros(shape, dtype=np.complex128)
-    proj = res.left.conj().T @ b
+    rank = _numerical_rank(res.singular_values)
+    inv_s = 1.0 / res.singular_values[:rank]
+    proj = res.left[:, :rank].conj().T @ b
     if b.ndim == 1:
-        return res.right @ (inv_s * proj)
-    return res.right @ (inv_s[:, None] * proj)
-
-
-def _truncated_inverse(s):
-    """1 / s on the singular values above ``PINV_RTOL * s_max``, 0 below; None if s_max is 0."""
-    if s.size == 0 or s[0] == 0.0:
-        return None
-    keep = s > PINV_RTOL * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return inv_s
+        return res.right[:, :rank] @ (inv_s * proj)
+    return res.right[:, :rank] @ (inv_s[:, None] * proj)
 
 
 def _next_pow2(n):

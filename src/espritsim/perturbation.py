@@ -35,7 +35,8 @@ import numpy as np
 
 from . import channel, slac
 from .channel import SPEED_OF_LIGHT
-from .kernels import PINV_RTOL, InvalidInputError, SvdResult, _next_pow2, svd_pinv, svd_thin
+from .kernels import (InvalidInputError, SvdResult, _next_pow2, _numerical_rank, svd_solve,
+                      svd_thin)
 
 ANGLE_TOL = 1e-9    # _kappa_maps refuses a path whose |cos az| or |sin el| is below this
 
@@ -346,20 +347,22 @@ def build_kit(paths, transforms, scenario, l5, with_position=True):
     svds = _per_shape(partial(np.linalg.svd, full_matrices=False),
                       [channel.khatri_rao(rs) for rs in core_rs])
     for n, (_, s, _) in enumerate(svds[:5]):
-        if s.size < n_paths or s[-1] <= PINV_RTOL * s[0]:
+        if _numerical_rank(s) < n_paths:
             raise IllPosedScenarioError(f"J1 P rank deficient in dimension {n + 1}")
     # the smoothed stack's window factor A5 (l5 x L): pseudo-inverted as chi,
     # so it needs full rank too, which two paths with one delay deny it
     window = svd_thin(factors[4][:l5].T)
-    s = window.singular_values
-    if s[-1] <= PINV_RTOL * s[0]:
+    if _numerical_rank(window.singular_values) < n_paths:
         raise IllPosedScenarioError(f"the l5={l5}-column window factor A5 is rank "
                                     f"deficient: two paths share a delay")
-    pinvs = [svd_pinv(SvdResult(u, s, vh.conj().T)) for u, s, vh in svds]
+    # each core C (r x L, r up to N^4 K5) as (C^+)^H = (C^H)^+ I_L: C^H's SVD is
+    # the same triplets swapped, and the identity is L x L, not r x r
+    pinvs = [svd_solve(SvdResult(vh.conj().T, s, u), np.eye(n_paths)).conj().T
+             for u, s, vh in svds]
     lam_cores = [p.conj().reshape((n_paths,) + tuple(r.shape[0] for r in rs))
                  for p, rs in zip(pinvs[:5], core_rs)]
     xi_tucker = _xi_tucker([q for q, _ in xi_qrs], [q for q, _ in sel_qrs], transforms,
-                           lam_cores, svd_pinv(window).conj(), phi)
+                           lam_cores, svd_solve(window, np.eye(n_paths)).conj(), phi)
     kappa_maps = _kappa_maps(paths, scenario.delta_f)
     b_pinv_tucker, upsilon_gain = _gain_sensitivities(factors, fac_qrs, pinvs[5], transforms,
                                                       omega, gains)

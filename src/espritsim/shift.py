@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import InvalidInputError, _qr_r_overwrite
+from .kernels import InvalidInputError, _geqrf_overwrite
 
 
 DEFLATE_RTOL = 1e-12    # restore_projector's generator deflation tolerance
@@ -99,7 +99,7 @@ class SelectorPair:
             op = np.empty((2,) + blocks.shape[:2] + (k5 - 1,), dtype=np.complex128)
             op[0] = blocks[:, :, :-1]
             op[1] = blocks[:, :, 1:]
-            r = _qr_r_overwrite(op.reshape(2 * n_paths, -1))
+            r = _geqrf_overwrite(op.reshape(2 * n_paths, -1))[1]
             return r[:, :n_paths], r[:, n_paths:]
         axis = self.dim - 1
         pre, size = int(np.prod(self.dims[:axis])), self.dims[axis]
@@ -108,7 +108,7 @@ class SelectorPair:
         # always a copy, since the QR overwrites it
         op = (u.reshape(pre, size, post, n_paths).transpose(1, 3, 0, 2).copy()
               .reshape(size * n_paths, -1))
-        r = _qr_r_overwrite(op).reshape(-1, size, n_paths)
+        r = _geqrf_overwrite(op)[1].reshape(-1, size, n_paths)
         return (np.matmul(self.l1, r).reshape(-1, n_paths),
                 np.matmul(self.l2, r).reshape(-1, n_paths))
 

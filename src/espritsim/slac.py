@@ -111,12 +111,11 @@ def localize(params, p_t, weights=None, tx_axis_sign=1.0, rx_axis_sign=1.0):
                               condition=condition)
 
 
-def localize_scenario(params, scenario, weights=None):
+def localize_scenario(params, scenario):
     """``localize`` with the scenario's array frame signs and weight policy."""
     tx_sign, rx_sign = channel.array_axis_signs(scenario)
-    if weights is None:
-        weights = path_weights(params, scenario.weights)
-    return localize(params, scenario.p_t, weights, tx_sign, rx_sign)
+    return localize(params, scenario.p_t, path_weights(params, scenario.weights),
+                    tx_sign, rx_sign)
 
 
 def _path_factors(params, scenario):

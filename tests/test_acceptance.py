@@ -16,7 +16,7 @@ import pytest
 
 from espritsim import channel, esprit, fastsvd, harness, perturbation, shift, slac
 from espritsim import tensor_esprit
-from espritsim.kernels import pinv
+from espritsim.kernels import PINV_RTOL
 from tests.conftest import (kit_rows, match_rows, projector_gap, selector_products,
                             synthetic_paths)
 
@@ -97,7 +97,7 @@ def test_criterion_2_perturbation_formula_validation(desk):
     om = kit.omega
     facs = channel.beamspace_factors(paths, transforms, scen)
     p_mat = channel.khatri_rao(facs[:4] + [channel.steering_matrix(k5, om[:, 4])])
-    chi = pinv(channel.steering_matrix(l5, om[:, 4]).T).conj()
+    chi = np.linalg.pinv(channel.steering_matrix(l5, om[:, 4]).T, rtol=PINV_RTOL).conj()
     sel = shift.selectors_for_transforms(transforms, k5)
     rows = kit_rows(kit)            # the kit's own Tucker rows, written out
     r = np.random.default_rng(101)
@@ -109,7 +109,7 @@ def test_criterion_2_perturbation_formula_validation(desk):
         dmat = np.ascontiguousarray(np.swapaxes(win, 1, 2)).reshape(-1, l5)
         l, n = trial % 2, trial % 5
         pair = sel[n]
-        row = pinv(selector_products(pair, p_mat)[0])[l]
+        row = np.linalg.pinv(selector_products(pair, p_mat)[0], rtol=PINV_RTOL)[l]
         j1d, j2d = selector_products(pair, dmat)
         matrix_form = row @ (j2d - kit.phi[l, n] * j1d) \
             @ chi[:, l].conj() / kit.gains[l]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from espritsim import channel, cli, esprit, harness, kernels, perturbation
 from espritsim.kernels import EstimationError, InvalidInputError, NumericFailureError
+from tests.conftest import synthetic_paths
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -319,6 +320,21 @@ class TestConfig:
     def test_rejects_non_object(self, doc):
         with pytest.raises(harness.ConfigError):
             harness.ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("omegas, named", [
+        # the paths share every spatial frequency and part in delay only
+        ([[0.4, 0.3, -0.6, 0.2, 1.0], [0.4, 0.3, -0.6, 0.2, -0.5],
+          [0.4, 0.3, -0.6, 0.2, 2.2]],
+         "closest paths: the line of sight and scatterers[1] differ by at most 1.2e+00 rad"),
+        # delay frequencies on either side of pi lie 2 pi - 6.2 apart, not 6.2
+        ([[0.4, 0.3, -0.6, 0.2, 3.1], [0.1, 0.3, -0.6, 0.2, 0.0],
+          [0.4, 0.3, -0.6, 0.2, -3.1]],
+         "closest paths: the line of sight and scatterers[1] differ by at most 8.3e-02 rad"),
+    ], ids=["shared-spatial-frequencies", "wrapped-delay"])
+    def test_closest_paths_names_the_nearest_pair(self, omegas, named):
+        scen = channel.Scenario.from_dict(desk_config()["scenario"])
+        paths = synthetic_paths(omegas, [1.0] * len(omegas), scen.delta_f)
+        assert harness._closest_paths(paths, scen).startswith(named)
 
 
 class TestRunExperiment:
@@ -863,6 +879,8 @@ class TestCli:
         ({"p_r": [0, 5, True]}, "scenario p_r=[0, 5, True] must be a finite 3-vector"),
         ({"p_t": ["20", 5, 8]}, "scenario p_t=['20', 5, 8] must be a finite 3-vector"),
         ({"p_t": "abc"}, "scenario p_t='abc' must be a finite 3-vector"),
+        # numpy's SeedSequence would refuse it without naming the key
+        ({"seed": -1}, "scenario seed=-1 must be >= 0"),
     ])
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_unbuildable_scenario_exit_code_2(self, tmp_path, capsys, command,
@@ -936,6 +954,26 @@ class TestCli:
         doc["scenario"]["scatterers"] = [[10, 2.5, 0]]
         path.write_text(json.dumps(doc))
         assert cli.main(["validate-config", str(path)]) == 0
+
+    @pytest.mark.parametrize("methods, refusal", [
+        (["matrix_fast"], "['matrix_fast']: J1 P rank deficient"),
+        (["tensor"], "['tensor']: KR(A_n) has sigma_min/sigma_max"),
+    ])
+    def test_duplicate_scatterers_named_as_the_coinciding_pair(self, tmp_path, capsys,
+                                                             methods, refusal):
+        # neither scatterer lies on the line of sight: the message names the
+        # pair whose frequencies coincide instead of guessing a cause
+        doc = json.loads((ROOT / "configs" / "desk.json").read_text())
+        doc["scenario"]["scatterers"] = [[10, 2.5, 0], [10, 2.5, 0]]
+        doc["methods"] = methods
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate-config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert refusal in err
+        assert "(two paths coincide: scatterers[0] and scatterers[1] differ by at most " \
+               "0.0e+00 rad in every frequency)" in err
+        assert "line of sight" not in err
 
     def test_single_path_analytic_only_is_valid(self, tmp_path, capsys):
         # only the per-trial methods need a path to localize from

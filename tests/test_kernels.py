@@ -113,18 +113,24 @@ class TestEigGeneral:
             kernels.eig_general(np.ones((2, 3)))
 
 
+def pinv(a):
+    """``a^+`` as ``lstsq_pinv`` of the identity: the package's one pseudo-inverse."""
+    a = np.asarray(a)
+    return kernels.lstsq_pinv(a, np.eye(a.shape[0]))
+
+
 class TestPinv:
     def test_invertible_matches_inverse(self, rng):
         a = random_complex(rng, 2, 2) + 2 * np.eye(2)
-        assert np.allclose(kernels.pinv(a), np.linalg.inv(a), atol=1e-12)
+        assert np.allclose(pinv(a), np.linalg.inv(a), atol=1e-12)
 
     def test_rank_one_column(self):
-        p = kernels.pinv(np.array([[1.0], [1.0]]))
+        p = pinv(np.array([[1.0], [1.0]]))
         assert np.allclose(p, [[0.5, 0.5]])
 
     def test_penrose_conditions(self, rng):
         a = random_complex(rng, 6, 3)
-        p = kernels.pinv(a)
+        p = pinv(a)
         scale = 1e-9 * np.linalg.norm(a)
         assert np.linalg.norm(a @ p @ a - a) <= scale
         assert np.linalg.norm(p @ a @ p - p) <= scale
@@ -133,14 +139,26 @@ class TestPinv:
         assert np.allclose(p @ a, np.eye(3), atol=1e-10)
 
     def test_zero_matrix(self):
-        assert np.allclose(kernels.pinv(np.zeros((3, 2))), np.zeros((2, 3)))
+        assert np.allclose(pinv(np.zeros((3, 2))), np.zeros((2, 3)))
 
     def test_rank_deficiency_truncated(self, rng):
         b = random_complex(rng, 5, 2)
         a = b @ b.conj().T  # rank 2
-        p = kernels.pinv(a)
+        p = pinv(a)
         assert np.linalg.matrix_rank(p, tol=1e-8) == 2
         assert np.linalg.norm(a @ p @ a - a) <= 1e-9 * np.linalg.norm(a)
+
+
+class TestNumericalRank:
+    @pytest.mark.parametrize("s, rank", [
+        ([], 0),
+        ([0.0, 0.0], 0),
+        ([2.0, 2.0 * kernels.PINV_RTOL], 1),        # a value at the cut is dropped
+        ([2.0, 2.0 * kernels.PINV_RTOL * 1.5, 0.0], 2),
+        ([3.0, 1.0, 0.5], 3),
+    ], ids=["empty", "all-zero", "at-the-cut", "above-the-cut", "full-rank"])
+    def test_counts_values_above_the_cut(self, s, rank):
+        assert kernels._numerical_rank(np.array(s)) == rank
 
 
 class TestLstsqPinv:
@@ -152,6 +170,14 @@ class TestLstsqPinv:
         b[4] = bad
         with pytest.raises(kernels.InvalidInputError):
             kernels.lstsq_pinv(a, b)
+
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_is_svd_solve_of_the_thin_svd(self, rng, cols):
+        # one pseudo-inverse: lstsq_pinv is svd_solve on svd_thin, bit for bit
+        a = random_complex(rng, 6, 4)
+        b = random_complex(rng, 6) if cols is None else random_complex(rng, 6, cols)
+        assert np.array_equal(kernels.lstsq_pinv(a, b),
+                              kernels.svd_solve(kernels.svd_thin(a), b))
 
 
 @pytest.mark.parametrize("call", [
@@ -167,8 +193,8 @@ def test_rejects_inf_in_imaginary_part_only(call):
 
 
 def r_factor(a):
-    """``kernels._qr_r_overwrite`` on a C-contiguous copy of ``a.T``."""
-    return kernels._qr_r_overwrite(np.asarray(a, dtype=np.complex128).T.copy())
+    """The R factor of ``kernels._geqrf_overwrite`` on a C-contiguous copy of ``a.T``."""
+    return kernels._geqrf_overwrite(np.asarray(a, dtype=np.complex128).T.copy())[1]
 
 
 class TestQrR:
@@ -207,7 +233,7 @@ class TestQrR:
                                     np.eye(3, 4)], ids=["strided", "f-order", "float64"])
     def test_refuses_an_operand_lapack_cannot_read_in_place(self, at):
         with pytest.raises(TypeError, match="C-contiguous complex128"):
-            kernels._qr_r_overwrite(at)
+            kernels._geqrf_overwrite(at)
 
 
 def graded(rng, m, n, rank):

@@ -8,9 +8,11 @@ calls ``perfbench/workloads.py`` makes must also still bind to their
 functions' signatures, and every failure class the tracer counts must belong
 to the failure taxonomy that a trial catches (``kernels.EstimationError``).
 The package loads numpy and the standard library only, and refuses a numpy
-whose OpenBLAS lacks the LAPACKE entry points it calls.
+whose OpenBLAS lacks the LAPACKE entry points it calls. Only ``kernels``
+names the pseudo-inverse cut ``PINV_RTOL`` in code.
 """
 
+import ast
 import ctypes
 import ctypes.util
 import importlib
@@ -127,3 +129,20 @@ def test_binder_refuses_a_library_without_lapacke():
     with pytest.raises(ImportError, match="numpy's PyPI wheel, whose bundled "
                                           "scipy-openblas64 exports LAPACKE"):
         kernels._bind_openblas(libc)
+
+
+def test_only_kernels_states_the_rank_rule():
+    # one pseudo-inverse: every other module counts singular values through
+    # kernels._numerical_rank or solves through svd_solve/lstsq_pinv, so the
+    # PINV_RTOL cut is written in one place; a docstring may still cite it
+    offenders = []
+    for path in sorted((ROOT / "src" / "espritsim").glob("*.py")):
+        if path.stem == "kernels":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else None)
+            if named == "PINV_RTOL" or (isinstance(node, ast.alias) and node.name == "PINV_RTOL"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

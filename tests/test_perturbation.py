@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from espritsim import channel, esprit, perturbation, shift, slac
-from espritsim.kernels import PINV_RTOL, InvalidInputError, pinv
+from espritsim.kernels import PINV_RTOL, InvalidInputError
 from tests.conftest import kit_rows, match_rows, selector_products, synthetic_paths
 
 
@@ -43,7 +43,7 @@ class TestXiUpsilon:
         p_mat = channel.khatri_rao(facs[:4]
                                    + [channel.steering_matrix(k5, om[:, 4])])
         g_mat = channel.steering_matrix(l5, om[:, 4])
-        chi = pinv(g_mat.T).conj()
+        chi = np.linalg.pinv(g_mat.T, rtol=PINV_RTOL).conj()
         sel = shift.selectors_for_transforms(transforms, k5)
         xi = kit_rows(kit)["xi"]
         for trial in range(100):
@@ -51,7 +51,7 @@ class TestXiUpsilon:
             dmat = smoothed_error(dh, scen.n, k5, l5)
             l, n = trial % 2, trial % 5
             pair = sel[n]
-            j1p_pinv = pinv(selector_products(pair, p_mat)[0])
+            j1p_pinv = np.linalg.pinv(selector_products(pair, p_mat)[0], rtol=PINV_RTOL)
             row = j1p_pinv[l]
             phi = kit.phi[l, n]
             j1d, j2d = selector_products(pair, dmat)
@@ -114,7 +114,7 @@ class TestXiUpsilon:
 
         pair = shift.lifted_selectors(5, (1, 1, 1, 1), 3)
         p_mat = a3[:, None]
-        j1p_pinv = pinv(selector_products(pair, p_mat)[0])
+        j1p_pinv = np.linalg.pinv(selector_products(pair, p_mat)[0], rtol=PINV_RTOL)
         row = j1p_pinv[0].conj()
         j1h_row, j2h_row = selector_products(pair, row, adjoint=True)
         got_lam = j2h_row - np.conj(phi) * j1h_row
@@ -401,7 +401,7 @@ def reference_kit(paths, transforms, scen, l5):
     n_paths = len(paths)
     factors = channel.beamspace_factors(paths, transforms, scen)
     p_mat = channel.khatri_rao(factors[:4] + [channel.steering_matrix(k5, omega[:, 4])])
-    chi = pinv(channel.steering_matrix(l5, omega[:, 4]).T).conj()
+    chi = np.linalg.pinv(channel.steering_matrix(l5, omega[:, 4]).T, rtol=PINV_RTOL).conj()
     n_blocks = int(np.prod([t.n for t in transforms]))
     xi = np.empty((n_paths, 5, n_blocks * m5), dtype=np.complex128)
     upsilon = np.empty_like(xi)
@@ -410,7 +410,7 @@ def reference_kit(paths, transforms, scen, l5):
         s = np.linalg.svd(j1p, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
             raise perturbation.IllPosedScenarioError(f"J1 P rank deficient in dimension {n + 1}")
-        j1p_pinv = pinv(j1p)
+        j1p_pinv = np.linalg.pinv(j1p, rtol=PINV_RTOL)
         for l in range(n_paths):
             row = j1p_pinv[l].conj()
             j1h_row, j2h_row = selector_products(pair, row, adjoint=True)
@@ -436,7 +436,7 @@ def reference_kit(paths, transforms, scen, l5):
         kappa[l, 3] = -u[3] / (np.pi * st_el)
         kappa[l, 4] = -u[4] / (2 * np.pi * scen.delta_f)
 
-    b_pinv = pinv(channel.khatri_rao(factors))
+    b_pinv = np.linalg.pinv(channel.khatri_rao(factors), rtol=PINV_RTOL)
     upsilon_gain = np.empty((5, n_paths, n_paths), dtype=np.complex128)
     for n in range(5):
         m_n = factors[4].shape[0] if n == 4 else transforms[n].m
